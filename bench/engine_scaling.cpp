@@ -2,9 +2,9 @@
 //
 // Runs the LP-partitioned fabric workload (net/lp_workload.hpp) at
 // 1/2/4 worker threads over the engine_scaling grid and reports, per
-// point, events/sec (shard-aggregated: total events over the slowest
-// shard's busy time), speedup over the shape's 1-thread baseline, and
-// the derived scaling efficiency — the BENCH_results.json v4 fields.
+// point, events/sec (events over the point's own wall clock), speedup
+// over the shape's 1-thread point, and the derived scaling efficiency —
+// the BENCH_results.json v4 fields.
 //
 // Usage:
 //   engine_scaling [--points=full|reduced] [--out=PATH] [--check-floor]

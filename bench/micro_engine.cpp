@@ -382,29 +382,45 @@ BENCHMARK(BM_ParallelEngine_LpFabric)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
 /// Barrier overhead in isolation: many near-empty windows (one event per
-/// LP per window, negligible per-event work), so the cost measured is
-/// almost purely wakeup + claim + drain per window.  Watch this one when
-/// touching the worker-pool synchronization.
+/// LP per window, negligible per-event work, each posting one cross-LP
+/// no-op to the next LP), so the cost measured is almost purely wakeup +
+/// claim + drain per window.  320 LPs is fat_tree(3)/1024's partition:
+/// a barrier whose cost grows with LPs² shows there, not at 8.  Setup
+/// and teardown are untimed; items/sec is windows per second.  Watch
+/// this one when touching the worker-pool synchronization or the drain.
 void BM_ParallelEngine_WindowBarrier(benchmark::State& state) {
   const auto threads = static_cast<std::size_t>(state.range(0));
-  constexpr std::size_t kLps = 8;
+  const auto lps = static_cast<std::size_t>(state.range(1));
   constexpr int kWindows = 256;
+  std::uint64_t windows = 0;
   for (auto _ : state) {
+    state.PauseTiming();
     sim::ParallelConfig cfg;
     cfg.threads = threads;
     cfg.lookahead = Time::nanos(100);
-    sim::ParallelEngine peng(kLps, cfg);
-    for (std::size_t lp = 0; lp < kLps; ++lp) {
+    auto peng = std::make_unique<sim::ParallelEngine>(lps, cfg);
+    sim::ParallelEngine* pp = peng.get();
+    for (std::size_t lp = 0; lp < lps; ++lp) {
+      const std::size_t next = (lp + 1) % lps;
       for (int w = 0; w < kWindows; ++w) {
-        peng.lp(lp).schedule_at(Time::nanos(w * 100), [] {});
+        peng->lp(lp).schedule_at(Time::nanos(w * 100), [pp, lp, next] {
+          pp->post(lp, next, Time::nanos(100), [] {});
+        });
       }
     }
-    peng.run();
-    benchmark::DoNotOptimize(peng.windows());
+    state.ResumeTiming();
+    peng->run();
+    state.PauseTiming();
+    windows = peng->windows();
+    peng.reset();
+    state.ResumeTiming();
   }
-  state.SetItemsProcessed(state.iterations() * kWindows);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(windows));
 }
-BENCHMARK(BM_ParallelEngine_WindowBarrier)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_ParallelEngine_WindowBarrier)
+    ->ArgsProduct({{1, 2, 4}, {8, 320}})
+    ->ArgNames({"threads", "lps"});
 
 }  // namespace
 

@@ -45,11 +45,11 @@
 // non-finite floating-point values serialize as `null`, never inf/nan
 // (which are not JSON).  v4 adds the optional parallel-engine fields
 // `threads` and `scaling_efficiency` (sim/parallel.hpp window scheduler;
-// for points with engine threads > 1, events_per_sec aggregates shard
-// events over the slowest shard's busy time — see
-// runner::RunRecord::events_per_sec()); points that ran serially emit
-// byte-identical objects to v3.  Digests are hex *strings* because a 64-bit
-// value does not survive a round-trip through JSON numbers.  Suites,
+// events_per_sec stays events over the point's own wall_ns at every
+// thread count — see runner::RunRecord::events_per_sec()); points that
+// ran serially emit byte-identical objects to v3.  Digests are hex
+// *strings* because a 64-bit value does not survive a round-trip
+// through JSON numbers.  Suites,
 // points, and params keep the submission order of the sweep, which
 // SweepRunner guarantees is deterministic — so two runs of the same
 // point set produce byte-identical files apart from the wall-clock

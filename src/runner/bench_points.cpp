@@ -774,32 +774,34 @@ std::vector<RunPoint> topology_scaling_points(bool reduced) {
 
 namespace {
 
-/// Memoized 1-thread wall-clock baseline per workload shape: every
-/// threads=T point of a shape divides against the same serial
-/// measurement, so speedup / efficiency numbers are comparable within a
-/// sweep.  Thread-safe (the first caller runs the baseline while holding
-/// the lock; later callers reuse it), and wall-clock only — it never
-/// feeds a digest or counter.
-std::uint64_t scaling_baseline_wall_ns(const std::string& label,
-                                       const net::LpWorkloadConfig& cfg) {
+/// Scaling fields of one engine-scaling point.  The shape's threads=1
+/// point IS the baseline: it records its own wall clock here, and every
+/// threads>1 point of the shape divides against it, so no point's timed
+/// body ever runs a second simulation.  Points are listed threads=1
+/// first, so a serial sweep always has the baseline; a pooled sweep may
+/// start a threads>1 point before its shape's baseline exists, and that
+/// point reports no speedup (0 = n/a) — its concurrent neighbours would
+/// skew the ratio anyway.  Wall-clock only: never feeds a digest or
+/// counter.
+void set_scaling_fields(RunMetrics& m, const std::string& shape,
+                        std::size_t threads, std::uint64_t wall_ns) {
   static std::mutex mu;
-  static std::map<std::string, std::uint64_t> memo;
+  static std::map<std::string, std::uint64_t> baseline_ns;
+  m.threads = threads;
   std::lock_guard<std::mutex> lock(mu);
-  auto it = memo.find(label);
-  if (it != memo.end()) return it->second;
-  const auto t0 = std::chrono::steady_clock::now();
-  (void)net::run_lp_workload(cfg, /*threads=*/1);
-  const auto wall = std::chrono::steady_clock::now() - t0;
-  const std::uint64_t ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(wall).count());
-  memo.emplace(label, ns);
-  return ns;
+  if (threads == 1) {
+    baseline_ns[shape] = wall_ns;
+    return;
+  }
+  const auto it = baseline_ns.find(shape);
+  if (it == baseline_ns.end() || it->second == 0 || wall_ns == 0) return;
+  m.speedup = static_cast<double>(it->second) / static_cast<double>(wall_ns);
+  m.scaling_efficiency = m.speedup / static_cast<double>(threads);
 }
 
 RunMetrics engine_scaling_metrics(const std::string& label,
                                   const net::LpWorkloadConfig& cfg,
                                   std::size_t threads) {
-  const std::uint64_t base_ns = scaling_baseline_wall_ns(label, cfg);
   const auto t0 = std::chrono::steady_clock::now();
   const net::LpWorkloadResult r = net::run_lp_workload(cfg, threads);
   const auto wall = std::chrono::steady_clock::now() - t0;
@@ -810,15 +812,11 @@ RunMetrics engine_scaling_metrics(const std::string& label,
   m.digest = r.digest;
   m.trace_records = r.trace_records;
   m.events = r.events;
-  m.threads = threads;
   m.shards.reserve(r.shards.size());
   for (const auto& s : r.shards) {
     m.shards.push_back(ShardSummary{s.events, s.wall_ns});
   }
-  if (threads > 1 && wall_ns > 0 && base_ns > 0) {
-    m.speedup = static_cast<double>(base_ns) / static_cast<double>(wall_ns);
-    m.scaling_efficiency = m.speedup / static_cast<double>(threads);
-  }
+  set_scaling_fields(m, label, threads, wall_ns);
   // Everything here is a pure function of cfg — the serial-vs-pooled
   // comparison in tests/runner_test.cpp checks these bit-for-bit.
   m.counters = {
@@ -851,25 +849,7 @@ sim::Process cluster_scaling_receiver(apps::SimCluster& cluster, int node,
   }
 }
 
-/// Memoized 1-thread wall-clock baseline for the SimCluster scaling
-/// points, same contract as scaling_baseline_wall_ns above.
-std::uint64_t cluster_scaling_baseline_wall_ns(std::size_t hosts) {
-  static std::mutex mu;
-  static std::map<std::size_t, std::uint64_t> memo;
-  std::lock_guard<std::mutex> lock(mu);
-  auto it = memo.find(hosts);
-  if (it != memo.end()) return it->second;
-  const auto t0 = std::chrono::steady_clock::now();
-  (void)run_cluster_scaling_point(hosts, /*threads=*/1);
-  const auto wall = std::chrono::steady_clock::now() - t0;
-  const std::uint64_t ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(wall).count());
-  memo.emplace(hosts, ns);
-  return ns;
-}
-
 RunMetrics cluster_scaling_metrics(std::size_t hosts, std::size_t threads) {
-  const std::uint64_t base_ns = cluster_scaling_baseline_wall_ns(hosts);
   const auto t0 = std::chrono::steady_clock::now();
   const ClusterScalingRun r = run_cluster_scaling_point(hosts, threads);
   const auto wall = std::chrono::steady_clock::now() - t0;
@@ -880,12 +860,8 @@ RunMetrics cluster_scaling_metrics(std::size_t hosts, std::size_t threads) {
   m.digest = r.digest;
   m.trace_records = r.trace_records;
   m.events = r.events;
-  m.threads = threads;
   m.shards = r.shards;
-  if (threads > 1 && wall_ns > 0 && base_ns > 0) {
-    m.speedup = static_cast<double>(base_ns) / static_cast<double>(wall_ns);
-    m.scaling_efficiency = m.speedup / static_cast<double>(threads);
-  }
+  set_scaling_fields(m, "cluster_fattree3/P=" + num(hosts), threads, wall_ns);
   m.counters = {
       {"lp_count", static_cast<std::int64_t>(r.lp_count)},
       {"windows", static_cast<std::int64_t>(r.windows)},

@@ -89,7 +89,8 @@ std::vector<RunPoint> serving_points(bool reduced);
 /// (net/lp_workload.hpp) on the parallel event engine at 1/2/4 worker
 /// threads.  Each point reports the thread-count-independent run digest
 /// and per-shard stats; threads > 1 points additionally report speedup
-/// over the shape's memoized 1-thread baseline and the derived
+/// over the wall clock of the shape's threads=1 point (listed first, so
+/// no point's timed body runs a second simulation) and the derived
 /// `scaling_efficiency` (BENCH_results.json v4).  The full grid's
 /// 1024-host fat-tree point carries the CI speedup floor enforced by
 /// bench/engine_scaling --check-floor.  Included in figure_sweep_points;

@@ -52,9 +52,8 @@ struct LatencySummary {
 
 /// Per-LP-shard execution stats a parallel-engine point reports back
 /// (sim::ParallelEngine::shard_stats()).  `wall_ns` is the shard's busy
-/// time summed over windows, not the run's elapsed time: shards execute
-/// concurrently, so the run is bounded by the slowest shard, and
-/// RunRecord::events_per_sec() accounts for that.
+/// time summed over windows, not the run's elapsed time: it leaves out
+/// the window barriers, so RunRecord::events_per_sec() never uses it.
 struct ShardSummary {
   std::uint64_t events = 0;
   std::uint64_t wall_ns = 0;
@@ -74,8 +73,8 @@ struct RunMetrics {
   /// scaling point).  Emitted into BENCH_results.json v4 when set.
   double scaling_efficiency = 0.0;
   /// Per-LP-shard stats when the point ran on the parallel engine
-  /// (empty for serial runs).  When present, events_per_sec() aggregates
-  /// from these instead of the record's single wall-clock measurement.
+  /// (empty for serial runs).  Telemetry only: emitted into the JSON,
+  /// never used by events_per_sec().
   std::vector<ShardSummary> shards;
   /// (name, value) pairs in a body-chosen, deterministic order; used for
   /// extra table columns and the serial-vs-pooled counter comparison.
@@ -113,27 +112,12 @@ struct RunRecord {
   /// Host events/sec this point achieved (0 when unmeasurable: a failed
   /// point, an untimed record, or a body that executed no events).
   ///
-  /// Parallel-engine points (metrics.shards non-empty) aggregate as
-  /// total shard events ÷ the slowest shard's busy time: shards run
-  /// concurrently, so summing their wall times would under-report a
-  /// well-balanced run by the LP count.  Degenerate shard sets (no
-  /// events, or stats too fast for the clock to resolve) fall back to
-  /// the record-level measurement rather than dividing by zero.
+  /// Always metrics.events ÷ the record's own wall_ns, serial and
+  /// parallel-engine points alike.  Shard busy times leave out the window
+  /// barriers, where a sharded run can spend most of its wall clock, so
+  /// they are telemetry (metrics.shards), never the denominator.
   double events_per_sec() const {
-    if (!ok) return 0.0;
-    if (!metrics.shards.empty()) {
-      std::uint64_t total_events = 0;
-      std::uint64_t critical_ns = 0;
-      for (const ShardSummary& s : metrics.shards) {
-        total_events += s.events;
-        if (s.wall_ns > critical_ns) critical_ns = s.wall_ns;
-      }
-      if (total_events > 0 && critical_ns > 0) {
-        return static_cast<double>(total_events) * 1e9 /
-               static_cast<double>(critical_ns);
-      }
-    }
-    if (wall_ns == 0 || metrics.events == 0) return 0.0;
+    if (!ok || wall_ns == 0 || metrics.events == 0) return 0.0;
     return static_cast<double>(metrics.events) * 1e9 /
            static_cast<double>(wall_ns);
   }

@@ -58,7 +58,7 @@ void ParallelEngine::init(const ParallelConfig& cfg) {
         "ParallelEngine: a multi-LP partition needs a positive lookahead "
         "(the minimum cross-LP latency) to make conservative progress");
   }
-  boxes_.resize(shards_.size() * shards_.size());
+  outboxes_.resize(shards_.size());
   stats_.assign(shards_.size(), ShardStats{});
   window_failures_.assign(shards_.size(), nullptr);
   if (threads_ > 1) start_workers();
@@ -81,7 +81,7 @@ void ParallelEngine::post(std::size_t src, std::size_t dst, Time delay,
         std::to_string(lookahead_.as_nanos()) +
         " ns — the conservative window discipline would be violated");
   }
-  box(src, dst).entries.push_back(Posted{from.now() + delay, std::move(fn)});
+  outboxes_[src].push_back(Posted{from.now() + delay, dst, std::move(fn)});
 }
 
 Time ParallelEngine::earliest() const {
@@ -108,23 +108,22 @@ void ParallelEngine::run_shard_window(std::size_t i, Time end) {
 }
 
 void ParallelEngine::drain_mailboxes() {
-  // Canonical merge: destinations ascending, then sources ascending, then
-  // post order.  Sequence numbers in each destination engine are assigned
-  // in exactly this sweep order, so simultaneous cross-LP arrivals
-  // tie-break by (time, src LP, post order) on every run, at every worker
-  // count.
-  const std::size_t n = shards_.size();
-  for (std::size_t dst = 0; dst < n; ++dst) {
-    Engine& to = *shards_[dst];
-    for (std::size_t src = 0; src < n; ++src) {
-      Mailbox& mb = box(src, dst);
-      for (Posted& p : mb.entries) {
-        ++cross_posts_;
-        to.schedule_at(p.when, std::move(p.fn));
-      }
-      mb.entries.clear();
-    }
+  // Canonical merge (dst, src, post order): outboxes gathered in source
+  // order, then stable-sorted by dst.  Destination sequence numbers are
+  // assigned in this sweep, so simultaneous cross-LP arrivals tie-break
+  // by (time, src LP, post order) on every run, at every worker count.
+  drain_order_.clear();
+  for (std::vector<Posted>& out : outboxes_) {
+    for (Posted& p : out) drain_order_.push_back(&p);
   }
+  std::stable_sort(
+      drain_order_.begin(), drain_order_.end(),
+      [](const Posted* a, const Posted* b) { return a->dst < b->dst; });
+  for (Posted* p : drain_order_) {
+    ++cross_posts_;
+    shards_[p->dst]->schedule_at(p->when, std::move(p->fn));
+  }
+  for (std::vector<Posted>& out : outboxes_) out.clear();
 }
 
 void ParallelEngine::execute_window(Time end) {

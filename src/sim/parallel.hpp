@@ -21,12 +21,14 @@
 //
 //   * Mailboxes.  A cross-LP event is never pushed into the destination
 //     heap mid-window (the destination is running on another thread).
-//     post() appends it to the (src LP, dst LP) mailbox — written only by
-//     the worker executing src — and the barrier drains every mailbox
-//     into the destination heaps in a fixed (dst LP, src LP, post order)
+//     post() appends it, tagged with its dst LP, to the source LP's
+//     outbox — written only by the worker executing src.  The barrier
+//     gathers the outboxes in source order, stable-sorts the entries by
+//     dst and schedules them in that fixed (dst LP, src LP, post order)
 //     sweep.  Destination sequence numbers are assigned during that
 //     deterministic drain, so simultaneous arrivals tie-break by
 //     (time, src LP, post order) — never by which worker finished first.
+//     A barrier costs O(posts · log posts + LPs), never O(LPs²).
 //
 // Determinism contract (docs/TRACING.md): the window structure depends
 // only on event content (t_min is a min over heaps, L is a constant), LP
@@ -93,7 +95,7 @@ class ParallelEngine {
 
   /// Posts a cross-LP event: `fn` runs on `dst` at the source shard's
   /// now() + delay.  Must be called from code executing on shard `src`
-  /// (the mailbox is wired single-writer per source).  `delay` must be >=
+  /// (each source's outbox is single-writer).  `delay` must be >=
   /// lookahead when src != dst (throws std::logic_error otherwise — a
   /// conservative-discipline violation, not a recoverable condition);
   /// same-LP posts take the direct schedule path with any delay.
@@ -127,8 +129,8 @@ class ParallelEngine {
 
   /// Per-shard execution telemetry from the last run(): events executed
   /// by the shard and the summed wall-clock nanoseconds its windows took.
-  /// Feeds runner::RunMetrics::shards — parallel events/sec aggregates
-  /// as sum(events) / max(wall_ns), never the double-counting sum/sum.
+  /// Feeds runner::RunMetrics::shards as telemetry: busy time excludes
+  /// the barriers, so it is never an events/sec denominator.
   struct ShardStats {
     std::uint64_t events = 0;
     std::uint64_t wall_ns = 0;
@@ -138,23 +140,16 @@ class ParallelEngine {
  private:
   struct Posted {
     Time when;
+    std::size_t dst;
     Engine::Callback fn;
-  };
-  /// One single-writer mailbox per (src, dst) pair; only the worker
-  /// executing src appends, only the barrier drains.
-  struct Mailbox {
-    std::vector<Posted> entries;
   };
 
   void init(const ParallelConfig& cfg);
-  Mailbox& box(std::size_t src, std::size_t dst) {
-    return boxes_[src * shards_.size() + dst];
-  }
   /// Earliest pending event across all shard heaps; Time::max() if idle.
   Time earliest() const;
   /// Executes shard `i`'s window [*, end) and accumulates its stats.
   void run_shard_window(std::size_t i, Time end);
-  /// Drains every mailbox into the destination heaps in the canonical
+  /// Drains every outbox into the destination heaps in the canonical
   /// (dst, src, post order) sweep.  Barrier-side only.
   void drain_mailboxes();
   void start_workers();
@@ -166,7 +161,11 @@ class ParallelEngine {
 
   std::vector<std::unique_ptr<Engine>> owned_;
   std::vector<Engine*> shards_;
-  std::vector<Mailbox> boxes_;
+  /// One outbox per source LP: only the worker executing src appends,
+  /// only the barrier drains.
+  std::vector<std::vector<Posted>> outboxes_;
+  /// Barrier scratch: the drained entries in canonical order.
+  std::vector<Posted*> drain_order_;
   std::vector<ShardStats> stats_;
   std::vector<std::exception_ptr> window_failures_;
   Time lookahead_ = Time::zero();

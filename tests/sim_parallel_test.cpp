@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -158,6 +159,141 @@ TEST(ParallelEngine, MailboxKeepsFifoOrderPerSourceUnderLoad) {
     std::vector<int> expected;
     for (const auto& t : keyed) expected.push_back(std::get<2>(t));
     EXPECT_EQ(seen, expected) << "threads=" << threads;
+  }
+}
+
+/// One planned cross-LP post: `src` posts to `dst`, arriving at
+/// `arrival_ns`; `idx` is its position in src's post order.
+struct PlannedPost {
+  std::size_t src = 0;
+  std::size_t dst = 0;
+  std::int64_t arrival_ns = 0;
+  std::uint32_t idx = 0;
+};
+/// An LP-local event on `src` at `at_ns` that makes `posts` in order.
+struct Emitter {
+  std::size_t src = 0;
+  std::int64_t at_ns = 0;
+  std::vector<PlannedPost> posts;
+};
+using Arrival = std::tuple<std::int64_t, std::size_t, std::uint32_t>;
+
+TEST(ParallelEngine, OutboxDrainMatchesSortedReferenceAt64Lps) {
+  // Seeded property test of the barrier drain at fabric-like scale: 64
+  // LPs, ~60 windows, random sources posting bursts to random (often
+  // shared) destinations, plus posts made before run().  Each
+  // destination must execute its arrivals in (arrival time, src LP, post
+  // order) — reconstructed here from the plan alone — at every worker
+  // count.
+  //
+  // Every emitter post uses delay == lookahead, so posts that arrive at
+  // one instant were made at one instant, inside one window, and meet at
+  // one barrier.  Pre-run posts arrive at 25 mod 50 ns, emitter posts at
+  // 0 mod 50 ns, so the two kinds never share an instant.
+  constexpr std::size_t kLps = 64;
+  constexpr std::int64_t kLookaheadNs = 100;
+  constexpr std::int64_t kStepNs = 50;
+  constexpr std::int64_t kSpanNs = 6000;
+  std::mt19937_64 rng(0x5eed0bb5);
+  auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  auto pick_dst = [&](std::size_t src) {
+    // Half the posts go to 8 hot LPs, so many sources hit one
+    // destination at one instant.
+    const std::size_t dst = rng() % 2 == 0 ? pick(8) * 8 : pick(kLps);
+    return dst == src ? (dst + 1) % kLps : dst;
+  };
+
+  std::vector<PlannedPost> pre_run;
+  std::vector<Emitter> emitters;
+  for (std::size_t src = 0; src < kLps; ++src) {
+    std::uint32_t idx = 0;
+    for (int k = 0; k < 4; ++k) {
+      const auto j = static_cast<std::int64_t>(pick(6));
+      pre_run.push_back({src, pick_dst(src),
+                         kLookaheadNs + 25 + kStepNs * j, idx++});
+    }
+    std::vector<std::int64_t> times;
+    for (int e = 0; e < 24; ++e) {
+      times.push_back(static_cast<std::int64_t>(pick(kSpanNs / kStepNs)) *
+                      kStepNs);
+    }
+    // Ascending, so plan order is src's execution order (equal times
+    // run in schedule order).
+    std::sort(times.begin(), times.end());
+    for (std::int64_t at : times) {
+      Emitter em{src, at, {}};
+      const std::size_t dst = pick_dst(src);
+      const std::size_t burst = 2 + pick(3);
+      for (std::size_t b = 0; b < burst; ++b) {
+        em.posts.push_back({src, dst, at + kLookaheadNs, idx++});
+      }
+      em.posts.push_back({src, pick_dst(src), at + kLookaheadNs, idx++});
+      emitters.push_back(std::move(em));
+    }
+  }
+
+  // Independent reference: every post, grouped by destination, sorted.
+  std::vector<std::vector<Arrival>> expected(kLps);
+  std::size_t total_posts = 0;
+  auto expect_post = [&](const PlannedPost& p) {
+    expected[p.dst].emplace_back(p.arrival_ns, p.src, p.idx);
+    ++total_posts;
+  };
+  for (const PlannedPost& p : pre_run) expect_post(p);
+  for (const Emitter& em : emitters) {
+    for (const PlannedPost& p : em.posts) expect_post(p);
+  }
+  std::size_t up = 0, down = 0, tied = 0;
+  for (auto& log : expected) {
+    std::sort(log.begin(), log.end());
+    for (std::size_t i = 1; i < log.size(); ++i) {
+      if (std::get<0>(log[i]) == std::get<0>(log[i - 1]) &&
+          std::get<1>(log[i]) != std::get<1>(log[i - 1])) {
+        ++tied;
+      }
+    }
+  }
+  for (const Emitter& em : emitters) {
+    (em.posts.front().dst > em.src ? up : down) += 1;
+  }
+  // The plan exercises what the drain must get right.
+  EXPECT_GT(up, 100u);
+  EXPECT_GT(down, 100u);
+  EXPECT_GT(tied, 100u) << "too few equal-instant arrivals across sources";
+
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2},
+                              std::size_t{4}}) {
+    ParallelEngine peng(kLps, config(threads, Time::nanos(kLookaheadNs)));
+    // logs[dst] is written only by dst's callbacks (LP-confined).
+    std::vector<std::vector<Arrival>> logs(kLps);
+    ParallelEngine* pp = &peng;
+    auto* out = &logs;
+    auto post = [pp, out](const PlannedPost& p, Time delay) {
+      pp->post(p.src, p.dst, delay, [pp, out, p] {
+        (*out)[p.dst].emplace_back(pp->lp(p.dst).now().as_nanos(), p.src,
+                                   p.idx);
+      });
+    };
+    for (const PlannedPost& p : pre_run) post(p, Time::nanos(p.arrival_ns));
+    for (const Emitter& em : emitters) {
+      const Emitter* e = &em;
+      peng.lp(em.src).schedule_at(Time::nanos(em.at_ns), [post, e] {
+        for (const PlannedPost& p : e->posts) {
+          post(p, Time::nanos(kLookaheadNs));
+        }
+      });
+    }
+    peng.run();
+    EXPECT_EQ(peng.cross_posts(), total_posts) << "threads=" << threads;
+    EXPECT_GT(peng.windows(), 50u);
+    // Equal to one reference at every worker count, hence identical
+    // across worker counts.
+    for (std::size_t dst = 0; dst < kLps; ++dst) {
+      EXPECT_EQ(logs[dst], expected[dst])
+          << "dst=" << dst << " threads=" << threads;
+    }
   }
 }
 
