@@ -1,11 +1,12 @@
-// Unified benchmark driver: executes every simulated figure/ablation
-// sweep (src/runner/bench_points.hpp) through the parallel SweepRunner
-// and emits both the human tables and a machine-readable
-// BENCH_results.json trajectory (schema: docs/BENCHMARKS.md).
+// Unified benchmark driver: executes every simulated figure, ablation
+// and system suite (src/runner/bench_points.hpp) through the parallel
+// SweepRunner, prints one table per suite, runs each suite's gate, and
+// emits a machine-readable BENCH_results.json trajectory (schema:
+// docs/BENCHMARKS.md).
 //
 // Usage:
 //   bench_all [--threads=N] [--points=full|reduced] [--suite=NAME]
-//             [--out=PATH] [--check-digests] [--list]
+//             [--out=PATH] [--check-digests] [--list] [--check-floor]
 //
 //   --threads=N       pool size (default: hardware concurrency; 1 = the
 //                     serial reference execution)
@@ -20,9 +21,15 @@
 //                     serial re-run — the concurrent-isolation gate CI
 //                     enforces
 //   --list            print the point set and exit
+//   --check-floor     after the sweep, re-measure the parallel engine's
+//                     1024-host shapes at 1 vs 4 threads and fail unless
+//                     both reach 1.6x (runner::check_speedup_floor)
 //
+// The gates registered with the swept suites (host cost, NIC p99,
+// failover recovery) always run; a violation fails the run (exit 1).
 // Every point is digest-deterministic, so the JSON (wall-clock fields
 // aside) is byte-identical across runs and thread counts.
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -43,6 +50,7 @@ struct Options {
   std::size_t threads = 0;  // 0 = hardware concurrency
   bool reduced = false;
   bool check_digests = false;
+  bool check_floor = false;
   bool list = false;
   std::string suite;  // empty = every suite
   std::string out = "BENCH_results.json";
@@ -52,7 +60,16 @@ bool parse_args(int argc, char** argv, Options& opts) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--threads=", 0) == 0) {
-      opts.threads = static_cast<std::size_t>(std::stoul(arg.substr(10)));
+      const std::string value = arg.substr(10);
+      const char* end = value.data() + value.size();
+      const auto [ptr, ec] = std::from_chars(value.data(), end, opts.threads);
+      if (value.empty() || ec != std::errc() || ptr != end) {
+        std::fprintf(stderr,
+                     "invalid --threads value: %s (expected a non-negative "
+                     "integer)\n",
+                     value.c_str());
+        return false;
+      }
     } else if (arg == "--points=reduced") {
       opts.reduced = true;
     } else if (arg == "--points=full") {
@@ -63,6 +80,8 @@ bool parse_args(int argc, char** argv, Options& opts) {
       opts.out = arg.substr(6);
     } else if (arg == "--check-digests") {
       opts.check_digests = true;
+    } else if (arg == "--check-floor") {
+      opts.check_floor = true;
     } else if (arg == "--list") {
       opts.list = true;
     } else {
@@ -73,40 +92,43 @@ bool parse_args(int argc, char** argv, Options& opts) {
   return true;
 }
 
-void print_suite_tables(const std::vector<runner::RunRecord>& results) {
-  std::vector<std::string> suites;
-  for (const auto& r : results) {
-    bool seen = false;
-    for (const auto& s : suites) seen = seen || s == r.suite;
-    if (!seen) suites.push_back(r.suite);
-  }
-  for (const auto& suite : suites) {
-    print_banner(suite);
-    Table table(
-        {"point", "sim (ms)", "speedup", "digest", "wall (ms)", "Mev/s"});
-    for (const auto& r : results) {
-      if (r.suite != suite) continue;
-      table.row().add(r.name);
-      if (!r.ok) {
-        table.add("ERROR: " + r.error).skip().skip();
+/// One table per suite: the common columns, then the suite's own.
+void print_suite_table(const runner::Suite& suite,
+                       const std::vector<runner::RunRecord>& records) {
+  print_banner(suite.name);
+  std::vector<std::string> headers = {"point",  "sim (ms)",  "speedup",
+                                      "digest", "wall (ms)", "Mev/s"};
+  for (const auto& c : suite.columns) headers.push_back(c.header);
+  Table table(headers);
+  for (const auto& r : records) {
+    table.row().add(r.name);
+    if (!r.ok) {
+      table.add("ERROR: " + r.error).skip().skip();
+    } else {
+      table.add(r.metrics.sim_time.as_millis(), 2);
+      if (r.metrics.speedup != 0.0) {
+        table.add(r.metrics.speedup, 2);
       } else {
-        table.add(r.metrics.sim_time.as_millis(), 2);
-        if (r.metrics.speedup != 0.0) {
-          table.add(r.metrics.speedup, 2);
-        } else {
-          table.skip();
-        }
-        table.add(runner::digest_hex(r.metrics.digest));
+        table.skip();
       }
-      table.add(r.wall_ms, 1);
-      if (r.events_per_sec() > 0.0) {
-        table.add(r.events_per_sec() / 1e6, 2);
+      table.add(runner::digest_hex(r.metrics.digest));
+    }
+    table.add(r.wall_ms, 1);
+    if (r.events_per_sec() > 0.0) {
+      table.add(r.events_per_sec() / 1e6, 2);
+    } else {
+      table.skip();
+    }
+    for (const auto& c : suite.columns) {
+      if (r.ok) {
+        table.add(static_cast<double>(r.metrics.counter(c.counter)) * c.scale,
+                  c.decimals);
       } else {
         table.skip();
       }
     }
-    table.print();
   }
+  table.print();
 }
 
 /// Compares the pooled sweep against a serial re-run of the same points:
@@ -152,17 +174,19 @@ int main(int argc, char** argv) {
   Options opts;
   if (!parse_args(argc, argv, opts)) return 2;
 
-  auto points = runner::figure_sweep_points(opts.reduced);
+  auto suites = runner::bench_suites(opts.reduced);
   if (!opts.suite.empty()) {
-    std::vector<runner::RunPoint> kept;
-    for (auto& p : points) {
-      if (p.suite == opts.suite) kept.push_back(std::move(p));
-    }
-    if (kept.empty()) {
+    std::erase_if(suites, [&](const runner::Suite& s) {
+      return s.name != opts.suite;
+    });
+    if (suites.empty()) {
       std::fprintf(stderr, "no points in suite %s\n", opts.suite.c_str());
       return 2;
     }
-    points = std::move(kept);
+  }
+  std::vector<runner::RunPoint> points;
+  for (const auto& s : suites) {
+    points.insert(points.end(), s.points.begin(), s.points.end());
   }
   if (opts.list) {
     for (const auto& p : points) {
@@ -177,7 +201,17 @@ int main(int argc, char** argv) {
                std::to_string(pool.threads()) + " threads");
   const auto results = pool.run(points);
 
-  print_suite_tables(results);
+  // Each suite's records, in submission order (results[i] is points[i]).
+  std::vector<std::vector<runner::RunRecord>> by_suite;
+  std::size_t next = 0;
+  for (const auto& s : suites) {
+    by_suite.emplace_back(results.begin() + next,
+                          results.begin() + next + s.points.size());
+    next += s.points.size();
+  }
+  for (std::size_t i = 0; i < suites.size(); ++i) {
+    print_suite_table(suites[i], by_suite[i]);
+  }
 
   int failed = 0;
   double points_wall_ms = 0.0;
@@ -225,5 +259,11 @@ int main(int argc, char** argv) {
   if (opts.check_digests) {
     mismatches = compare_against_serial(points, results);
   }
-  return (failed || mismatches) ? 1 : 0;
+  int gate_failures = 0;
+  for (std::size_t i = 0; i < suites.size(); ++i) {
+    if (suites[i].gate != nullptr) gate_failures += suites[i].gate(by_suite[i]);
+  }
+  const int floor_failures = opts.check_floor ? runner::check_speedup_floor()
+                                              : 0;
+  return (failed || mismatches || gate_failures || floor_failures) ? 1 : 0;
 }

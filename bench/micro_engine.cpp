@@ -1,22 +1,14 @@
 // Google-benchmark microbenchmarks of the event core: schedule/dispatch
 // throughput of the zero-allocation engine (InlineCallback + 4-ary
-// move-out heap + cancelable timers) against a faithful replica of the
-// pre-change engine (std::function callbacks in a std::priority_queue
-// whose top() is copied out before pop).
-//
-// The replica reproduces the old hot path exactly — same (when, seq)
-// comparator, same copy-out dispatch — so the New-vs-Legacy pairs below
-// measure only the data-structure change, not workload drift.  The
-// ping-pong pair is the acceptance comparison: the new engine must
-// sustain at least 2x the legacy events/sec (compare items_per_second).
+// move-out heap + cancelable timers), coroutine resume, timer churn and
+// cancellation, plus the parallel engine's window scheduler.  CI's
+// micro-engine job holds the BM_NewEngine_* cases to an absolute
+// events/sec floor.
 #include <benchmark/benchmark.h>
 
 #include <coroutine>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <queue>
-#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -30,86 +22,18 @@ namespace {
 using namespace acc;
 
 // ---------------------------------------------------------------------
-// Legacy engine replica (pre-change hot path)
-// ---------------------------------------------------------------------
-
-/// The event core as it was before the rewrite: type-erased callbacks in
-/// std::function, a std::priority_queue ordered by (when, seq), and a
-/// dispatch that copies top() out because top() is const.  No trace or
-/// watchdog plumbing — both engines run those branches disabled, so the
-/// comparison isolates callback storage and queue mechanics.
-class LegacyEngine {
- public:
-  using Callback = std::function<void()>;
-
-  Time now() const { return now_; }
-
-  void schedule(Time delay, Callback fn) {
-    queue_.push(Scheduled{now_ + delay, next_seq_++, std::move(fn)});
-  }
-
-  bool step() {
-    if (queue_.empty()) return false;
-    Scheduled ev = queue_.top();  // copy-out: top() is const
-    queue_.pop();
-    now_ = ev.when;
-    ++executed_;
-    ev.fn();
-    return true;
-  }
-
-  void run() {
-    while (step()) {
-    }
-  }
-
-  std::uint64_t events_executed() const { return executed_; }
-
- private:
-  struct Scheduled {
-    Time when;
-    std::uint64_t seq;
-    Callback fn;
-  };
-  struct Later {
-    bool operator()(const Scheduled& a, const Scheduled& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-
-  Time now_ = Time::zero();
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t executed_ = 0;
-  std::priority_queue<Scheduled, std::vector<Scheduled>, Later> queue_;
-};
-
-// ---------------------------------------------------------------------
-// Workloads (templated over the engine so both run identical code)
+// Schedule/dispatch
 // ---------------------------------------------------------------------
 
 /// Capture payload sized like the simulator's real events (TCP retransmit
 /// captures {this, &conn, generation}; INIC timers {this, dst,
-/// generation}): 24 bytes.  Under the old 16-byte std::function SSO this
-/// allocates on every schedule *and* on every top() copy; InlineCallback
-/// keeps it in the heap entry.
+/// generation}): 24 bytes — past a 16-byte std::function SSO buffer, so
+/// only an inline callback keeps it allocation-free.
 struct EventPayload {
   void* owner;
   std::uint64_t generation;
   std::uint64_t* sink;
 };
-
-template <class EngineT>
-void schedule_dispatch_round(EngineT& eng, Rng& rng, int events,
-                             std::uint64_t& sink) {
-  EventPayload payload{&eng, 0, &sink};
-  for (int i = 0; i < events; ++i) {
-    payload.generation = rng.below(64);
-    eng.schedule(Time::nanos(static_cast<std::int64_t>(rng.below(4096))),
-                 [payload] { *payload.sink += payload.generation; });
-  }
-  eng.run();
-}
 
 void BM_NewEngine_ScheduleDispatch(benchmark::State& state) {
   const int events = static_cast<int>(state.range(0));
@@ -118,34 +42,26 @@ void BM_NewEngine_ScheduleDispatch(benchmark::State& state) {
     sim::Engine eng;
     eng.reserve(static_cast<std::size_t>(events));
     Rng rng(7);
-    schedule_dispatch_round(eng, rng, events, sink);
+    EventPayload payload{&eng, 0, &sink};
+    for (int i = 0; i < events; ++i) {
+      payload.generation = rng.below(64);
+      eng.schedule(Time::nanos(static_cast<std::int64_t>(rng.below(4096))),
+                   [payload] { *payload.sink += payload.generation; });
+    }
+    eng.run();
   }
   benchmark::DoNotOptimize(sink);
   state.SetItemsProcessed(state.iterations() * events);
 }
 BENCHMARK(BM_NewEngine_ScheduleDispatch)->Arg(1 << 10)->Arg(1 << 14);
 
-void BM_LegacyEngine_ScheduleDispatch(benchmark::State& state) {
-  const int events = static_cast<int>(state.range(0));
-  std::uint64_t sink = 0;
-  for (auto _ : state) {
-    LegacyEngine eng;
-    Rng rng(7);
-    schedule_dispatch_round(eng, rng, events, sink);
-  }
-  benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(state.iterations() * events);
-}
-BENCHMARK(BM_LegacyEngine_ScheduleDispatch)->Arg(1 << 10)->Arg(1 << 14);
-
 // ---------------------------------------------------------------------
-// Coroutine ping-pong (the acceptance comparison)
+// Coroutine ping-pong
 // ---------------------------------------------------------------------
 
-/// Minimal fire-and-forget coroutine, engine-agnostic.  The simulator's
-/// own Process type is welded to sim::Engine, so the legacy comparison
-/// uses this micro task instead; the resume path (event fires -> handle
-/// resumes -> next await schedules) is the same shape either way.
+/// Minimal fire-and-forget coroutine: the resume path (event fires ->
+/// handle resumes -> next await schedules) without sim::Process's
+/// bookkeeping.
 struct MicroTask {
   struct promise_type {
     MicroTask get_return_object() { return {}; }
@@ -156,13 +72,11 @@ struct MicroTask {
   };
 };
 
-/// co_await delay on either engine.  The scheduled resume lambda carries
-/// the handle plus the same payload the repo's Delay awaiter effectively
-/// carries (owner + deadline) so the capture is representative, not
-/// artificially tiny.
-template <class EngineT>
+/// co_await delay.  The scheduled resume lambda carries the handle plus
+/// the same payload the repo's Delay awaiter effectively carries (owner
+/// + deadline) so the capture is representative, not artificially tiny.
 struct MicroDelay {
-  EngineT& eng;
+  sim::Engine& eng;
   Time delay;
   bool await_ready() const noexcept { return false; }
   void await_suspend(std::coroutine_handle<> h) {
@@ -177,60 +91,17 @@ struct MicroDelay {
   void await_resume() const noexcept {}
 };
 
-/// Per-message defensive timer, pre- and post-change idiom.  Every
-/// message in the simulator's protocols (TCP burst, INIC go-back-N) arms
-/// a retransmission timeout that the ACK almost always beats.  The old
-/// engine left the stale timer queued until it fired as a
-/// generation-checked no-op; the new engine cancels it out of the heap.
-/// The ping-pong below arms one per round on both engines, so the pair
-/// measures the pre/post-change engine on the same protocol behaviour.
-struct NewEngineRto {
-  sim::TimerHandle arm(sim::Engine& eng) {
-    return eng.schedule_cancelable(Time::micros(200), [] {});
-  }
-  void ack(sim::Engine&, sim::TimerHandle h) { h.cancel(); }
-};
-
-struct LegacyEngineRto {
-  std::uint64_t generation = 0;
-
-  std::uint64_t arm(LegacyEngine& eng) {
-    const std::uint64_t armed = generation;
-    auto* self = this;
-    eng.schedule(Time::micros(200), [self, armed] {
-      // Stale-fire no-op: by the time this dispatches the ACK has long
-      // since bumped the generation.
-      benchmark::DoNotOptimize(self->generation == armed);
-    });
-    return armed;
-  }
-  void ack(LegacyEngine&, std::uint64_t) { ++generation; }
-};
-
-template <class EngineT, class RtoT>
-MicroTask ping_pong_player(EngineT& eng, RtoT& rto, int rounds, Time period,
+/// One player: every message in the simulator's protocols (TCP burst,
+/// INIC go-back-N) arms a retransmission timeout that the ACK almost
+/// always beats, so each round arms one and cancels it on wake-up.
+MicroTask ping_pong_player(sim::Engine& eng, int rounds, Time period,
                            std::uint64_t& bounces) {
   for (int i = 0; i < rounds; ++i) {
-    auto armed = rto.arm(eng);
-    co_await MicroDelay<EngineT>{eng, period};
-    rto.ack(eng, armed);
+    sim::TimerHandle rto = eng.schedule_cancelable(Time::micros(200), [] {});
+    co_await MicroDelay{eng, period};
+    rto.cancel();
     ++bounces;
   }
-}
-
-template <class EngineT, class RtoT>
-std::uint64_t run_ping_pong(EngineT& eng, std::vector<RtoT>& rtos,
-                            int rounds) {
-  std::uint64_t bounces = 0;
-  // All players awake at the same instants: every round exercises the
-  // FIFO tie-break as well as schedule/dispatch/resume.  On the legacy
-  // engine the armed RTOs (200 us out, 1 us rounds) pile up as pending
-  // dead weight exactly as they did in the pre-change TCP/INIC models.
-  for (auto& rto : rtos) {
-    ping_pong_player(eng, rto, rounds, Time::micros(1), bounces);
-  }
-  eng.run();
-  return bounces;
 }
 
 void BM_NewEngine_CoroutinePingPong(benchmark::State& state) {
@@ -239,8 +110,12 @@ void BM_NewEngine_CoroutinePingPong(benchmark::State& state) {
   std::uint64_t total = 0;
   for (auto _ : state) {
     sim::Engine eng;
-    std::vector<NewEngineRto> rtos(static_cast<std::size_t>(players));
-    total += run_ping_pong(eng, rtos, rounds);
+    // All players awake at the same instants: every round exercises the
+    // FIFO tie-break as well as schedule/dispatch/resume.
+    for (int p = 0; p < players; ++p) {
+      ping_pong_player(eng, rounds, Time::micros(1), total);
+    }
+    eng.run();
   }
   benchmark::DoNotOptimize(total);
   state.SetItemsProcessed(state.iterations() * players * rounds);
@@ -249,30 +124,12 @@ BENCHMARK(BM_NewEngine_CoroutinePingPong)
     ->Args({2, 1 << 12})
     ->Args({256, 1 << 7});
 
-void BM_LegacyEngine_CoroutinePingPong(benchmark::State& state) {
-  const int players = static_cast<int>(state.range(0));
-  const int rounds = static_cast<int>(state.range(1));
-  std::uint64_t total = 0;
-  for (auto _ : state) {
-    LegacyEngine eng;
-    std::vector<LegacyEngineRto> rtos(static_cast<std::size_t>(players));
-    total += run_ping_pong(eng, rtos, rounds);
-  }
-  benchmark::DoNotOptimize(total);
-  state.SetItemsProcessed(state.iterations() * players * rounds);
-}
-BENCHMARK(BM_LegacyEngine_CoroutinePingPong)
-    ->Args({2, 1 << 12})
-    ->Args({256, 1 << 7});
-
 // ---------------------------------------------------------------------
 // Timer churn: defensive timers that almost never fire
 // ---------------------------------------------------------------------
 
 /// The retransmit-timeout pattern: arm a timer per message, then the ACK
-/// arrives first.  New engine: cancel() removes the event in O(log n).
-/// Legacy engine: the stale timer stays queued and fires as a
-/// generation-checked no-op — the pre-change TCP/INIC behaviour.
+/// arrives first and cancel() removes the timer in O(log n).
 void BM_NewEngine_TimerChurn(benchmark::State& state) {
   const int messages = static_cast<int>(state.range(0));
   for (auto _ : state) {
@@ -293,32 +150,6 @@ void BM_NewEngine_TimerChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * messages);
 }
 BENCHMARK(BM_NewEngine_TimerChurn)->Arg(1 << 12);
-
-void BM_LegacyEngine_TimerChurn(benchmark::State& state) {
-  const int messages = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    LegacyEngine eng;
-    std::uint64_t acked = 0;
-    auto generation = std::make_shared<std::vector<std::uint64_t>>(
-        static_cast<std::size_t>(messages), 0);
-    for (int i = 0; i < messages; ++i) {
-      const std::uint64_t armed = (*generation)[static_cast<std::size_t>(i)];
-      eng.schedule(Time::millis(200), [generation, i, armed] {
-        // Stale-fire no-op: the generation moved on when the ACK landed.
-        benchmark::DoNotOptimize(
-            (*generation)[static_cast<std::size_t>(i)] == armed);
-      });
-      eng.schedule(Time::micros(i + 1), [generation, i, &acked] {
-        ++(*generation)[static_cast<std::size_t>(i)];
-        ++acked;
-      });
-    }
-    eng.run();
-    benchmark::DoNotOptimize(acked);
-  }
-  state.SetItemsProcessed(state.iterations() * messages);
-}
-BENCHMARK(BM_LegacyEngine_TimerChurn)->Arg(1 << 12);
 
 // ---------------------------------------------------------------------
 // Cancel-heavy: interior removal under load

@@ -20,8 +20,8 @@
 // Per-request latency (request issue -> response delivered at the
 // client) lands in a trace::LatencyHistogram; p50/p99/p999 and goodput
 // flow into the run result, the engine's CounterRegistry (kv/* counters,
-// visible in ClusterReport), and — via runner::serving_points — the
-// BENCH_results.json schema-v3 `latency` object.
+// visible in ClusterReport), and — via the runner's serving_tail suite —
+// the BENCH_results.json schema-v3 `latency` object.
 //
 // Determinism: all randomness (arrival gaps, key ranks, GET/PUT coin)
 // comes from per-client Rng streams derived from `seed`, so the same

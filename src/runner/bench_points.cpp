@@ -4,11 +4,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "apps/cluster.hpp"
@@ -23,6 +25,7 @@
 #include "model/sort_model.hpp"
 #include "net/lp_workload.hpp"
 #include "net/topology.hpp"
+#include "runner/bench_json.hpp"
 #include "sim/process.hpp"
 
 namespace acc::runner {
@@ -581,198 +584,9 @@ RunMetrics serving_metrics(bool nic, net::TopologyConfig topo, bool chaos,
   return m;
 }
 
-}  // namespace
-
-std::vector<RunPoint> serving_points(bool reduced) {
-  struct Grid {
-    const char* topo_label;  // "topology" param
-    net::TopologyConfig config;
-    double rate_hz;
-    bool full_only;
-  };
-  const std::vector<Grid> grid = {
-      {"star", net::TopologyConfig::star(), 20000.0, false},
-      {"star", net::TopologyConfig::star(), 80000.0, true},
-      {"fattree2", net::TopologyConfig::fat_tree(2), 20000.0, true},
-  };
-  const std::size_t requests_per_client = reduced ? 32 : 192;
-  std::vector<RunPoint> points;
-  for (const auto& g : grid) {
-    if (reduced && g.full_only) continue;
-    for (const bool nic : {false, true}) {
-      for (const bool chaos : {false, true}) {
-        const net::TopologyConfig topo = g.config;
-        const double rate = g.rate_hz;
-        const std::string rate_str =
-            std::to_string(static_cast<long long>(rate));
-        points.push_back(RunPoint{
-            "serving_tail",
-            std::string(nic ? "nic" : "host") + "/" + g.topo_label +
-                "/rate=" + rate_str + "/" + (chaos ? "loss30" : "clean"),
-            {{"plane", nic ? "nic" : "host"},
-             {"topology", g.topo_label},
-             {"rate_hz", rate_str},
-             {"chaos", chaos ? "loss30" : "clean"},
-             {"clients", num(kServingClients)},
-             {"servers", num(kServingServers)},
-             {"requests_per_client", num(requests_per_client)}},
-            [nic, topo, chaos, rate, requests_per_client] {
-              return serving_metrics(nic, topo, chaos, rate,
-                                     requests_per_client);
-            }});
-      }
-    }
-  }
-  return points;
-}
-
-std::vector<RunPoint> failover_points(bool reduced) {
-  struct Grid {
-    const char* label;   // "topology" param
-    net::TopologyConfig config;
-    std::size_t p;
-    int cuts;
-    bool full_only;
-  };
-  const std::vector<Grid> grid = {
-      {"fattree2", net::TopologyConfig::fat_tree(2), 16, 1, false},
-      {"fattree2", net::TopologyConfig::fat_tree(2), 16, 2, true},
-      {"fattree3", net::TopologyConfig::fat_tree(3), 16, 1, true},
-      {"torus2", net::TopologyConfig::torus(2), 8, 1, false},
-      {"torus3", net::TopologyConfig::torus(3, 2, 2, 2), 8, 2, true},
-  };
-  std::vector<RunPoint> points;
-  for (const auto& g : grid) {
-    if (reduced && g.full_only) continue;
-    for (auto backend : {apps::CollectiveBackend::kHost,
-                         apps::CollectiveBackend::kNic}) {
-      const net::TopologyConfig topo = g.config;
-      const std::size_t p = g.p;
-      const int cuts = g.cuts;
-      points.push_back(RunPoint{
-          "failover_recovery",
-          std::string(apps::to_string(backend)) + "/" + g.label +
-              "/P=" + num(p) + "/cuts=" + std::to_string(cuts),
-          {{"collective_backend", apps::to_string(backend)},
-           {"topology", g.label},
-           {"P", num(p)},
-           {"cuts", std::to_string(cuts)}},
-          [backend, topo, p, cuts] {
-            return failover_metrics(backend, topo, p, cuts);
-          }});
-    }
-  }
-  return points;
-}
-
-std::vector<RunPoint> chaos_recovery_points(bool reduced) {
-  struct Scenario {
-    const char* label;
-    fault::FaultPlan (*plan)(Time);
-    bool full_only;
-  };
-  const std::vector<Scenario> scenarios = {
-      {"clean", chaos_plan_none, false},
-      {"burst_loss", chaos_plan_burst_loss, false},
-      {"corruption", chaos_plan_corruption, true},
-      {"link_flap", chaos_plan_link_flap, true},
-      {"card_reset", chaos_plan_card_reset, false},
-      {"slow_port", chaos_plan_slow_port, true},
-      {"everything", chaos_plan_everything, true},
-  };
-  std::vector<RunPoint> points;
-  for (const auto& s : scenarios) {
-    if (reduced && s.full_only) continue;
-    for (const bool fft : {true, false}) {
-      if (reduced && !fft) continue;  // reduced grid: FFT only
-      auto plan = s.plan;
-      points.push_back(RunPoint{
-          "chaos_recovery",
-          std::string(fft ? "fft" : "sort") + "/" + s.label,
-          {{"app", fft ? "fft" : "sort"},
-           {"scenario", s.label},
-           {"P", "4"},
-           {fft ? "n" : "keys",
-            fft ? num(kChaosFftN) : num(kChaosSortKeys)}},
-          [fft, plan] { return chaos_recovery_metrics(fft, plan); }});
-    }
-  }
-  return points;
-}
-
-std::vector<RunPoint> collective_points(bool reduced) {
-  struct Grid {
-    const char* label;   // "topology" param
-    net::TopologyConfig config;
-    std::size_t p;
-    bool full_only;
-  };
-  const std::vector<Grid> grid = {
-      {"star", net::TopologyConfig::star(), 8, false},
-      {"fattree2", net::TopologyConfig::fat_tree(2), 16, false},
-      {"torus2", net::TopologyConfig::torus(2), 16, false},
-      {"star", net::TopologyConfig::star(), 16, true},
-      {"fattree2", net::TopologyConfig::fat_tree(2), 64, true},
-      {"fattree3", net::TopologyConfig::fat_tree(3), 16, true},
-      {"torus3", net::TopologyConfig::torus(3), 27, true},
-  };
-  constexpr std::size_t kElements = 256;
-  std::vector<RunPoint> points;
-  for (const auto& g : grid) {
-    if (reduced && g.full_only) continue;
-    for (auto backend : {apps::CollectiveBackend::kHost,
-                         apps::CollectiveBackend::kNic}) {
-      const net::TopologyConfig topo = g.config;
-      const std::size_t p = g.p;
-      points.push_back(RunPoint{
-          "collectives",
-          std::string(apps::to_string(backend)) + "/" + g.label +
-              "/P=" + num(p),
-          {{"collective_backend", apps::to_string(backend)},
-           {"topology", g.label},
-           {"P", num(p)},
-           {"elements", num(kElements)}},
-          [backend, topo, p] {
-            return collective_metrics(backend, topo, p, kElements);
-          }});
-    }
-  }
-  return points;
-}
-
-std::vector<RunPoint> topology_scaling_points(bool reduced) {
-  struct Grid {
-    const char* label;   // point-name prefix and "topology" param
-    net::TopologyConfig config;
-    std::size_t p;
-    bool full_only;
-  };
-  const std::vector<Grid> grid = {
-      {"star", net::TopologyConfig::star(), 64, false},
-      {"fattree2", net::TopologyConfig::fat_tree(2), 64, false},
-      {"fattree2", net::TopologyConfig::fat_tree(2), 256, false},
-      {"torus2", net::TopologyConfig::torus(2), 64, false},
-      {"torus3", net::TopologyConfig::torus(3), 256, false},
-      {"fattree3", net::TopologyConfig::fat_tree(3), 1024, true},
-      {"torus3", net::TopologyConfig::torus(3), 1024, true},
-  };
-  std::vector<RunPoint> points;
-  for (const auto& g : grid) {
-    if (reduced && g.full_only) continue;
-    const net::TopologyConfig topo = g.config;
-    const std::size_t p = g.p;
-    points.push_back(RunPoint{
-        "fig_scaling_topology",
-        std::string(g.label) + "/P=" + num(p),
-        {{"topology", g.label},
-         {"shape", net::describe_topology(topo, p)},
-         {"P", num(p)}},
-        [topo, p] { return topology_metrics(topo, p); }});
-  }
-  return points;
-}
-
-namespace {
+// ---------------------------------------------------------------------
+// Engine-scaling suite.
+// ---------------------------------------------------------------------
 
 /// Scaling fields of one engine-scaling point.  The shape's threads=1
 /// point IS the baseline: it records its own wall clock here, and every
@@ -830,10 +644,32 @@ RunMetrics engine_scaling_metrics(const std::string& label,
   return m;
 }
 
+/// The speedup-floor shape: the full engine_scaling grid's 1024-host
+/// fat-tree workload.  check_speedup_floor() re-measures exactly this
+/// config, so the gate and the grid cannot drift apart.
+net::LpWorkloadConfig engine_scaling_floor_config() {
+  // k = 16 fat tree: 1024 hosts over 320 switch LPs, with per-hop work
+  // heavy enough that window parallelism (not barrier overhead)
+  // dominates — the shape the >= 1.6x @ 4 threads CI floor is pinned on.
+  // The 2 us interior latency (= lookahead) over a 100 us injection
+  // spread keeps the run around ~60 fat windows: several milliseconds
+  // of spin work per barrier, so the pool amortizes its wakeups even on
+  // modest CI hosts.
+  net::LpWorkloadConfig cfg;
+  cfg.topology = net::TopologyConfig::fat_tree(3);
+  cfg.hosts = 1024;
+  cfg.frames_per_host = 32;
+  cfg.switch_work = 1024;
+  cfg.link_latency = Time::micros(2);
+  cfg.inject_spread = Time::micros(100);
+  return cfg;
+}
 
-// ---------------------------------------------------------------------
-// SimCluster engine scaling: device models on per-switch LPs
-// ---------------------------------------------------------------------
+// SimCluster engine scaling: device models on per-switch LPs.
+
+/// Hosts of the full grid's SimCluster scaling shape, the SimCluster
+/// half of the speedup floor.
+constexpr std::size_t kClusterScalingFloorHosts = 1024;
 
 sim::Process cluster_scaling_sender(apps::SimCluster& cluster, int src,
                                     int dst, int rounds, Bytes size) {
@@ -849,31 +685,15 @@ sim::Process cluster_scaling_receiver(apps::SimCluster& cluster, int node,
   }
 }
 
-RunMetrics cluster_scaling_metrics(std::size_t hosts, std::size_t threads) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const ClusterScalingRun r = run_cluster_scaling_point(hosts, threads);
-  const auto wall = std::chrono::steady_clock::now() - t0;
-  const std::uint64_t wall_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(wall).count());
-  RunMetrics m;
-  m.sim_time = r.sim_time;
-  m.digest = r.digest;
-  m.trace_records = r.trace_records;
-  m.events = r.events;
-  m.shards = r.shards;
-  set_scaling_fields(m, "cluster_fattree3/P=" + num(hosts), threads, wall_ns);
-  m.counters = {
-      {"lp_count", static_cast<std::int64_t>(r.lp_count)},
-      {"windows", static_cast<std::int64_t>(r.windows)},
-      {"cross_posts", static_cast<std::int64_t>(r.cross_posts)},
-  };
-  return m;
-}
-
-}  // namespace
-
-
-ClusterScalingRun run_cluster_scaling_point(std::size_t hosts,
+/// One SimCluster engine-scaling run: a neighbour-ring INIC transfer
+/// workload on a fat-tree cluster with the full device models (cards,
+/// DMA, switch FIFOs) sharded across per-switch LPs when threads >= 2.
+/// Digest semantics follow docs/TRACING.md: threads <= 1 reports the
+/// historical serial digest; any threads >= 2 report one common sharded
+/// digest (per-lane frame ids), so floor checks compare wall clock
+/// 1-vs-4 but digests only among sharded runs.  Untimed: the caller
+/// owns the wall clock.
+RunMetrics run_cluster_scaling_point(std::size_t hosts,
                                             std::size_t threads) {
   apps::ClusterOptions copts;
   copts.topology = net::TopologyConfig::fat_tree(3);
@@ -894,109 +714,170 @@ ClusterScalingRun run_cluster_scaling_point(std::size_t hosts,
     group.spawn_on(cluster.node_lp(static_cast<std::size_t>(dst)),
                    cluster_scaling_receiver(cluster, dst, kRounds));
   }
-  ClusterScalingRun out;
-  out.sim_time = cluster.run();
+  RunMetrics m;
+  m.sim_time = cluster.run();
   group.join();
-  out.digest = cluster.digest();
-  out.trace_records = cluster.trace_records();
-  out.events = cluster.events_executed();
+  m.digest = cluster.digest();
+  m.trace_records = cluster.trace_records();
+  m.events = cluster.events_executed();
+  std::size_t lp_count = 1;
+  std::uint64_t windows = 0;
+  std::uint64_t cross_posts = 0;
   if (const net::LpPartition* part = cluster.partition()) {
-    out.lp_count = part->lp_count;
+    lp_count = part->lp_count;
   }
   if (sim::ParallelEngine* pe = cluster.parallel()) {
-    out.windows = pe->windows();
-    out.cross_posts = pe->cross_posts();
-    out.shards.reserve(pe->shard_stats().size());
+    windows = pe->windows();
+    cross_posts = pe->cross_posts();
+    m.shards.reserve(pe->shard_stats().size());
     for (const auto& sh : pe->shard_stats()) {
-      out.shards.push_back(ShardSummary{sh.events, sh.wall_ns});
+      m.shards.push_back(ShardSummary{sh.events, sh.wall_ns});
     }
   }
-  return out;
+  m.counters = {
+      {"lp_count", static_cast<std::int64_t>(lp_count)},
+      {"windows", static_cast<std::int64_t>(windows)},
+      {"cross_posts", static_cast<std::int64_t>(cross_posts)},
+  };
+  return m;
 }
 
-net::LpWorkloadConfig engine_scaling_floor_config() {
-  // k = 16 fat tree: 1024 hosts over 320 switch LPs, with per-hop work
-  // heavy enough that window parallelism (not barrier overhead)
-  // dominates — the shape the >= 1.6x @ 4 threads CI floor is pinned on.
-  // The 2 us interior latency (= lookahead) over a 100 us injection
-  // spread keeps the run around ~60 fat windows: several milliseconds
-  // of spin work per barrier, so the pool amortizes its wakeups even on
-  // modest CI hosts.
-  net::LpWorkloadConfig cfg;
-  cfg.topology = net::TopologyConfig::fat_tree(3);
-  cfg.hosts = 1024;
-  cfg.frames_per_host = 32;
-  cfg.switch_work = 1024;
-  cfg.link_latency = Time::micros(2);
-  cfg.inject_spread = Time::micros(100);
-  return cfg;
+RunMetrics cluster_scaling_metrics(std::size_t hosts, std::size_t threads) {
+  const auto t0 = std::chrono::steady_clock::now();
+  RunMetrics m = run_cluster_scaling_point(hosts, threads);
+  const auto wall = std::chrono::steady_clock::now() - t0;
+  const std::uint64_t wall_ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(wall).count());
+  set_scaling_fields(m, "cluster_fattree3/P=" + num(hosts), threads, wall_ns);
+  return m;
 }
 
-std::vector<RunPoint> engine_scaling_points(bool reduced) {
-  struct Grid {
-    const char* label;   // "topology" param and baseline-memo key
-    net::LpWorkloadConfig cfg;
-    bool full_only;
-  };
-  // The full grid's fat-tree point carries the CI speedup floor; the
-  // reduced point keeps the suite in the serial-vs-pooled determinism
-  // gate without dominating its wall clock.
-  net::LpWorkloadConfig small;
-  small.topology = net::TopologyConfig::fat_tree(2);
-  small.hosts = 64;
-  small.frames_per_host = 16;
-  small.switch_work = 96;
-  const std::vector<Grid> grid = {
-      {"fattree2", small, false},
-      {"fattree3", engine_scaling_floor_config(), true},
-  };
-  std::vector<RunPoint> points;
-  for (const auto& g : grid) {
-    if (reduced && g.full_only) continue;
-    const net::LpWorkloadConfig& cfg = g.cfg;
-    const std::string label = std::string(g.label) + "/P=" + num(cfg.hosts);
-    for (std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                std::size_t{4}}) {
-      points.push_back(RunPoint{
-          "engine_scaling",
-          label + "/threads=" + num(threads),
-          {{"topology", g.label},
-           {"P", num(cfg.hosts)},
-           {"frames_per_host", num(cfg.frames_per_host)},
-           {"switch_work", num(cfg.switch_work)},
-           {"threads", num(threads)}},
-          [label, cfg, threads] {
-            return engine_scaling_metrics(label, cfg, threads);
-          }});
+// ---------------------------------------------------------------------
+// Suite gates.
+// ---------------------------------------------------------------------
+
+std::string param(const RunRecord& r, const char* name) {
+  for (const auto& [key, value] : r.params) {
+    if (key == name) return value;
+  }
+  return "";
+}
+
+/// NIC-vs-host acceptance: at every grid point present for both
+/// backends, the NIC plane must charge strictly fewer host CPU events
+/// and interrupt deliveries.
+int host_cost_gate(const std::vector<RunRecord>& records) {
+  int regressions = 0;
+  for (const auto& nic : records) {
+    if (!nic.ok || param(nic, "collective_backend") != "nic") continue;
+    for (const auto& host : records) {
+      if (!host.ok || param(host, "collective_backend") != "host") continue;
+      if (param(host, "topology") != param(nic, "topology") ||
+          param(host, "P") != param(nic, "P")) {
+        continue;
+      }
+      const auto& n = nic.metrics;
+      const auto& h = host.metrics;
+      if (n.counter("host_cpu_events") < h.counter("host_cpu_events") &&
+          n.counter("irq_delivered") < h.counter("irq_delivered")) {
+        continue;
+      }
+      ++regressions;
+      std::fprintf(stderr,
+                   "HOST-COST REGRESSION %s: nic cpu/irq %lld/%lld vs "
+                   "host %lld/%lld\n",
+                   nic.name.c_str(),
+                   static_cast<long long>(n.counter("host_cpu_events")),
+                   static_cast<long long>(n.counter("irq_delivered")),
+                   static_cast<long long>(h.counter("host_cpu_events")),
+                   static_cast<long long>(h.counter("irq_delivered")));
     }
   }
-  // SimCluster points: the full device models (cards, DMA, switch
-  // FIFOs) sharded across per-switch LPs — the migration the synthetic
-  // LP workload above cannot see.  The full grid's 1024-host point is
-  // the shape bench/engine_scaling --check-floor re-measures.  Host
-  // counts must be k^3/4 for an even k (fat_tree(3)): 16 reduced,
-  // 1024 full.
-  const std::size_t cluster_hosts =
-      reduced ? std::size_t{16} : kClusterScalingFloorHosts;
-  for (std::size_t threads : {std::size_t{1}, std::size_t{2},
-                              std::size_t{4}}) {
-    points.push_back(RunPoint{
-        "engine_scaling",
-        "cluster_fattree3/P=" + num(cluster_hosts) +
-            "/threads=" + num(threads),
-        {{"topology", "cluster_fattree3"},
-         {"P", num(cluster_hosts)},
-         {"threads", num(threads)}},
-        [cluster_hosts, threads] {
-          return cluster_scaling_metrics(cluster_hosts, threads);
-        }});
+  if (regressions == 0) {
+    std::puts("host-cost check passed: the NIC backend beats the host "
+              "backend on CPU events and interrupt deliveries everywhere");
   }
-  return points;
+  return regressions;
 }
 
-std::vector<RunPoint> figure_sweep_points(bool reduced) {
-  std::vector<RunPoint> points;
+/// Every point must have actually recovered through the fabric: at
+/// least one re-convergence per cut, and a live post-failover route.
+int recovery_gate(const std::vector<RunRecord>& records) {
+  int regressions = 0;
+  for (const auto& r : records) {
+    if (!r.ok) continue;
+    const auto cuts = std::stoll(param(r, "cuts"));
+    const std::int64_t epochs = r.metrics.counter("route_epochs");
+    const std::int64_t goodput = r.metrics.counter("goodput_bytes_per_s");
+    if (epochs >= cuts && goodput > 0) continue;
+    ++regressions;
+    std::fprintf(stderr,
+                 "RECOVERY REGRESSION %s: %lld epochs for %lld cuts, "
+                 "goodput %lld B/s\n",
+                 r.name.c_str(), static_cast<long long>(epochs),
+                 static_cast<long long>(cuts),
+                 static_cast<long long>(goodput));
+  }
+  if (regressions == 0) {
+    std::puts("recovery check passed: every point re-converged and moved "
+              "bulk data over the surviving paths");
+  }
+  return regressions;
+}
 
+/// The serving headline: under the same conditions the hardware
+/// retransmission plane must hold a strictly better p99 than the host's
+/// timeout-bound recovery (and no worse on a clean fabric, where both
+/// planes are loss-free and the INIC should win on host costs alone).
+/// A NIC point whose host twin (same topology, rate and chaos) is absent
+/// or failed is skipped.
+int tail_gate(const std::vector<RunRecord>& records) {
+  int regressions = 0;
+  for (const auto& r : records) {
+    if (!r.ok || param(r, "plane") != "nic") continue;
+    const RunRecord* host = nullptr;
+    for (const auto& h : records) {
+      if (param(h, "plane") == "host" &&
+          param(h, "topology") == param(r, "topology") &&
+          param(h, "rate_hz") == param(r, "rate_hz") &&
+          param(h, "chaos") == param(r, "chaos")) {
+        host = &h;
+        break;
+      }
+    }
+    if (host == nullptr || !host->ok) continue;
+    const bool chaos = param(r, "chaos") != "clean";
+    const std::uint64_t nic_p99 = r.metrics.latency.p99_ns;
+    const std::uint64_t host_p99 = host->metrics.latency.p99_ns;
+    const bool bad = chaos ? nic_p99 >= host_p99 : nic_p99 > host_p99;
+    if (!bad) continue;
+    ++regressions;
+    std::fprintf(stderr,
+                 "TAIL REGRESSION %s: NIC p99 %llu ns vs host %llu ns\n",
+                 r.name.c_str(), static_cast<unsigned long long>(nic_p99),
+                 static_cast<unsigned long long>(host_p99));
+  }
+  if (regressions == 0) {
+    std::puts("tail check passed: the NIC plane holds a better p99 than "
+              "the host plane at every matched point");
+  }
+  return regressions;
+}
+
+// ---------------------------------------------------------------------
+// Suite grids.
+// ---------------------------------------------------------------------
+
+/// Appends a point to `suite`, stamped with the suite's name.
+void add_point(Suite& suite, std::string name,
+               std::vector<std::pair<std::string, std::string>> params,
+               std::function<RunMetrics()> body) {
+  suite.points.push_back(RunPoint{suite.name, std::move(name),
+                                  std::move(params), std::move(body)});
+}
+
+/// The six paper-figure and ablation suites.
+void add_figure_suites(bool reduced, std::vector<Suite>& suites) {
   const std::vector<std::size_t> procs =
       reduced ? std::vector<std::size_t>{1, 2, 4}
               : std::vector<std::size_t>{1, 2, 4, 8, 16};
@@ -1010,130 +891,560 @@ std::vector<RunPoint> figure_sweep_points(bool reduced) {
   const std::size_t ablation_p = reduced ? 4 : 8;
 
   // Figure 8(a): FFT speedup across the three interconnect families.
+  Suite fig8a{"fig8a_fft_sim", {}, {}};
   for (auto ic : {apps::Interconnect::kInicPrototype,
                   apps::Interconnect::kFastEthernetTcp,
                   apps::Interconnect::kGigabitTcp}) {
     for (std::size_t n : fft_sizes) {
       for (std::size_t p : procs) {
-        points.push_back(RunPoint{
-            "fig8a_fft_sim",
-            std::string(slug(ic)) + "/n=" + num(n) + "/P=" + num(p),
-            {{"interconnect", slug(ic)}, {"n", num(n)}, {"P", num(p)}},
-            [ic, n, p] { return fft_sim_metrics(ic, n, p); }});
+        add_point(fig8a,
+                  std::string(slug(ic)) + "/n=" + num(n) + "/P=" + num(p),
+                  {{"interconnect", slug(ic)}, {"n", num(n)}, {"P", num(p)}},
+                  [ic, n, p] { return fft_sim_metrics(ic, n, p); });
       }
     }
   }
+  suites.push_back(std::move(fig8a));
 
   // Figure 8(b): sort speedup, prototype vs GigE vs ideal INIC.
+  Suite fig8b{"fig8b_sort_sim", {}, {}};
   for (auto ic : {apps::Interconnect::kInicPrototype,
                   apps::Interconnect::kGigabitTcp,
                   apps::Interconnect::kInicIdeal}) {
     for (std::size_t p : procs) {
-      points.push_back(RunPoint{
-          "fig8b_sort_sim",
+      add_point(
+          fig8b,
           std::string(slug(ic)) + "/keys=" + num(sort_keys) + "/P=" + num(p),
           {{"interconnect", slug(ic)},
            {"keys", num(sort_keys)},
            {"P", num(p)}},
-          [ic, sort_keys, p] { return sort_sim_metrics(ic, sort_keys, p); }});
+          [ic, sort_keys, p] { return sort_sim_metrics(ic, sort_keys, p); });
     }
   }
+  suites.push_back(std::move(fig8b));
 
   // Figure 4(b): transpose decomposition (GigE, largest FFT size).
+  Suite fig4b{"fig4b_transpose", {}, {}};
   const std::size_t decomp_n = fft_sizes.back();
   for (std::size_t p : procs) {
     if (decomp_n % p != 0) continue;
-    points.push_back(RunPoint{
-        "fig4b_transpose",
-        "gige/n=" + num(decomp_n) + "/P=" + num(p),
-        {{"interconnect", "gige"}, {"n", num(decomp_n)}, {"P", num(p)}},
-        [decomp_n, p] { return transpose_metrics(decomp_n, p); }});
+    add_point(fig4b, "gige/n=" + num(decomp_n) + "/P=" + num(p),
+              {{"interconnect", "gige"}, {"n", num(decomp_n)}, {"P", num(p)}},
+              [decomp_n, p] { return transpose_metrics(decomp_n, p); });
   }
+  suites.push_back(std::move(fig4b));
 
   // Figure 5(a): sort component times (GigE).
+  Suite fig5a{"fig5a_sort_components", {}, {}};
   for (std::size_t p : procs) {
-    points.push_back(RunPoint{
-        "fig5a_sort_components",
-        "gige/keys=" + num(sort_keys) + "/P=" + num(p),
+    add_point(
+        fig5a, "gige/keys=" + num(sort_keys) + "/P=" + num(p),
         {{"interconnect", "gige"}, {"keys", num(sort_keys)}, {"P", num(p)}},
         [sort_keys, p] {
           return sort_sim_metrics(apps::Interconnect::kGigabitTcp, sort_keys,
                                   p);
-        }});
+        });
   }
+  suites.push_back(std::move(fig5a));
 
   // Ablation: INIC packet size (Section 4.2 — expected nearly flat).
+  Suite packet{"ablation_packet_size", {}, {}};
   const std::vector<std::uint64_t> packets =
       reduced ? std::vector<std::uint64_t>{256, 1024, 4096}
               : std::vector<std::uint64_t>{256, 512, 1024, 2048, 4096};
-  for (std::uint64_t packet : packets) {
+  for (std::uint64_t bytes : packets) {
     model::Calibration cal = model::default_calibration();
-    cal.inic_packet = Bytes(packet);
-    points.push_back(RunPoint{
-        "ablation_packet_size",
-        "packet=" + std::to_string(packet) + "/P=" + num(ablation_p),
-        {{"packet_bytes", std::to_string(packet)},
-         {"keys", num(ablation_keys)},
-         {"P", num(ablation_p)}},
-        [cal, ablation_keys, ablation_p] {
-          return sort_ablation_metrics(cal, ablation_keys, ablation_p);
-        }});
+    cal.inic_packet = Bytes(bytes);
+    add_point(packet,
+              "packet=" + std::to_string(bytes) + "/P=" + num(ablation_p),
+              {{"packet_bytes", std::to_string(bytes)},
+               {"keys", num(ablation_keys)},
+               {"P", num(ablation_p)}},
+              [cal, ablation_keys, ablation_p] {
+                return sort_ablation_metrics(cal, ablation_keys, ablation_p);
+              });
   }
+  suites.push_back(std::move(packet));
 
   // Ablation: card-to-host DMA threshold (Equation 15's 64 KB knee).
+  Suite dma{"ablation_dma_threshold", {}, {}};
   const std::vector<std::uint64_t> thresholds_kib =
       reduced ? std::vector<std::uint64_t>{16, 64, 256}
               : std::vector<std::uint64_t>{4, 16, 32, 64, 128, 256};
   for (std::uint64_t kib : thresholds_kib) {
     model::Calibration cal = model::default_calibration();
     cal.dma_efficiency_threshold = Bytes::kib(kib);
-    points.push_back(RunPoint{
-        "ablation_dma_threshold",
-        "thr=" + std::to_string(kib) + "KiB/P=" + num(ablation_p),
-        {{"threshold_kib", std::to_string(kib)},
-         {"keys", num(ablation_keys)},
-         {"P", num(ablation_p)}},
-        [cal, ablation_keys, ablation_p] {
-          return sort_ablation_metrics(cal, ablation_keys, ablation_p);
-        }});
+    add_point(dma, "thr=" + std::to_string(kib) + "KiB/P=" + num(ablation_p),
+              {{"threshold_kib", std::to_string(kib)},
+               {"keys", num(ablation_keys)},
+               {"P", num(ablation_p)}},
+              [cal, ablation_keys, ablation_p] {
+                return sort_ablation_metrics(cal, ablation_keys, ablation_p);
+              });
+  }
+  suites.push_back(std::move(dma));
+}
+
+/// Collectives over multi-hop fabrics: barrier + topology-aware
+/// broadcast/reduce over star, fat-tree and torus fabrics
+/// (docs/NETWORK.md), recording per-link congestion summaries.  Reduced
+/// keeps P <= 256 so CI and the TSan sweep stay fast; full adds the
+/// 1024-node fat-tree and torus points.
+Suite topology_suite(bool reduced) {
+  struct Grid {
+    const char* label;   // point-name prefix and "topology" param
+    net::TopologyConfig config;
+    std::size_t p;
+    bool full_only;
+  };
+  const std::vector<Grid> grid = {
+      {"star", net::TopologyConfig::star(), 64, false},
+      {"fattree2", net::TopologyConfig::fat_tree(2), 64, false},
+      {"fattree2", net::TopologyConfig::fat_tree(2), 256, false},
+      {"torus2", net::TopologyConfig::torus(2), 64, false},
+      {"torus3", net::TopologyConfig::torus(3), 256, false},
+      {"fattree3", net::TopologyConfig::fat_tree(3), 1024, true},
+      {"torus3", net::TopologyConfig::torus(3), 1024, true},
+  };
+  Suite suite{"fig_scaling_topology",
+              {},
+              {{"switches", "switches"},
+               {"links", "interior_links"},
+               {"link frames", "link_frames_total"},
+               {"max/link", "link_frames_max"},
+               {"peak queue (B)", "link_peak_queue_max_bytes"},
+               {"drops", "frames_dropped"}}};
+  for (const auto& g : grid) {
+    if (reduced && g.full_only) continue;
+    const net::TopologyConfig topo = g.config;
+    const std::size_t p = g.p;
+    add_point(suite, std::string(g.label) + "/P=" + num(p),
+              {{"topology", g.label},
+               {"shape", net::describe_topology(topo, p)},
+               {"P", num(p)}},
+              [topo, p] { return topology_metrics(topo, p); });
+  }
+  return suite;
+}
+
+/// Backend (host/TCP vs NIC-resident) × topology × rank-count grid,
+/// barrier + topology-aware allreduce per point.  Counters expose the
+/// host-cost split the NIC engine is meant to eliminate — traced CPU/IRQ
+/// event counts, interrupts delivered, summed host CPU nanoseconds —
+/// plus the trigger-fire tally on the card plane.
+Suite collectives_suite(bool reduced) {
+  struct Grid {
+    const char* label;   // "topology" param
+    net::TopologyConfig config;
+    std::size_t p;
+    bool full_only;
+  };
+  const std::vector<Grid> grid = {
+      {"star", net::TopologyConfig::star(), 8, false},
+      {"fattree2", net::TopologyConfig::fat_tree(2), 16, false},
+      {"torus2", net::TopologyConfig::torus(2), 16, false},
+      {"star", net::TopologyConfig::star(), 16, true},
+      {"fattree2", net::TopologyConfig::fat_tree(2), 64, true},
+      {"fattree3", net::TopologyConfig::fat_tree(3), 16, true},
+      {"torus3", net::TopologyConfig::torus(3), 27, true},
+  };
+  constexpr std::size_t kElements = 256;
+  Suite suite{"collectives",
+              {},
+              {{"barrier (us)", "barrier_ns", 1e-3, 1},
+               {"allreduce (us)", "allreduce_ns", 1e-3, 1},
+               {"cpu events", "host_cpu_events"},
+               {"irq events", "irq_events"},
+               {"irqs", "irq_delivered"},
+               {"host cpu (us)", "host_cpu_ns", 1e-3, 1},
+               {"trig fires", "trigger_fires"}},
+              host_cost_gate};
+  for (const auto& g : grid) {
+    if (reduced && g.full_only) continue;
+    for (auto backend : {apps::CollectiveBackend::kHost,
+                         apps::CollectiveBackend::kNic}) {
+      const net::TopologyConfig topo = g.config;
+      const std::size_t p = g.p;
+      add_point(suite,
+                std::string(apps::to_string(backend)) + "/" + g.label +
+                    "/P=" + num(p),
+                {{"collective_backend", apps::to_string(backend)},
+                 {"topology", g.label},
+                 {"P", num(p)},
+                 {"elements", num(kElements)}},
+                [backend, topo, p] {
+                  return collective_metrics(backend, topo, p, kElements);
+                });
+    }
+  }
+  return suite;
+}
+
+/// Permanent interior-link cuts (single and double) against live
+/// collectives on multi-hop fabrics with adaptive routing on and the
+/// degraded TCP fallback OFF, per backend.  Each point reports the
+/// recovery latency (first cut to the fabric's re-convergence instant),
+/// post-failover goodput of a bulk transfer over the re-converged route,
+/// and the route-epoch / reroute-grant tallies; a point throws (runner
+/// marks it failed) if a collective fails verification or any card
+/// writes a peer off.
+Suite failover_suite(bool reduced) {
+  struct Grid {
+    const char* label;   // "topology" param
+    net::TopologyConfig config;
+    std::size_t p;
+    int cuts;
+    bool full_only;
+  };
+  const std::vector<Grid> grid = {
+      {"fattree2", net::TopologyConfig::fat_tree(2), 16, 1, false},
+      {"fattree2", net::TopologyConfig::fat_tree(2), 16, 2, true},
+      {"fattree3", net::TopologyConfig::fat_tree(3), 16, 1, true},
+      {"torus2", net::TopologyConfig::torus(2), 8, 1, false},
+      {"torus3", net::TopologyConfig::torus(3, 2, 2, 2), 8, 2, true},
+  };
+  Suite suite{"failover_recovery",
+              {},
+              {{"clean (ms)", "clean_ns", 1e-6, 3},
+               {"faulted (ms)", "faulted_ns", 1e-6, 3},
+               {"recovery (us)", "recovery_latency_ns", 1e-3, 1},
+               {"goodput (MB/s)", "goodput_bytes_per_s", 1e-6, 1},
+               {"epochs", "route_epochs"},
+               {"grants", "reroute_grants"}},
+              recovery_gate};
+  for (const auto& g : grid) {
+    if (reduced && g.full_only) continue;
+    for (auto backend : {apps::CollectiveBackend::kHost,
+                         apps::CollectiveBackend::kNic}) {
+      const net::TopologyConfig topo = g.config;
+      const std::size_t p = g.p;
+      const int cuts = g.cuts;
+      add_point(suite,
+                std::string(apps::to_string(backend)) + "/" + g.label +
+                    "/P=" + num(p) + "/cuts=" + std::to_string(cuts),
+                {{"collective_backend", apps::to_string(backend)},
+                 {"topology", g.label},
+                 {"P", num(p)},
+                 {"cuts", std::to_string(cuts)}},
+                [backend, topo, p, cuts] {
+                  return failover_metrics(backend, topo, p, cuts);
+                });
+    }
+  }
+  return suite;
+}
+
+/// Scripted fault storms (bursty loss, corruption, link flap, card
+/// reset, degraded port, all-at-once) against verified FFT and sort runs
+/// on a hardened INIC cluster.  Counters carry the clean-vs-faulted
+/// timelines and the recovery machinery's visible work (fallback
+/// transfers, retransmits, CRC drops).
+Suite chaos_suite(bool reduced) {
+  struct Scenario {
+    const char* label;
+    fault::FaultPlan (*plan)(Time);
+    bool full_only;
+  };
+  const std::vector<Scenario> scenarios = {
+      {"clean", chaos_plan_none, false},
+      {"burst_loss", chaos_plan_burst_loss, false},
+      {"corruption", chaos_plan_corruption, true},
+      {"link_flap", chaos_plan_link_flap, true},
+      {"card_reset", chaos_plan_card_reset, false},
+      {"slow_port", chaos_plan_slow_port, true},
+      {"everything", chaos_plan_everything, true},
+  };
+  Suite suite{"chaos_recovery",
+              {},
+              {{"clean (ms)", "clean_ns", 1e-6, 3},
+               {"faulted (ms)", "faulted_ns", 1e-6, 3},
+               {"fallback", "fallback_transfers"},
+               {"retransmits", "retransmits"},
+               {"crc drops", "crc_drops"}}};
+  for (const auto& s : scenarios) {
+    if (reduced && s.full_only) continue;
+    for (const bool fft : {true, false}) {
+      if (reduced && !fft) continue;  // reduced grid: FFT only
+      auto plan = s.plan;
+      add_point(suite, std::string(fft ? "fft" : "sort") + "/" + s.label,
+                {{"app", fft ? "fft" : "sort"},
+                 {"scenario", s.label},
+                 {"P", "4"},
+                 {fft ? "n" : "keys",
+                  fft ? num(kChaosFftN) : num(kChaosSortKeys)}},
+                [fft, plan] { return chaos_recovery_metrics(fft, plan); });
+    }
+  }
+  return suite;
+}
+
+/// The open-loop Zipf-skewed KV workload (apps/kv_app.hpp) over a
+/// (plane × topology × arrival rate × chaos) grid — host TCP vs hardened
+/// INIC, clean fabric vs sustained ~30% bursty loss.  Every point fills
+/// RunMetrics::latency (the `latency` object: nearest-rank
+/// p50/p99/p999, mean, max, goodput) from the run's deterministic
+/// latency histogram, and mirrors the tail into counters for the
+/// serial-vs-pooled comparison.  A point throws if any response carries
+/// a wrong value or a request goes unanswered.
+Suite serving_suite(bool reduced) {
+  struct Grid {
+    const char* topo_label;  // "topology" param
+    net::TopologyConfig config;
+    double rate_hz;
+    bool full_only;
+  };
+  const std::vector<Grid> grid = {
+      {"star", net::TopologyConfig::star(), 20000.0, false},
+      {"star", net::TopologyConfig::star(), 80000.0, true},
+      {"fattree2", net::TopologyConfig::fat_tree(2), 20000.0, true},
+  };
+  const std::size_t requests_per_client = reduced ? 32 : 192;
+  Suite suite{"serving_tail",
+              {},
+              {{"responses", "responses"},
+               {"p50 (us)", "p50_ns", 1e-3, 1},
+               {"p99 (us)", "p99_ns", 1e-3, 1},
+               {"p999 (us)", "p999_ns", 1e-3, 1},
+               {"goodput (MB/s)", "goodput_bytes_per_sec", 1e-6, 2},
+               {"net drops", "net_drops"}},
+              tail_gate};
+  for (const auto& g : grid) {
+    if (reduced && g.full_only) continue;
+    for (const bool nic : {false, true}) {
+      for (const bool chaos : {false, true}) {
+        const net::TopologyConfig topo = g.config;
+        const double rate = g.rate_hz;
+        const std::string rate_str =
+            std::to_string(static_cast<long long>(rate));
+        add_point(suite,
+                  std::string(nic ? "nic" : "host") + "/" + g.topo_label +
+                      "/rate=" + rate_str + "/" + (chaos ? "loss30" : "clean"),
+                  {{"plane", nic ? "nic" : "host"},
+                   {"topology", g.topo_label},
+                   {"rate_hz", rate_str},
+                   {"chaos", chaos ? "loss30" : "clean"},
+                   {"clients", num(kServingClients)},
+                   {"servers", num(kServingServers)},
+                   {"requests_per_client", num(requests_per_client)}},
+                  [nic, topo, chaos, rate, requests_per_client] {
+                    return serving_metrics(nic, topo, chaos, rate,
+                                           requests_per_client);
+                  });
+      }
+    }
+  }
+  return suite;
+}
+
+/// LP-partitioned fabric traffic (net/lp_workload.hpp) and the SimCluster
+/// ring on the parallel event engine at 1/2/4 worker threads.  Each
+/// point reports the thread-count-independent run digest and per-shard
+/// stats; threads > 1 points additionally report speedup over the wall
+/// clock of the shape's threads=1 point (listed first, so no point's
+/// timed body runs a second simulation) and the derived
+/// `scaling_efficiency` (BENCH_results.json v4).
+Suite engine_scaling_suite(bool reduced) {
+  struct Grid {
+    const char* label;   // "topology" param and baseline-memo key
+    net::LpWorkloadConfig cfg;
+    bool full_only;
+  };
+  // The full grid's fat-tree point is the speedup floor's shape; the
+  // reduced point keeps the suite in the serial-vs-pooled determinism
+  // gate without dominating its wall clock.
+  net::LpWorkloadConfig small;
+  small.topology = net::TopologyConfig::fat_tree(2);
+  small.hosts = 64;
+  small.frames_per_host = 16;
+  small.switch_work = 96;
+  const std::vector<Grid> grid = {
+      {"fattree2", small, false},
+      {"fattree3", engine_scaling_floor_config(), true},
+  };
+  Suite suite{"engine_scaling",
+              {},
+              {{"LPs", "lp_count"},
+               {"windows", "windows"},
+               {"cross posts", "cross_posts"}}};
+  for (const auto& g : grid) {
+    if (reduced && g.full_only) continue;
+    const net::LpWorkloadConfig& cfg = g.cfg;
+    const std::string label = std::string(g.label) + "/P=" + num(cfg.hosts);
+    for (std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                std::size_t{4}}) {
+      add_point(suite, label + "/threads=" + num(threads),
+                {{"topology", g.label},
+                 {"P", num(cfg.hosts)},
+                 {"frames_per_host", num(cfg.frames_per_host)},
+                 {"switch_work", num(cfg.switch_work)},
+                 {"threads", num(threads)}},
+                [label, cfg, threads] {
+                  return engine_scaling_metrics(label, cfg, threads);
+                });
+    }
+  }
+  // SimCluster points: the full device models (cards, DMA, switch
+  // FIFOs) sharded across per-switch LPs — the migration the synthetic
+  // LP workload above cannot see.  The full grid's 1024-host point is
+  // the shape check_speedup_floor() re-measures.  Host counts must be
+  // k^3/4 for an even k (fat_tree(3)): 16 reduced, 1024 full.
+  const std::size_t cluster_hosts =
+      reduced ? std::size_t{16} : kClusterScalingFloorHosts;
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2},
+                              std::size_t{4}}) {
+    add_point(suite,
+              "cluster_fattree3/P=" + num(cluster_hosts) +
+                  "/threads=" + num(threads),
+              {{"topology", "cluster_fattree3"},
+               {"P", num(cluster_hosts)},
+               {"threads", num(threads)}},
+              [cluster_hosts, threads] {
+                return cluster_scaling_metrics(cluster_hosts, threads);
+              });
+  }
+  return suite;
+}
+
+// ---------------------------------------------------------------------
+// Speedup floor.
+// ---------------------------------------------------------------------
+
+/// One floor attempt: the pinned shape at 1 then 4 threads,
+/// back-to-back on an otherwise idle process.  Returns the speedup, or
+/// -1 if the runs diverged.
+double floor_attempt(const net::LpWorkloadConfig& cfg) {
+  using clock = std::chrono::steady_clock;
+  const auto t0 = clock::now();
+  const auto serial = net::run_lp_workload(cfg, /*threads=*/1);
+  const auto t1 = clock::now();
+  const auto parallel = net::run_lp_workload(cfg, /*threads=*/4);
+  const auto t2 = clock::now();
+  if (serial.digest != parallel.digest ||
+      serial.checksum != parallel.checksum) {
+    std::fprintf(stderr,
+                 "FLOOR ABORT: 1-thread and 4-thread runs diverged "
+                 "(digest %s vs %s) — determinism bug, not a perf issue\n",
+                 digest_hex(serial.digest).c_str(),
+                 digest_hex(parallel.digest).c_str());
+    return -1.0;
+  }
+  const double serial_s = std::chrono::duration<double>(t1 - t0).count();
+  const double parallel_s = std::chrono::duration<double>(t2 - t1).count();
+  if (parallel_s <= 0.0) return 0.0;
+  return serial_s / parallel_s;
+}
+
+/// One SimCluster floor attempt: the pinned 1024-host cluster shape at
+/// 1 then 4 threads.  `sharded_digest` carries the 2-thread reference
+/// digest across attempts (serial and sharded digests are different
+/// constants by design, so the determinism abort compares 4-thread runs
+/// against the 2-thread reference, never against serial).
+double cluster_floor_attempt(std::uint64_t sharded_digest) {
+  using clock = std::chrono::steady_clock;
+  const auto t0 = clock::now();
+  const auto serial =
+      run_cluster_scaling_point(kClusterScalingFloorHosts, /*threads=*/1);
+  const auto t1 = clock::now();
+  const auto parallel =
+      run_cluster_scaling_point(kClusterScalingFloorHosts, /*threads=*/4);
+  const auto t2 = clock::now();
+  if (parallel.digest != sharded_digest) {
+    std::fprintf(stderr,
+                 "CLUSTER FLOOR ABORT: 4-thread digest %s diverged from "
+                 "the 2-thread reference %s — determinism bug, not a perf "
+                 "issue\n",
+                 digest_hex(parallel.digest).c_str(),
+                 digest_hex(sharded_digest).c_str());
+    return -1.0;
+  }
+  if (parallel.sim_time != serial.sim_time) {
+    std::fprintf(stderr,
+                 "CLUSTER FLOOR ABORT: sharded end time diverged from "
+                 "serial — equivalence bug, not a perf issue\n");
+    return -1.0;
+  }
+  const double serial_s = std::chrono::duration<double>(t1 - t0).count();
+  const double parallel_s = std::chrono::duration<double>(t2 - t1).count();
+  if (parallel_s <= 0.0) return 0.0;
+  return serial_s / parallel_s;
+}
+
+}  // namespace
+
+std::vector<Suite> bench_suites(bool reduced) {
+  std::vector<Suite> suites;
+  add_figure_suites(reduced, suites);
+  suites.push_back(topology_suite(reduced));
+  suites.push_back(collectives_suite(reduced));
+  suites.push_back(failover_suite(reduced));
+  suites.push_back(chaos_suite(reduced));
+  suites.push_back(serving_suite(reduced));
+  suites.push_back(engine_scaling_suite(reduced));
+  return suites;
+}
+
+int check_speedup_floor() {
+  const double kFloor = 1.6;
+  const unsigned cores = std::thread::hardware_concurrency();
+  if (cores < 4) {
+    // A 4-thread speedup floor on a host with fewer than 4 cores is
+    // vacuously red: the workers time-slice one another and the best
+    // possible "speedup" is ~1.0x.  Skip loudly rather than fail — the
+    // determinism half of the contract is still fully checked by
+    // tests/parallel_scaling_test.cpp on any core count.
+    std::printf("\nfloor check SKIPPED: host reports %u core(s); the "
+                ">= %.1fx @ 4 threads gate needs >= 4\n",
+                cores, kFloor);
+    return 0;
+  }
+  int floor_failures = 0;
+  const net::LpWorkloadConfig cfg = engine_scaling_floor_config();
+  std::printf("\n== speedup floor: fat_tree(3) %zu hosts, 4 threads, "
+              ">= %.1fx ==\n",
+              cfg.hosts, kFloor);
+  double best = 0.0;
+  for (int attempt = 1; attempt <= 3; ++attempt) {
+    const double s = floor_attempt(cfg);
+    if (s < 0.0) return 1;  // determinism divergence: fail immediately
+    std::printf("attempt %d: %.2fx\n", attempt, s);
+    if (s > best) best = s;
+    if (best >= kFloor) break;  // no need to burn more CI time
+  }
+  if (best >= kFloor) {
+    std::printf("floor passed: best %.2fx >= %.1fx\n", best, kFloor);
+  } else {
+    ++floor_failures;
+    std::fprintf(stderr,
+                 "FLOOR FAILED: best speedup %.2fx < %.1fx at 4 threads\n",
+                 best, kFloor);
   }
 
-  // Topology scaling: collectives over multi-hop fabrics (P up to 1024
-  // in the full grid; reduced keeps P <= 256 so CI and the TSan sweep
-  // stay fast).
-  for (auto& point : topology_scaling_points(reduced)) {
-    points.push_back(std::move(point));
+  std::printf("\n== SimCluster speedup floor: fat_tree(3) %zu hosts, "
+              "4 threads, >= %.1fx ==\n",
+              kClusterScalingFloorHosts, kFloor);
+  // 2-thread reference digest for the cross-thread determinism abort
+  // (the serial digest is a different constant by design).
+  const auto two =
+      run_cluster_scaling_point(kClusterScalingFloorHosts, /*threads=*/2);
+  double cluster_best = 0.0;
+  for (int attempt = 1; attempt <= 3; ++attempt) {
+    const double s = cluster_floor_attempt(two.digest);
+    if (s < 0.0) return 1;  // determinism divergence: fail immediately
+    std::printf("attempt %d: %.2fx\n", attempt, s);
+    if (s > cluster_best) cluster_best = s;
+    if (cluster_best >= kFloor) break;
   }
-
-  // Collectives: host/TCP vs NIC-resident backend over the fabric grid.
-  for (auto& point : collective_points(reduced)) {
-    points.push_back(std::move(point));
+  if (cluster_best >= kFloor) {
+    std::printf("cluster floor passed: best %.2fx >= %.1fx\n", cluster_best,
+                kFloor);
+  } else {
+    ++floor_failures;
+    std::fprintf(stderr,
+                 "CLUSTER FLOOR FAILED: best speedup %.2fx < %.1fx at "
+                 "4 threads\n",
+                 cluster_best, kFloor);
   }
-
-  // Failover: permanent link cuts with adaptive routing (recovery
-  // latency and post-failover goodput per backend).
-  for (auto& point : failover_points(reduced)) {
-    points.push_back(std::move(point));
-  }
-
-  // Chaos: scripted fault storms against verified FFT/sort runs.
-  for (auto& point : chaos_recovery_points(reduced)) {
-    points.push_back(std::move(point));
-  }
-
-  // Serving: open-loop KV tail latency, host vs NIC plane, clean vs
-  // 30%-loss chaos.
-  for (auto& point : serving_points(reduced)) {
-    points.push_back(std::move(point));
-  }
-
-  // Parallel engine: LP-partitioned fabric traffic at 1/2/4 worker
-  // threads (digest thread-count independence + scaling trajectory).
-  for (auto& point : engine_scaling_points(reduced)) {
-    points.push_back(std::move(point));
-  }
-
-  return points;
+  return floor_failures;
 }
 
 }  // namespace acc::runner

@@ -29,12 +29,6 @@
 
 namespace acc::runner {
 
-/// What one executed point reports back.  `sim_time` is simulated time;
-/// wall clock is measured by the runner, not the body.  `digest` is the
-/// run's trace digest when the body enabled tracing (0 otherwise), and
-/// `counters` an optional flat snapshot of the run's counter registry —
-/// both exist so a pooled run can be checked bit-for-bit against a
-/// serial run of the same point.
 /// Tail-latency summary of a serving-style point (schema-v3 `latency`
 /// object in BENCH_results.json).  All fields come from the run's
 /// trace::LatencyHistogram, so they are as deterministic as the digest;
@@ -59,6 +53,12 @@ struct ShardSummary {
   std::uint64_t wall_ns = 0;
 };
 
+/// What one executed point reports back.  `sim_time` is simulated time;
+/// wall clock is measured by the runner, not the body.  `digest` is the
+/// run's trace digest when the body enabled tracing (0 otherwise), and
+/// `counters` an optional flat snapshot of the run's counter registry —
+/// both exist so a pooled run can be checked bit-for-bit against a
+/// serial run of the same point.
 struct RunMetrics {
   Time sim_time = Time::zero();
   double speedup = 0.0;            // vs the suite's serial baseline; 0 = n/a
@@ -81,6 +81,14 @@ struct RunMetrics {
   std::vector<std::pair<std::string, std::int64_t>> counters;
   /// Request-latency distribution summary; emitted only when present.
   LatencySummary latency;
+
+  /// The value of counter `name`, 0 when the body did not set it.
+  std::int64_t counter(const std::string& name) const {
+    for (const auto& [key, value] : counters) {
+      if (key == name) return value;
+    }
+    return 0;
+  }
 };
 
 /// One named unit of work in a sweep.  `params` is ordered (it becomes

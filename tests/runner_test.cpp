@@ -101,10 +101,13 @@ TEST(SweepRunner, IdenticalPointsSideBySideStayIsolated) {
   for (const auto& r : results) expect_identical(r, reference[0]);
 }
 
-TEST(SweepRunner, FigureSweepPointsReproduceSeriallyWhenPooled) {
+TEST(SweepRunner, BenchSuitePointsReproduceSeriallyWhenPooled) {
   // The real bench_all point set, reduced grid — the same gate CI
   // applies via `bench_all --points=reduced --check-digests`.
-  const auto points = runner::figure_sweep_points(/*reduced=*/true);
+  std::vector<RunPoint> points;
+  for (const auto& suite : runner::bench_suites(/*reduced=*/true)) {
+    points.insert(points.end(), suite.points.begin(), suite.points.end());
+  }
   ASSERT_GT(points.size(), 10u);
   const auto pooled = SweepRunner(/*threads=*/4).run(points);
   const auto serial = SweepRunner(/*threads=*/1).run(points);
@@ -114,6 +117,125 @@ TEST(SweepRunner, FigureSweepPointsReproduceSeriallyWhenPooled) {
 #endif
     expect_identical(pooled[i], serial[i]);
   }
+}
+
+// ---------------------------------------------------------------------
+// The suite registry and its gates, fed hand-built records
+// ---------------------------------------------------------------------
+
+using Params = std::vector<std::pair<std::string, std::string>>;
+using Counters = std::vector<std::pair<std::string, std::int64_t>>;
+
+RunRecord record(const std::string& name, Params params, Counters counters) {
+  RunRecord r;
+  r.name = name;
+  r.params = std::move(params);
+  r.metrics.counters = std::move(counters);
+  r.ok = true;
+  return r;
+}
+
+runner::Gate gate_of(const std::string& suite) {
+  for (const auto& s : runner::bench_suites(/*reduced=*/true)) {
+    if (s.name == suite) return s.gate;
+  }
+  ADD_FAILURE() << "no suite " << suite;
+  return nullptr;
+}
+
+TEST(BenchSuites, RegistryOrderPointNamesAndGates) {
+  const auto suites = runner::bench_suites(/*reduced=*/true);
+  std::vector<std::string> names;
+  std::vector<std::string> gated;
+  for (const auto& s : suites) {
+    names.push_back(s.name);
+    if (s.gate != nullptr) gated.push_back(s.name);
+    ASSERT_FALSE(s.points.empty()) << s.name;
+    for (const auto& p : s.points) EXPECT_EQ(p.suite, s.name) << p.name;
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       "fig8a_fft_sim", "fig8b_sort_sim", "fig4b_transpose",
+                       "fig5a_sort_components", "ablation_packet_size",
+                       "ablation_dma_threshold", "fig_scaling_topology",
+                       "collectives", "failover_recovery", "chaos_recovery",
+                       "serving_tail", "engine_scaling"}));
+  EXPECT_EQ(gated, (std::vector<std::string>{
+                       "collectives", "failover_recovery", "serving_tail"}));
+}
+
+TEST(BenchSuites, HostCostGateNeedsNicStrictlyCheaper) {
+  const runner::Gate gate = gate_of("collectives");
+  ASSERT_NE(gate, nullptr);
+  const Params host_params = {
+      {"collective_backend", "host"}, {"topology", "star"}, {"P", "8"}};
+  const Params nic_params = {
+      {"collective_backend", "nic"}, {"topology", "star"}, {"P", "8"}};
+  std::vector<RunRecord> records = {
+      record("host/star/P=8", host_params,
+             {{"host_cpu_events", 120}, {"irq_delivered", 40}}),
+      record("nic/star/P=8", nic_params,
+             {{"host_cpu_events", 0}, {"irq_delivered", 0}}),
+      // A NIC point with no host twin is not compared against anything.
+      record("nic/torus2/P=16",
+             {{"collective_backend", "nic"}, {"topology", "torus2"},
+              {"P", "16"}},
+             {{"host_cpu_events", 999}, {"irq_delivered", 999}})};
+  EXPECT_EQ(gate(records), 0);
+
+  records[1].metrics.counters = {{"host_cpu_events", 120},
+                                 {"irq_delivered", 0}};
+  EXPECT_EQ(gate(records), 1);
+  records[1].metrics.counters = {{"host_cpu_events", 0},
+                                 {"irq_delivered", 41}};
+  EXPECT_EQ(gate(records), 1);
+  records[1].ok = false;  // failed points are the driver's to count
+  EXPECT_EQ(gate(records), 0);
+}
+
+TEST(BenchSuites, TailGateHoldsTheNicPlaneToABetterP99) {
+  const runner::Gate gate = gate_of("serving_tail");
+  ASSERT_NE(gate, nullptr);
+  auto point = [](const char* plane, const char* topology, const char* chaos,
+                  std::uint64_t p99) {
+    RunRecord r = record(std::string(plane) + "/" + topology + "/" + chaos,
+                         {{"plane", plane},
+                          {"topology", topology},
+                          {"rate_hz", "20000"},
+                          {"chaos", chaos}},
+                         {});
+    r.metrics.latency.present = true;
+    r.metrics.latency.p99_ns = p99;
+    return r;
+  };
+  std::vector<RunRecord> records = {
+      point("host", "star", "clean", 1000), point("host", "star", "loss30", 9000),
+      // A tie is allowed on a clean fabric...
+      point("nic", "star", "clean", 1000), point("nic", "star", "loss30", 4000),
+      // ...and a NIC point with no host twin is skipped.
+      point("nic", "fattree2", "loss30", 1000000)};
+  EXPECT_EQ(gate(records), 0);
+
+  records[3].metrics.latency.p99_ns = 9000;  // a tie under loss fails
+  EXPECT_EQ(gate(records), 1);
+  records[2].metrics.latency.p99_ns = 1001;  // worse on a clean fabric
+  EXPECT_EQ(gate(records), 2);
+}
+
+TEST(BenchSuites, RecoveryGateNeedsAnEpochPerCutAndLiveGoodput) {
+  const runner::Gate gate = gate_of("failover_recovery");
+  ASSERT_NE(gate, nullptr);
+  std::vector<RunRecord> records = {
+      record("nic/fattree2/P=16/cuts=2",
+             {{"collective_backend", "nic"}, {"cuts", "2"}},
+             {{"route_epochs", 2}, {"goodput_bytes_per_s", 1000000}})};
+  EXPECT_EQ(gate(records), 0);
+
+  records[0].metrics.counters = {{"route_epochs", 1},
+                                 {"goodput_bytes_per_s", 1000000}};
+  EXPECT_EQ(gate(records), 1);
+  records[0].metrics.counters = {{"route_epochs", 2},
+                                 {"goodput_bytes_per_s", 0}};
+  EXPECT_EQ(gate(records), 1);
 }
 
 // ---------------------------------------------------------------------
