@@ -7,9 +7,9 @@
 //      64-host 2-level fat tree — real multi-LP window execution with
 //      cross-LP mailbox traffic — printing per-thread-count digests,
 //      event counts, and host throughput.
-//   2. The SimCluster facade (ClusterOptions::engine_threads) driving a
-//      neighbour-ring of INIC transfers through SimCluster::run() — the
-//      cluster's engine as LP 0 of the window scheduler.
+//   2. A star SimCluster (ClusterOptions::engine_threads) driving a
+//      neighbour-ring of INIC transfers through SimCluster::run() — one
+//      switch is a one-LP partition at every thread count.
 //
 //   $ ./parallel_engine_demo        # exits 1 on any digest divergence
 //
@@ -84,9 +84,9 @@ int run_lp_fabric_probe() {
   return divergences ? 1 : 0;
 }
 
-int run_cluster_facade_probe() {
+int run_cluster_probe() {
   print_banner(
-      "SimCluster facade: 8-node INIC ring via ClusterOptions::"
+      "SimCluster one-LP star: 8-node INIC ring via ClusterOptions::"
       "engine_threads");
   Table table({"engine_threads", "events", "sim (us)", "digest"});
   std::uint64_t reference = 0;
@@ -97,9 +97,9 @@ int run_cluster_facade_probe() {
     apps::SimCluster cluster(8, apps::Interconnect::kInicIdeal,
                              model::default_calibration(), copts);
     if (!cluster.tracer().enabled()) {
-      cluster.tracer().enable(/*ring_capacity=*/64);
+      cluster.enable_tracing(/*ring_capacity=*/64);
     }
-    sim::ProcessGroup group(cluster.engine());
+    sim::ProcessGroup group(*cluster.parallel());
     for (int i = 0; i < 8; ++i) {
       const int dst = (i + 1) % 8;
       group.spawn(cluster.transfer(i, dst, Bytes::kib(16),
@@ -110,7 +110,7 @@ int run_cluster_facade_probe() {
     }
     const Time end = cluster.run();
     group.join();
-    const std::uint64_t digest = cluster.tracer().digest();
+    const std::uint64_t digest = cluster.digest();
     if (threads == 1) reference = digest;
     if (digest != reference) ++divergences;
     char hex[32];
@@ -118,7 +118,7 @@ int run_cluster_facade_probe() {
                   static_cast<unsigned long long>(digest));
     table.row()
         .add(static_cast<std::int64_t>(threads))
-        .add(static_cast<std::int64_t>(cluster.engine().events_executed()))
+        .add(static_cast<std::int64_t>(cluster.events_executed()))
         .add(end.as_micros(), 1)
         .add(hex);
   }
@@ -138,6 +138,6 @@ int run_cluster_facade_probe() {
 
 int main() {
   const int lp = run_lp_fabric_probe();
-  const int facade = run_cluster_facade_probe();
-  return (lp || facade) ? 1 : 0;
+  const int cluster = run_cluster_probe();
+  return (lp || cluster) ? 1 : 0;
 }

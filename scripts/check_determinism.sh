@@ -70,7 +70,7 @@ aslr_wrap() {
 # keys, per-request latency histogram, with a sustained bursty-loss
 # storm on both transport planes), and parallel_engine_demo the
 # window-scheduled parallel engine (the LP-partitioned fabric workload
-# and the SimCluster engine_threads facade, each executed at 1/2/4/8
+# and a one-LP SimCluster star ring, each executed at 1/2/4/8
 # worker threads inside one process; the binary exits non-zero if any
 # thread count diverges, and its digest lines let this script compare
 # the same runs across environments) — together covering the healthy,

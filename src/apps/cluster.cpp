@@ -1,5 +1,6 @@
 #include "apps/cluster.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -39,6 +40,25 @@ sim::Process pump_fallback(proto::TcpStack& tcp, inic::InicCard& card) {
     // collectives survive a fallback re-carry too.
     card.accept_message(std::move(msg));
   }
+}
+
+net::NicConfig nic_config(const model::Calibration& cal) {
+  net::NicConfig nic;
+  nic.interrupts.max_frames = cal.interrupt_coalesce_frames;
+  nic.interrupts.timeout = cal.interrupt_coalesce_timeout;
+  nic.interrupts.service_cost = cal.interrupt_cost;
+  nic.per_packet_host_cost = cal.per_packet_host_cost;
+  return nic;
+}
+
+proto::TcpConfig tcp_config(const model::Calibration& cal) {
+  proto::TcpConfig tcp;
+  tcp.mss = cal.tcp_mss;
+  tcp.initial_window_segments = cal.tcp_initial_window_segments;
+  tcp.max_window = cal.tcp_max_window;
+  tcp.min_rto = cal.tcp_min_rto;
+  tcp.per_packet_overhead = cal.ethernet_frame_overhead + cal.ip_tcp_headers;
+  return tcp;
 }
 
 }  // namespace
@@ -111,44 +131,36 @@ SimCluster::SimCluster(std::size_t n, Interconnect ic,
   net_cfg.topology = opts_.topology;
   net_cfg.routing.adaptive = opts_.adaptive_routing;
 
-  // LP-sharding decision (ClusterOptions::engine_threads doc): threads
-  // >= 2 on a multi-switch fabric with no cross-LP-mutating features
-  // partitions the cluster — one LP per switch, hosts on their edge
-  // switch's LP.  Everything else (star, adaptive routing, degraded
-  // fallback) keeps the serial-identical facade: run() then adopts eng_
-  // as a single LP, which is bit-identical to plain eng_.run().
-  const bool want_shard = opts_.engine_threads >= 2 &&
+  // The partition decides how the cluster runs (ClusterOptions::
+  // engine_threads): one LP per switch, hosts on their edge switch's LP,
+  // when threads >= 2 on a multi-switch fabric with no cross-LP-mutating
+  // feature; otherwise one LP holding every switch and host.
+  net::TopologyPlan plan = net::build_topology(net_cfg.topology, n);
+  const bool per_switch = opts_.engine_threads >= 2 &&
+                          plan.switches.size() > 1 &&
                           !opts_.adaptive_routing &&
                           !(is_inic(ic) && opts_.degraded_fallback);
-  if (want_shard) {
-    net::TopologyPlan plan = net::build_topology(net_cfg.topology, n);
-    if (plan.switches.size() > 1) {
-      // Per-link latency: the delay a frame needs to become visible at
-      // the peer switch — link propagation plus the peer's forwarding
-      // latency, exactly what forward_at() posts cross-LP hops with.
-      const Time hop = net_cfg.link_latency + net_cfg.switch_latency;
-      partition_ = net::build_lp_partition(
-          plan, [hop](int, int) { return hop; });
-      std::vector<sim::Engine*> shards;
-      shards.reserve(partition_.lp_count);
-      shards.push_back(&eng_);
-      shard_engines_.reserve(partition_.lp_count - 1);
-      for (std::size_t i = 1; i < partition_.lp_count; ++i) {
-        shard_engines_.push_back(std::make_unique<sim::Engine>());
-        shards.push_back(shard_engines_.back().get());
-      }
-      sim::ParallelConfig pcfg;
-      pcfg.threads = opts_.engine_threads;
-      pcfg.lookahead = partition_.lookahead;
-      parallel_ =
-          std::make_unique<sim::ParallelEngine>(std::move(shards), pcfg);
-    }
+  if (per_switch) {
+    // Per-link latency: the delay a frame needs to become visible at
+    // the peer switch — link propagation plus the peer's forwarding
+    // latency, exactly what forward_at() posts cross-LP hops with.
+    const Time hop = net_cfg.link_latency + net_cfg.switch_latency;
+    partition_ =
+        net::build_lp_partition(plan, [hop](int, int) { return hop; });
+  } else {
+    partition_.lp_count = 1;
+    partition_.lp_of_switch.assign(plan.switches.size(), 0);
+    partition_.lp_of_host.assign(plan.hosts.size(), 0);
   }
+  sim::ParallelConfig pcfg;
+  pcfg.threads = std::max<std::size_t>(1, opts_.engine_threads);
+  pcfg.lookahead = partition_.lookahead;
+  parallel_ = std::make_unique<sim::ParallelEngine>(partition_.lp_count, pcfg);
 
   // Environment-driven tracing (documented on tracer()): any existing
   // example or benchmark can be traced without code changes.  The
-  // environment is captured once per process (see trace_env()).  Sharded
-  // runs arm every LP lane so the combined digest covers the full event
+  // environment is captured once per process (see trace_env()).  Every
+  // LP lane is armed so the combined digest covers the full event
   // stream.
   const TraceEnv& env = trace_env();
   if (env.trace_json) {
@@ -159,37 +171,26 @@ SimCluster::SimCluster(std::size_t n, Interconnect ic,
     env_trace_digest_ = true;
     // A tiny ring suffices: the digest covers every emitted record
     // regardless of retention.
-    if (!eng_.tracer().enabled()) enable_tracing(/*ring_capacity=*/64);
+    if (!engine().tracer().enabled()) enable_tracing(/*ring_capacity=*/64);
   }
 
-  if (parallel_) {
-    network_ = std::make_unique<net::Network>(*parallel_, partition_, n,
-                                              net_cfg);
-  } else {
-    network_ = std::make_unique<net::Network>(eng_, n, net_cfg);
-  }
+  network_ = std::make_unique<net::Network>(*parallel_, partition_,
+                                            std::move(plan), net_cfg);
 
-  // Pre-size the event heap from the materialized topology: per-node
-  // protocol machinery (timers, coroutine resumes) plus frames queued
-  // across every switch port bound the events simultaneously in flight,
-  // so a big-fabric run never re-grows the heap mid-window.  reserve()
-  // is pure capacity — dispatch order and digests are unaffected (pinned
-  // by the heap's reserve-invariance test).
-  std::size_t fabric_ports = 0;
-  for (const auto& sw : network_->plan().switches) {
-    fabric_ports += sw.ports.size();
+  // Pre-size each LP's event heap from the materialized topology: per-
+  // node protocol machinery (timers, coroutine resumes) plus frames
+  // queued across the LP's switch ports bound the events simultaneously
+  // in flight, so a big-fabric run never re-grows a heap mid-window.
+  // reserve() is pure capacity — dispatch order and digests are
+  // unaffected (pinned by the heap's reserve-invariance test).
+  std::vector<std::size_t> heap_size(partition_.lp_count, 64);
+  for (std::size_t sw = 0; sw < partition_.lp_of_switch.size(); ++sw) {
+    heap_size[partition_.lp_of_switch[sw]] +=
+        4 * network_->plan().switches[sw].ports.size();
   }
-  eng_.reserve(64 + 16 * n + 4 * fabric_ports);
-  if (parallel_) {
-    // Each shard holds only its own switch's ports and attached hosts.
-    std::vector<std::size_t> hosts_per_lp(partition_.lp_count, 0);
-    for (const std::size_t lp : partition_.lp_of_host) ++hosts_per_lp[lp];
-    for (std::size_t lp = 1; lp < partition_.lp_count; ++lp) {
-      // Identity switch->LP map: LP lp owns switch lp.
-      const auto& sw = network_->plan().switches[lp];
-      parallel_->lp(lp).reserve(64 + 16 * hosts_per_lp[lp] +
-                                4 * sw.ports.size());
-    }
+  for (const std::size_t lp : partition_.lp_of_host) heap_size[lp] += 16;
+  for (std::size_t lp = 0; lp < partition_.lp_count; ++lp) {
+    parallel_->lp(lp).reserve(heap_size[lp]);
   }
 
   hw::NodeConfig node_cfg;
@@ -204,14 +205,16 @@ SimCluster::SimCluster(std::size_t n, Interconnect ic,
   node_cfg.dma.max_burst = cal.dma_efficiency_threshold;
 
   for (std::size_t i = 0; i < n; ++i) {
-    // Sharded: the node's whole device complex (CPU, PCI, DMA, and the
-    // card/NIC/TCP machinery built on it below) binds to its edge
-    // switch's LP engine, so every event it schedules is LP-local.
+    // The node's whole device complex (CPU, PCI, DMA, and the card/NIC/
+    // TCP machinery built on it below) binds to its edge switch's LP
+    // engine, so every event it schedules is LP-local.
     nodes_.push_back(std::make_unique<hw::Node>(node_engine(i),
                                                 static_cast<int>(i),
                                                 node_cfg));
   }
 
+  const net::NicConfig nic_cfg = nic_config(cal);
+  const proto::TcpConfig tcp_cfg = tcp_config(cal);
   if (is_inic(ic)) {
     inic::InicConfig card_cfg = ic == Interconnect::kInicPrototype
                                     ? inic::InicConfig::prototype_aceii()
@@ -240,19 +243,10 @@ SimCluster::SimCluster(std::size_t n, Interconnect ic,
       // endpoint per port), standard NICs and TCP stacks on the same
       // nodes, and a pump per node forwarding completed TCP deliveries
       // into the card inbox so receivers are transport-agnostic.
-      fallback_net_ = std::make_unique<net::Network>(eng_, n, net_cfg);
-      net::NicConfig nic_cfg;
-      nic_cfg.interrupts.max_frames = cal.interrupt_coalesce_frames;
-      nic_cfg.interrupts.timeout = cal.interrupt_coalesce_timeout;
-      nic_cfg.interrupts.service_cost = cal.interrupt_cost;
-      nic_cfg.per_packet_host_cost = cal.per_packet_host_cost;
-      proto::TcpConfig tcp_cfg;
-      tcp_cfg.mss = cal.tcp_mss;
-      tcp_cfg.initial_window_segments = cal.tcp_initial_window_segments;
-      tcp_cfg.max_window = cal.tcp_max_window;
-      tcp_cfg.min_rto = cal.tcp_min_rto;
-      tcp_cfg.per_packet_overhead =
-          cal.ethernet_frame_overhead + cal.ip_tcp_headers;
+      // Degraded fallback always runs on one LP, so the plane shares the
+      // cluster's partition and engine().
+      fallback_net_ = std::make_unique<net::Network>(
+          *parallel_, partition_, network_->plan(), net_cfg);
       for (std::size_t i = 0; i < n; ++i) {
         fallback_nics_.push_back(std::make_unique<net::StandardNic>(
             *nodes_[i], *fallback_net_, nic_cfg));
@@ -260,26 +254,12 @@ SimCluster::SimCluster(std::size_t n, Interconnect ic,
             *nodes_[i], *fallback_nics_[i], tcp_cfg));
         fallback_pumps_.push_back(std::make_unique<sim::Process>(
             pump_fallback(*fallback_tcp_[i], *cards_[i])));
-        fallback_pumps_.back()->start(eng_);
+        fallback_pumps_.back()->start(engine());
       }
-      fallback_transfers_ = &eng_.counters().get(trace::Category::kApp, -1,
+      fallback_transfers_ = &engine().counters().get(trace::Category::kApp, -1,
                                                  "app/fallback_transfers");
     }
   } else {
-    net::NicConfig nic_cfg;
-    nic_cfg.interrupts.max_frames = cal.interrupt_coalesce_frames;
-    nic_cfg.interrupts.timeout = cal.interrupt_coalesce_timeout;
-    nic_cfg.interrupts.service_cost = cal.interrupt_cost;
-    nic_cfg.per_packet_host_cost = cal.per_packet_host_cost;
-
-    proto::TcpConfig tcp_cfg;
-    tcp_cfg.mss = cal.tcp_mss;
-    tcp_cfg.initial_window_segments = cal.tcp_initial_window_segments;
-    tcp_cfg.max_window = cal.tcp_max_window;
-    tcp_cfg.min_rto = cal.tcp_min_rto;
-    tcp_cfg.per_packet_overhead =
-        cal.ethernet_frame_overhead + cal.ip_tcp_headers;
-
     for (std::size_t i = 0; i < n; ++i) {
       nics_.push_back(
           std::make_unique<net::StandardNic>(*nodes_[i], *network_, nic_cfg));
@@ -289,34 +269,15 @@ SimCluster::SimCluster(std::size_t n, Interconnect ic,
   }
 }
 
-Time SimCluster::run() {
-  // LP-sharded: the persistent window scheduler built at construction —
-  // device models already live on their LPs.
-  if (parallel_) return parallel_->run();
-  if (opts_.engine_threads <= 1) return eng_.run();
-  // Single-shard facade (star topology, adaptive routing, or degraded
-  // fallback asked for threads anyway): the cluster's engine is LP 0 of
-  // a window-scheduled run, the conservative loop degenerates to one
-  // full-horizon window — bit-identical dispatch, bit-identical digest,
-  // for any thread count.
-  sim::ParallelConfig cfg;
-  cfg.threads = opts_.engine_threads;
-  sim::ParallelEngine parallel({&eng_}, cfg);
-  return parallel.run();
-}
+Time SimCluster::run() { return parallel_->run(); }
 
 void SimCluster::enable_tracing(std::size_t ring_capacity) {
-  if (!parallel_) {
-    eng_.tracer().enable(ring_capacity);
-    return;
-  }
   for (std::size_t lp = 0; lp < parallel_->lp_count(); ++lp) {
     parallel_->lp(lp).tracer().enable(ring_capacity);
   }
 }
 
 std::uint64_t SimCluster::trace_records() const {
-  if (!parallel_) return eng_.tracer().records_emitted();
   std::uint64_t total = 0;
   for (std::size_t lp = 0; lp < parallel_->lp_count(); ++lp) {
     total += parallel_->lp(lp).tracer().records_emitted();
@@ -325,7 +286,6 @@ std::uint64_t SimCluster::trace_records() const {
 }
 
 std::vector<trace::CounterSample> SimCluster::counters_snapshot() {
-  if (!parallel_) return eng_.counters().snapshot();
   // Deterministic merge: every lane's snapshot is already in (category,
   // node, name) order and each lane's totals are thread-count
   // independent, so summing by key into an ordered map gives one merged
@@ -381,9 +341,10 @@ inic::CollectiveEngine& SimCluster::collective_engine(std::size_t i) {
 }
 
 void SimCluster::note_fallback(int src, Bytes size) {
-  fallback_transfers_->add(eng_.now(), 1);
-  eng_.tracer().instant(trace::Category::kApp, src, "app/fallback_transfer",
-                        eng_.now(), static_cast<std::int64_t>(size.count()));
+  sim::Engine& eng = engine();
+  fallback_transfers_->add(eng.now(), 1);
+  eng.tracer().instant(trace::Category::kApp, src, "app/fallback_transfer",
+                       eng.now(), static_cast<std::int64_t>(size.count()));
 }
 
 sim::Process SimCluster::transfer(int src, int dst, Bytes size,
@@ -429,11 +390,11 @@ SimCluster::~SimCluster() {
     const int index = next_trace_file_index();
     if (index > 1) path += "." + std::to_string(index);
     std::ofstream out(path);
-    if (out) eng_.tracer().write_chrome_json(out);
+    if (out) tracer().write_chrome_json(out);
   }
   if (env_trace_digest_) {
-    // digest() is the combined multi-lane digest when sharded, the plain
-    // engine tracer digest (the golden-pinned value) when serial.
+    // digest() on one LP is the plain engine tracer digest (the golden-
+    // pinned value).
     std::fprintf(stderr, "acc-trace-digest %016llx\n",
                  static_cast<unsigned long long>(digest()));
   }

@@ -88,20 +88,17 @@ struct ClusterOptions {
   /// (the state machines live on the cards); the default keeps every
   /// existing run — and its trace digest — bit-identical.
   CollectiveBackend collective_backend = CollectiveBackend::kHost;
-  /// Worker threads for the parallel event engine (sim/parallel.hpp).
-  /// 0 and 1 both run the classic single-heap serial engine — byte-
-  /// identical to every historical run, so the golden digest pins hold.
-  /// Values >= 2 LP-partition the cluster (net/lp_map.hpp): each switch
-  /// becomes an LP, each host's devices (CPU/DMA/IRQ machinery, INIC
-  /// card or NIC+TCP stack) live on its edge-switch's LP, and the run
-  /// goes through the conservative window scheduler.  The determinism
-  /// contract is thread-count independence *within* the partitioned
-  /// mode: any threads >= 2 produces bit-identical combined digests and
-  /// identical counter totals (docs/TRACING.md), and the counter totals
-  /// equal the serial run's — pinned by tests/parallel_scaling_test.cpp.
-  /// Configurations the partition cannot honour (single-switch star,
-  /// adaptive routing, degraded fallback) transparently run the serial
-  /// facade regardless of this value.
+  /// Worker threads for the parallel event engine (sim/parallel.hpp); 0
+  /// means 1.  Every cluster runs on an LP partition (net/lp_map.hpp),
+  /// and this value picks it.  Per-switch when >= 2 on a multi-switch
+  /// fabric with neither adaptive routing nor degraded fallback: each
+  /// switch is an LP and each host's devices (CPU/DMA/IRQ machinery,
+  /// INIC card or NIC+TCP stack) live on its edge switch's LP.  One LP
+  /// in every other case, which is event-for-event the historical serial
+  /// run, so the golden digest pins hold.  Per-switch runs produce one
+  /// combined digest for any threads >= 2, and their merged counter
+  /// totals equal the one-LP run's (docs/TRACING.md, pinned by
+  /// tests/parallel_scaling_test.cpp).
   std::size_t engine_threads = 1;
 };
 
@@ -116,59 +113,47 @@ class SimCluster {
   /// Flushes environment-requested trace output (see ctor notes).
   ~SimCluster();
 
-  sim::Engine& engine() { return eng_; }
+  /// LP 0's engine: on a one-LP partition, the engine the whole cluster
+  /// runs on.
+  sim::Engine& engine() { return parallel_->lp(0); }
 
-  /// Non-null when the cluster is LP-sharded (see
-  /// ClusterOptions::engine_threads): the window scheduler whose LP 0 is
-  /// engine().  Workload drivers bind their ProcessGroup to it and
-  /// spawn_on(node_lp(i), ...) so each rank's process executes on the
-  /// LP owning that rank's devices.
+  /// The window scheduler owning every LP engine (never null).  Workload
+  /// drivers bind their ProcessGroup to it and spawn_on(node_lp(i), ...)
+  /// so each rank's process executes on the LP owning that rank's
+  /// devices.
   sim::ParallelEngine* parallel() { return parallel_.get(); }
-  bool sharded() const { return parallel_ != nullptr; }
 
-  /// LP owning node `i`'s devices (0 when serial).
+  /// LP owning node `i`'s devices.
   std::size_t node_lp(std::size_t i) const {
-    return parallel_ ? partition_.lp_of_host.at(i) : 0;
+    return partition_.lp_of_host.at(i);
   }
-  /// The shard engine node `i`'s devices are bound to (engine() serial).
-  sim::Engine& node_engine(std::size_t i) {
-    return parallel_ ? parallel_->lp(partition_.lp_of_host.at(i)) : eng_;
-  }
-  /// The LP partition driving a sharded run (lookahead, cross-links);
-  /// nullptr when serial.
-  const net::LpPartition* partition() const {
-    return parallel_ ? &partition_ : nullptr;
-  }
+  /// The LP engine node `i`'s devices are bound to.
+  sim::Engine& node_engine(std::size_t i) { return parallel_->lp(node_lp(i)); }
+  /// The LP partition the cluster runs on (lookahead, cross-links).
+  const net::LpPartition& partition() const { return partition_; }
 
-  /// Runs the simulation to completion honouring
-  /// options().engine_threads: the classic serial dispatch loop at <= 1;
-  /// at >= 2 the conservative window scheduler over the topology-derived
-  /// LP partition (or a single adopted LP 0 when the configuration
-  /// cannot shard — star fabric, adaptive routing, degraded fallback —
-  /// which stays bit-identical to serial).  Returns the final simulated
-  /// time.
+  /// Runs the simulation to completion in conservative windows over the
+  /// cluster's partition (one unbounded window on one LP).  Returns the
+  /// final simulated time.
   Time run();
 
-  /// Enables tracing on every LP lane (just the main engine's when
-  /// serial) — use instead of tracer().enable() so sharded runs record
-  /// all lanes and digest() covers the full event stream.
+  /// Enables tracing on every LP lane — use instead of tracer().enable()
+  /// so per-switch runs record all lanes and digest() covers the full
+  /// event stream.
   void enable_tracing(std::size_t ring_capacity = 0);
 
-  /// The run's determinism digest: the engine tracer digest when serial
-  /// (golden pins), ParallelEngine::combined_digest() when sharded.
-  std::uint64_t digest() const {
-    return parallel_ ? parallel_->combined_digest() : eng_.tracer().digest();
-  }
+  /// The run's determinism digest, ParallelEngine::combined_digest(): on
+  /// one LP, that engine's tracer digest (the golden pins).
+  std::uint64_t digest() const { return parallel_->combined_digest(); }
   /// Trace records emitted across every lane.
   std::uint64_t trace_records() const;
-  /// Events executed across every shard (engine().events_executed()
-  /// serial).
+  /// Events executed across every LP.
   std::uint64_t events_executed() const {
-    return parallel_ ? parallel_->events_executed() : eng_.events_executed();
+    return parallel_->events_executed();
   }
   /// Counter snapshot merged across every LP's registry: per-LP totals
   /// summed by (category, node, name), in the registry's deterministic
-  /// order.  Identical to engine().counters().snapshot() when serial.
+  /// order.  Identical to engine().counters().snapshot() on one LP.
   std::vector<trace::CounterSample> counters_snapshot();
 
   /// The engine's trace stream; enable() it before a run to record.
@@ -183,7 +168,7 @@ class SimCluster {
   ///   ACC_TRACE_DIGEST=1  — record into a small ring and print
   ///                         "acc-trace-digest <hex>" to stderr at
   ///                         destruction (determinism checks).
-  trace::Tracer& tracer() { return eng_.tracer(); }
+  trace::Tracer& tracer() { return engine().tracer(); }
   std::size_t size() const { return nodes_.size(); }
   Interconnect interconnect() const { return ic_; }
 
@@ -224,20 +209,15 @@ class SimCluster {
  private:
   void note_fallback(int src, Bytes size);
 
-  sim::Engine eng_;
   Interconnect ic_;
   model::Calibration cal_;
   ClusterOptions opts_;
   bool env_trace_json_ = false;
   bool env_trace_digest_ = false;
-  // LP-sharded mode (engine_threads >= 2 on a shardable configuration):
-  // the topology-derived partition, the extra shard engines (LP 0 is
-  // eng_), and the window scheduler adopting all of them.  Declared
-  // before network_/nodes_ (which bind to the shard engines) so those
-  // are destroyed first, and parallel_ after shard_engines_ so its
-  // worker pool stops while every shard it references is still alive.
+  // The partition (ClusterOptions::engine_threads) and the window
+  // scheduler owning one engine per LP.  Declared before network_/nodes_
+  // (which bind to the LP engines) so those are destroyed first.
   net::LpPartition partition_;
-  std::vector<std::unique_ptr<sim::Engine>> shard_engines_;
   std::unique_ptr<sim::ParallelEngine> parallel_;
   std::unique_ptr<net::Network> network_;
   std::vector<std::unique_ptr<hw::Node>> nodes_;

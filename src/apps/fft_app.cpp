@@ -18,13 +18,6 @@ namespace acc::apps {
 
 namespace {
 
-/// Group bound to the cluster's parallel scheduler when sharded, to the
-/// serial engine otherwise; pair with spawn_on(cluster.node_lp(p), ...).
-sim::ProcessGroup cluster_group(SimCluster& cluster) {
-  return cluster.parallel() ? sim::ProcessGroup(*cluster.parallel())
-                            : sim::ProcessGroup(cluster.engine());
-}
-
 using algo::Complex;
 using algo::Matrix;
 
@@ -276,7 +269,7 @@ FftRunResult run_parallel_fft(SimCluster& cluster, std::size_t n,
   }
 
   std::vector<Time> compute(p_count, Time::zero());
-  sim::ProcessGroup group = cluster_group(cluster);
+  sim::ProcessGroup group(*cluster.parallel());
   for (std::size_t p = 0; p < p_count; ++p) {
     group.spawn_on(cluster.node_lp(p),
                    fft_node(cluster, p, state[p], n, opts.verify, compute[p]));

@@ -16,13 +16,6 @@ namespace acc::apps {
 
 namespace {
 
-/// Group bound to the cluster's parallel scheduler when sharded, to the
-/// serial engine otherwise; pair with spawn_on(cluster.node_lp(p), ...).
-sim::ProcessGroup cluster_group(SimCluster& cluster) {
-  return cluster.parallel() ? sim::ProcessGroup(*cluster.parallel())
-                            : sim::ProcessGroup(cluster.engine());
-}
-
 using algo::Key;
 
 struct BucketPayload {
@@ -293,7 +286,7 @@ SortRunResult run_parallel_sort(SimCluster& cluster, std::size_t total_keys,
     }
   }
 
-  sim::ProcessGroup group = cluster_group(cluster);
+  sim::ProcessGroup group(*cluster.parallel());
   for (std::size_t p = 0; p < p_count; ++p) {
     if (is_inic(cluster.interconnect()) && p_count > 1) {
       group.spawn_on(cluster.node_lp(p),

@@ -78,8 +78,8 @@ ClusterReport collect_report(apps::SimCluster& cluster) {
   report.frames_dropped = cluster.network().frames_dropped();
   report.bytes_forwarded = cluster.network().bytes_forwarded();
   report.peak_port_buffer = cluster.network().peak_buffer_occupancy();
-  // Cluster-level accessors: merged across LP lanes when sharded, the
-  // historical single-engine values when serial.
+  // Cluster-level accessors: merged across LP lanes (on one LP, the
+  // historical single-engine values).
   report.counters = cluster.counters_snapshot();
   report.trace_records = cluster.trace_records();
   report.trace_digest = cluster.digest();

@@ -10,8 +10,25 @@
 
 namespace acc::fault {
 
+namespace {
+
+/// Every window edge is scheduled on engine() (LP 0) and mutates fabric
+/// ports and cards of any node, so the plan needs the one-LP partition.
+apps::SimCluster& require_one_lp(apps::SimCluster& cluster) {
+  const std::size_t lps = cluster.partition().lp_count;
+  if (lps > 1) {
+    throw std::invalid_argument(
+        "FaultInjector: the cluster runs on " + std::to_string(lps) +
+        " LPs; fault windows mutate state across LPs and need a one-LP "
+        "partition (engine_threads <= 1)");
+  }
+  return cluster;
+}
+
+}  // namespace
+
 FaultInjector::FaultInjector(apps::SimCluster& cluster, FaultPlan plan)
-    : cluster_(cluster),
+    : cluster_(require_one_lp(cluster)),
       plan_(std::move(plan)),
       events_(cluster.engine().counters().get(trace::Category::kFault, -1,
                                               "fault/events")) {

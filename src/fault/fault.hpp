@@ -156,7 +156,8 @@ struct FaultPlan {
 
 /// Arms a FaultPlan against a cluster.  Construct it after the cluster and
 /// before the run; it must outlive the run (the scheduled events reference
-/// it).  Card-reset windows require an INIC interconnect.
+/// it).  Card-reset windows require an INIC interconnect; a cluster on
+/// more than one LP is rejected (std::invalid_argument).
 class FaultInjector {
  public:
   FaultInjector(apps::SimCluster& cluster, FaultPlan plan);

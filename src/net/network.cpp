@@ -26,28 +26,27 @@ const char* intern_counter_name(std::string name) {
 }  // namespace
 
 Fabric::Fabric(sim::Engine& eng, std::size_t ports, const NetworkConfig& cfg)
-    : Fabric(eng, nullptr, nullptr, ports, cfg) {}
+    : Fabric(eng, nullptr, nullptr, build_topology(cfg.topology, ports), cfg) {}
 
 Fabric::Fabric(sim::ParallelEngine& pe, const LpPartition& part,
-               std::size_t ports, const NetworkConfig& cfg)
-    : Fabric(pe.lp(0), &pe, &part, ports, cfg) {}
+               TopologyPlan plan, const NetworkConfig& cfg)
+    : Fabric(pe.lp(0), &pe, &part, std::move(plan), cfg) {}
 
 Fabric::Fabric(sim::Engine& eng, sim::ParallelEngine* pe,
-               const LpPartition* part, std::size_t ports,
+               const LpPartition* part, TopologyPlan plan,
                const NetworkConfig& cfg)
-    : eng_(eng), pe_(pe), part_(part), cfg_(cfg),
-      plan_(build_topology(cfg.topology, ports)) {
-  if (pe_ != nullptr && cfg_.routing.adaptive) {
+    : eng_(eng), pe_(pe), part_(part), cfg_(cfg), plan_(std::move(plan)) {
+  const std::size_t lanes = part_ == nullptr ? 1 : part_->lp_count;
+  if (lanes > 1 && cfg_.routing.adaptive) {
     throw std::invalid_argument(
         "Fabric: adaptive routing mutates next-port tables and link-health "
-        "state shared by every switch; it is not supported on an LP-sharded "
-        "fabric (run the serial facade instead)");
+        "state shared by every switch; it is not supported on a fabric "
+        "partitioned over more than one LP");
   }
   if (part_ != nullptr && part_->lp_of_switch.size() != plan_.switches.size()) {
     throw std::invalid_argument(
         "Fabric: LP partition does not match the materialized topology");
   }
-  const std::size_t lanes = part_ == nullptr ? 1 : part_->lp_count;
   lanes_.resize(lanes);
   lane_counters_.resize(lanes);
   for (std::size_t l = 0; l < lanes; ++l) {
@@ -122,13 +121,13 @@ sim::Engine& Fabric::host_engine(int host) {
 }
 
 void Fabric::require_unsharded(const char* what) const {
-  if (pe_ == nullptr) return;
+  if (lanes_.size() <= 1) return;
   throw std::logic_error(
       std::string(what) +
       ": fault hooks mutate per-port state owned by other LPs with no "
       "delivery delay, which the conservative window discipline cannot "
-      "order; not supported on an LP-sharded fabric (run engine_threads "
-      "<= 1 for fault scenarios)");
+      "order; not supported on a fabric partitioned over more than one LP "
+      "(run engine_threads <= 1 for fault scenarios)");
 }
 
 std::uint64_t Fabric::frames_forwarded() const {

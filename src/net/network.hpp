@@ -171,18 +171,19 @@ class Fabric {
  public:
   Fabric(sim::Engine& eng, std::size_t ports, const NetworkConfig& cfg = {});
 
-  /// LP-sharded fabric (docs/ENGINE.md ownership rules): every switch's
+  /// LP-partitioned fabric over an already materialized `plan` (built
+  /// from cfg.topology; docs/ENGINE.md ownership rules): every switch's
   /// mutable state — ports, buffers, egress serializers, per-lane
   /// counters — lives on its own LP from `part` and is touched only by
   /// events executing on that LP's shard engine; an interior hop whose
   /// peer lives on another LP crosses via `pe.post()` at the link+switch
   /// latency (>= the partition's lookahead by construction).  Host-facing
   /// work (inject, delivery) runs on the host's edge-switch LP.  Both
-  /// `pe` and `part` must outlive the fabric.  Fault hooks and adaptive
-  /// routing mutate state across LPs and are rejected in this mode
-  /// (std::logic_error / std::invalid_argument) — callers needing them
-  /// run the serial facade.
-  Fabric(sim::ParallelEngine& pe, const LpPartition& part, std::size_t ports,
+  /// `pe` and `part` must outlive the fabric.  A one-LP partition behaves
+  /// exactly like the engine constructor on pe.lp(0).  With more than one
+  /// LP, fault hooks and adaptive routing mutate state across LPs and are
+  /// rejected (std::logic_error / std::invalid_argument).
+  Fabric(sim::ParallelEngine& pe, const LpPartition& part, TopologyPlan plan,
          const NetworkConfig& cfg);
 
   /// Attaches the device that receives frames destined to `node`.
@@ -365,9 +366,6 @@ class Fabric {
   /// unaffected; admission uses the new capacity.
   void set_port_buffer_factor(int node, double factor);
 
-  /// True when the fabric runs LP-sharded (the second constructor).
-  bool sharded() const { return pe_ != nullptr; }
-
  private:
   /// Per-LP fabric statistics: one lane of counters per LP, written only
   /// by that LP's worker; the public accessors sum the lanes.  Serial
@@ -392,7 +390,7 @@ class Fabric {
   };
 
   Fabric(sim::Engine& eng, sim::ParallelEngine* pe, const LpPartition* part,
-         std::size_t ports, const NetworkConfig& cfg);
+         TopologyPlan plan, const NetworkConfig& cfg);
 
   std::size_t lane_of_switch(int sw) const {
     return part_ == nullptr
@@ -408,9 +406,9 @@ class Fabric {
   sim::Engine& switch_engine(int sw);
   /// The engine owning host `h`'s device-side events (its edge switch's).
   sim::Engine& host_engine(int host);
-  /// Throws std::logic_error when sharded: fault hooks mutate port state
-  /// owned by other LPs with no delay, which the conservative windows
-  /// cannot order.
+  /// Throws std::logic_error on more than one lane: fault hooks mutate
+  /// port state owned by other LPs with no delay, which the conservative
+  /// windows cannot order.
   void require_unsharded(const char* what) const;
 
   /// Health the routing plane tracks per undirected interior link,
@@ -453,8 +451,8 @@ class Fabric {
   }
 
   sim::Engine& eng_;
-  sim::ParallelEngine* pe_ = nullptr;   // non-null in sharded mode
-  const LpPartition* part_ = nullptr;   // non-null in sharded mode
+  sim::ParallelEngine* pe_ = nullptr;   // non-null when partitioned
+  const LpPartition* part_ = nullptr;   // non-null when partitioned
   NetworkConfig cfg_;
   TopologyPlan plan_;
   std::vector<std::unique_ptr<Switch>> switches_;

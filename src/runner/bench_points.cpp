@@ -48,16 +48,16 @@ std::string num(std::size_t v) { return std::to_string(v); }
 
 /// Fills the digest/event fields every traced point reports.
 void capture_run(apps::SimCluster& cluster, RunMetrics& m) {
-  m.digest = cluster.tracer().digest();
-  m.trace_records = cluster.tracer().records_emitted();
-  m.events = cluster.engine().events_executed();
+  m.digest = cluster.digest();
+  m.trace_records = cluster.trace_records();
+  m.events = cluster.events_executed();
 }
 
 RunMetrics fft_sim_metrics(apps::Interconnect ic, std::size_t n,
                            std::size_t p) {
   const Time serial = core::serial_fft_total(n);
   apps::SimCluster cluster(p, ic);
-  cluster.tracer().enable(/*ring_capacity=*/256);
+  cluster.enable_tracing(/*ring_capacity=*/256);
   apps::FftRunOptions opts;
   opts.verify = false;
   const auto r = apps::run_parallel_fft(cluster, n, opts);
@@ -74,7 +74,7 @@ RunMetrics sort_sim_metrics(apps::Interconnect ic, std::size_t keys,
                             std::size_t p) {
   const Time serial = core::serial_sort_total(keys);
   apps::SimCluster cluster(p, ic);
-  cluster.tracer().enable(/*ring_capacity=*/256);
+  cluster.enable_tracing(/*ring_capacity=*/256);
   apps::SortRunOptions opts;
   opts.verify = false;
   const auto r = apps::run_parallel_sort(cluster, keys, opts);
@@ -95,7 +95,7 @@ RunMetrics sort_sim_metrics(apps::Interconnect ic, std::size_t keys,
 RunMetrics sort_ablation_metrics(const model::Calibration& cal,
                                  std::size_t keys, std::size_t p) {
   apps::SimCluster cluster(p, apps::Interconnect::kInicIdeal, cal);
-  cluster.tracer().enable(/*ring_capacity=*/256);
+  cluster.enable_tracing(/*ring_capacity=*/256);
   apps::SortRunOptions opts;
   opts.verify = false;
   const auto r = apps::run_parallel_sort(cluster, keys, opts);
@@ -112,7 +112,7 @@ RunMetrics transpose_metrics(std::size_t n, std::size_t p) {
   const Time inic = fft_model.inic_transpose_time(n, p);
   const Bytes partition = fft_model.partition_size(n, p);
   apps::SimCluster cluster(p, apps::Interconnect::kGigabitTcp);
-  cluster.tracer().enable(/*ring_capacity=*/256);
+  cluster.enable_tracing(/*ring_capacity=*/256);
   apps::FftRunOptions opts;
   opts.verify = false;
   const auto r = apps::run_parallel_fft(cluster, n, opts);
@@ -138,7 +138,7 @@ RunMetrics topology_metrics(const net::TopologyConfig& topo, std::size_t p) {
   opts.topology = topo;
   apps::SimCluster cluster(p, apps::Interconnect::kInicIdeal,
                            model::default_calibration(), opts);
-  cluster.tracer().enable(/*ring_capacity=*/256);
+  cluster.enable_tracing(/*ring_capacity=*/256);
   const auto bar = coll::barrier(cluster);
   const auto bcast = coll::topology_broadcast(cluster, /*elements=*/128,
                                               /*seed=*/9);
@@ -191,7 +191,7 @@ RunMetrics collective_metrics(apps::CollectiveBackend backend,
                       ? apps::Interconnect::kInicIdeal
                       : apps::Interconnect::kGigabitTcp;
   apps::SimCluster cluster(p, ic, model::default_calibration(), opts);
-  cluster.tracer().enable(/*ring_capacity=*/0);  // retain all records
+  cluster.enable_tracing(/*ring_capacity=*/0);  // retain all records
   const auto bar = coll::barrier(cluster);
   const auto red = coll::topology_allreduce(cluster, elements, /*seed=*/7);
   if (!bar.verified || !red.verified) {
@@ -294,7 +294,7 @@ RunMetrics failover_metrics(apps::CollectiveBackend backend,
   apps::SimCluster cluster(p, apps::Interconnect::kInicIdeal,
                            model::default_calibration(),
                            failover_cluster_options(topo, backend));
-  cluster.tracer().enable(/*ring_capacity=*/0);  // retain kRouting records
+  cluster.enable_tracing(/*ring_capacity=*/0);  // retain kRouting records
   cluster.engine().set_time_budget(Time::seconds(5));
   const auto links = failover_cut_candidates(cluster.network());
   if (links.size() <= static_cast<std::size_t>(cuts)) {
@@ -320,7 +320,7 @@ RunMetrics failover_metrics(apps::CollectiveBackend backend,
   // end to end (send through delivery) over the re-converged tables.
   const Bytes bulk = Bytes::kib(256);
   {
-    sim::ProcessGroup group(cluster.engine());
+    sim::ProcessGroup group(*cluster.parallel());
     group.spawn(cluster.transfer(0, static_cast<int>(p) - 1, bulk, 77));
     group.spawn([](apps::SimCluster& c, std::size_t dst) -> sim::Process {
       (void)co_await c.inbox(dst).recv();
@@ -348,7 +348,7 @@ RunMetrics failover_metrics(apps::CollectiveBackend backend,
     throw std::runtime_error("failover wrote a peer off as unreachable");
   }
   std::int64_t reroute_requests = 0;
-  for (const auto& s : cluster.engine().counters().snapshot()) {
+  for (const auto& s : cluster.counters_snapshot()) {
     if (s.name == "net/reroute_requests") {
       reroute_requests = s.value;
     }
@@ -460,7 +460,7 @@ RunMetrics chaos_recovery_metrics(bool fft,
   apps::SimCluster cluster(4, apps::Interconnect::kInicIdeal,
                            model::default_calibration(),
                            chaos_cluster_options());
-  cluster.tracer().enable(/*ring_capacity=*/256);
+  cluster.enable_tracing(/*ring_capacity=*/256);
   cluster.engine().set_time_budget(Time::seconds(30));
   fault::FaultInjector injector(cluster, make_plan(clean));
   Time total = Time::zero();
@@ -545,7 +545,7 @@ RunMetrics serving_metrics(bool nic, net::TopologyConfig topo, bool chaos,
       kServingClients + kServingServers,
       nic ? apps::Interconnect::kInicIdeal : apps::Interconnect::kGigabitTcp,
       model::default_calibration(), serving_cluster_options(nic, topo));
-  cluster.tracer().enable(/*ring_capacity=*/256);
+  cluster.enable_tracing(/*ring_capacity=*/256);
   cluster.engine().set_time_budget(Time::seconds(60));
   std::optional<fault::FaultInjector> injector;
   if (chaos) injector.emplace(cluster, serving_chaos_plan());
@@ -688,11 +688,11 @@ sim::Process cluster_scaling_receiver(apps::SimCluster& cluster, int node,
 /// One SimCluster engine-scaling run: a neighbour-ring INIC transfer
 /// workload on a fat-tree cluster with the full device models (cards,
 /// DMA, switch FIFOs) sharded across per-switch LPs when threads >= 2.
-/// Digest semantics follow docs/TRACING.md: threads <= 1 reports the
-/// historical serial digest; any threads >= 2 report one common sharded
-/// digest (per-lane frame ids), so floor checks compare wall clock
-/// 1-vs-4 but digests only among sharded runs.  Untimed: the caller
-/// owns the wall clock.
+/// Digest semantics follow docs/TRACING.md: threads <= 1 runs the one-LP
+/// partition and reports the historical digest; any threads >= 2 report
+/// one common per-switch digest (per-lane frame ids), so floor checks
+/// compare wall clock 1-vs-4 but digests only among per-switch runs.
+/// Untimed: the caller owns the wall clock.
 RunMetrics run_cluster_scaling_point(std::size_t hosts,
                                             std::size_t threads) {
   apps::ClusterOptions copts;
@@ -701,9 +701,7 @@ RunMetrics run_cluster_scaling_point(std::size_t hosts,
   apps::SimCluster cluster(hosts, apps::Interconnect::kInicIdeal,
                            model::default_calibration(), copts);
   cluster.enable_tracing(/*ring_capacity=*/64);
-  sim::ProcessGroup group =
-      cluster.parallel() ? sim::ProcessGroup(*cluster.parallel())
-                         : sim::ProcessGroup(cluster.engine());
+  sim::ProcessGroup group(*cluster.parallel());
   constexpr int kRounds = 4;
   const Bytes kSize = Bytes::kib(64);
   for (std::size_t i = 0; i < hosts; ++i) {
@@ -720,24 +718,14 @@ RunMetrics run_cluster_scaling_point(std::size_t hosts,
   m.digest = cluster.digest();
   m.trace_records = cluster.trace_records();
   m.events = cluster.events_executed();
-  std::size_t lp_count = 1;
-  std::uint64_t windows = 0;
-  std::uint64_t cross_posts = 0;
-  if (const net::LpPartition* part = cluster.partition()) {
-    lp_count = part->lp_count;
-  }
-  if (sim::ParallelEngine* pe = cluster.parallel()) {
-    windows = pe->windows();
-    cross_posts = pe->cross_posts();
-    m.shards.reserve(pe->shard_stats().size());
-    for (const auto& sh : pe->shard_stats()) {
-      m.shards.push_back(ShardSummary{sh.events, sh.wall_ns});
-    }
+  const sim::ParallelEngine& pe = *cluster.parallel();
+  for (const auto& sh : pe.shard_stats()) {
+    m.shards.push_back(ShardSummary{sh.events, sh.wall_ns});
   }
   m.counters = {
-      {"lp_count", static_cast<std::int64_t>(lp_count)},
-      {"windows", static_cast<std::int64_t>(windows)},
-      {"cross_posts", static_cast<std::int64_t>(cross_posts)},
+      {"lp_count", static_cast<std::int64_t>(pe.lp_count())},
+      {"windows", static_cast<std::int64_t>(pe.windows())},
+      {"cross_posts", static_cast<std::int64_t>(pe.cross_posts())},
   };
   return m;
 }

@@ -19,48 +19,28 @@ std::uint64_t wall_now_ns() {
 
 }  // namespace
 
-ParallelEngine::ParallelEngine(std::size_t lps, const ParallelConfig& cfg) {
+ParallelEngine::ParallelEngine(std::size_t lps, const ParallelConfig& cfg)
+    : lookahead_(cfg.lookahead) {
   if (lps == 0) {
     throw std::invalid_argument("ParallelEngine: need at least one LP");
   }
-  owned_.reserve(lps);
-  shards_.reserve(lps);
-  for (std::size_t i = 0; i < lps; ++i) {
-    owned_.push_back(std::make_unique<Engine>());
-    shards_.push_back(owned_.back().get());
-  }
-  init(cfg);
-}
-
-ParallelEngine::ParallelEngine(std::vector<Engine*> shards,
-                               const ParallelConfig& cfg)
-    : shards_(std::move(shards)) {
-  if (shards_.empty()) {
-    throw std::invalid_argument("ParallelEngine: need at least one LP");
-  }
-  for (Engine* s : shards_) {
-    if (s == nullptr) {
-      throw std::invalid_argument("ParallelEngine: null shard engine");
-    }
-  }
-  init(cfg);
-}
-
-void ParallelEngine::init(const ParallelConfig& cfg) {
-  lookahead_ = cfg.lookahead;
-  threads_ = cfg.threads == 0
-                 ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
-                 : cfg.threads;
-  // More workers than LPs just idle at every barrier.
-  threads_ = std::min(threads_, shards_.size());
-  if (shards_.size() > 1 && lookahead_ <= Time::zero()) {
+  if (lps > 1 && lookahead_ <= Time::zero()) {
     throw std::invalid_argument(
         "ParallelEngine: a multi-LP partition needs a positive lookahead "
         "(the minimum cross-LP latency) to make conservative progress");
   }
-  outboxes_.resize(shards_.size());
-  stats_.assign(shards_.size(), ShardStats{});
-  window_failures_.assign(shards_.size(), nullptr);
+  shards_.reserve(lps);
+  for (std::size_t i = 0; i < lps; ++i) {
+    shards_.push_back(std::make_unique<Engine>());
+  }
+  threads_ = cfg.threads == 0
+                 ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
+                 : cfg.threads;
+  // More workers than LPs just idle at every barrier.
+  threads_ = std::min(threads_, lps);
+  outboxes_.resize(lps);
+  stats_.assign(lps, ShardStats{});
+  window_failures_.assign(lps, nullptr);
   if (threads_ > 1) start_workers();
 }
 
@@ -86,7 +66,7 @@ void ParallelEngine::post(std::size_t src, std::size_t dst, Time delay,
 
 Time ParallelEngine::earliest() const {
   Time t = Time::max();
-  for (const Engine* s : shards_) {
+  for (const auto& s : shards_) {
     if (s->pending() > 0) t = std::min(t, s->next_event_time());
   }
   return t;
@@ -127,7 +107,7 @@ void ParallelEngine::drain_mailboxes() {
 }
 
 void ParallelEngine::execute_window(Time end) {
-  if (threads_ <= 1 || shards_.size() == 1) {
+  if (threads_ <= 1) {
     // Reference ordering: every shard inline, ascending LP.
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       run_shard_window(i, end);
@@ -195,13 +175,13 @@ void ParallelEngine::stop_workers() {
 }
 
 Time ParallelEngine::run() {
-  // Watchdog seeding: a budget set on any shard (callers usually only
-  // reach LP 0 through the serial facade) arms every shard that has none
-  // of its own, so a runaway loop trips no matter which LP hosts it.
+  // Watchdog seeding: a budget set on any shard (callers usually reach
+  // only LP 0, through SimCluster::engine()) arms every shard that has
+  // none of its own, so a runaway loop trips no matter which LP hosts it.
   Time budget = Time::zero();
-  for (const Engine* s : shards_) budget = std::max(budget, s->time_budget());
+  for (const auto& s : shards_) budget = std::max(budget, s->time_budget());
   if (budget != Time::zero()) {
-    for (Engine* s : shards_) {
+    for (auto& s : shards_) {
       if (s->time_budget() == Time::zero()) s->set_time_budget(budget);
     }
   }
@@ -220,7 +200,7 @@ Time ParallelEngine::run() {
       // fire.  The window open time is the authoritative global clock —
       // judge the budget here.
       std::uint64_t pending = 0;
-      for (const Engine* s : shards_) pending += s->pending();
+      for (const auto& s : shards_) pending += s->pending();
       throw WatchdogTimeout(
           "ParallelEngine watchdog: sim-time budget of " +
           std::to_string(budget.as_millis()) +
@@ -230,7 +210,7 @@ Time ParallelEngine::run() {
           std::to_string(shards_.size()) +
           " LP(s) — the run is not converging");
     }
-    // Single-LP facade: no cross-LP input can ever arrive, so the whole
+    // One LP: no cross-LP input can ever arrive, so the whole
     // remaining simulation is one safe window.  Multi-LP: the half-open
     // conservative window [t_min, t_min + lookahead).
     const Time end =
@@ -245,13 +225,13 @@ Time ParallelEngine::run() {
     }
   }
   Time t = Time::zero();
-  for (const Engine* s : shards_) t = std::max(t, s->now());
+  for (const auto& s : shards_) t = std::max(t, s->now());
   return t;
 }
 
 std::uint64_t ParallelEngine::events_executed() const {
   std::uint64_t total = 0;
-  for (const Engine* s : shards_) total += s->events_executed();
+  for (const auto& s : shards_) total += s->events_executed();
   return total;
 }
 

@@ -66,17 +66,15 @@ struct ParallelConfig {
   Time lookahead = Time::zero();
 };
 
-/// Multi-LP simulation driver.  Owns (or adopts) one Engine per LP and
-/// runs them to global completion in conservative time windows.
+/// Multi-LP simulation driver.  Owns one Engine per LP and runs them to
+/// global completion in conservative time windows.  One LP is the plain
+/// serial engine: its whole run is a single unbounded window, so dispatch
+/// order and digest equal a standalone Engine's (every SimCluster on a
+/// one-LP partition relies on this).
 class ParallelEngine {
  public:
   /// Constructs `lps` fresh shard engines, owned by this object.
   ParallelEngine(std::size_t lps, const ParallelConfig& cfg);
-
-  /// Adopts existing shard engines (not owned; must outlive this object).
-  /// A single adopted shard is the facade SimCluster uses: the cluster's
-  /// own engine becomes LP 0 and runs through the same window machinery.
-  ParallelEngine(std::vector<Engine*> shards, const ParallelConfig& cfg);
 
   ~ParallelEngine();
 
@@ -121,8 +119,8 @@ class ParallelEngine {
   std::uint64_t cross_posts() const { return cross_posts_; }
 
   /// Canonical digest over the per-LP tracer lanes: with one LP it *is*
-  /// that engine's tracer digest (so a single-shard facade preserves
-  /// every existing golden pin bit-for-bit); with several it folds
+  /// that engine's tracer digest (so a one-LP run preserves every
+  /// existing golden pin bit-for-bit); with several it folds
   /// (lp index, lane digest, lane record count) in LP order.  Worker-
   /// count independent by construction.
   std::uint64_t combined_digest() const;
@@ -144,7 +142,6 @@ class ParallelEngine {
     Engine::Callback fn;
   };
 
-  void init(const ParallelConfig& cfg);
   /// Earliest pending event across all shard heaps; Time::max() if idle.
   Time earliest() const;
   /// Executes shard `i`'s window [*, end) and accumulates its stats.
@@ -159,8 +156,7 @@ class ParallelEngine {
   /// threads_ == 1) and waits for completion.
   void execute_window(Time end);
 
-  std::vector<std::unique_ptr<Engine>> owned_;
-  std::vector<Engine*> shards_;
+  std::vector<std::unique_ptr<Engine>> shards_;
   /// One outbox per source LP: only the worker executing src appends,
   /// only the barrier drains.
   std::vector<std::vector<Posted>> outboxes_;

@@ -8,12 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "apps/cluster.hpp"
 #include "fault/gilbert_elliott.hpp"
 #include "hw/node.hpp"
 #include "inic/card.hpp"
+#include "model/calibration.hpp"
 #include "net/network.hpp"
 #include "net/nic.hpp"
 #include "sim/channel.hpp"
@@ -490,6 +493,28 @@ TEST(FaultInjector, RejectsInvalidPlans) {
   fault::FaultPlan bad_node;
   bad_node.with_link_down(5, Time::millis(1), Time::millis(1));
   EXPECT_THROW(fault::FaultInjector(small, bad_node), std::out_of_range);
+}
+
+TEST(FaultInjector, RejectsMultiLpClusterAtConstruction) {
+  // Window edges all fire on LP 0, so even a card-reset-only plan (which
+  // touches no fabric hook) would reset another LP's card from LP 0.
+  apps::ClusterOptions opts;
+  opts.topology = net::TopologyConfig::fat_tree(2);
+  opts.engine_threads = 2;
+  apps::SimCluster cluster(8, apps::Interconnect::kInicIdeal,
+                           model::default_calibration(), opts);
+  ASSERT_GT(cluster.partition().lp_count, 1u);
+  fault::FaultPlan resets;
+  resets.with_card_reset(5, Time::millis(1), Time::millis(1));
+  try {
+    fault::FaultInjector injector(cluster, resets);
+    FAIL() << "a multi-LP cluster was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  std::to_string(cluster.partition().lp_count) + " LPs"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // ---------------------------------------------------------------------

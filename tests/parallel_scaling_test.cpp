@@ -4,11 +4,12 @@
 //   * the LP-partitioned fabric workload (net/lp_workload.hpp) — real
 //     multi-LP window execution over every topology family, digest
 //     bit-identical for ANY worker count including 1, and
-//   * sharded SimCluster runs (ClusterOptions::engine_threads >= 2) —
-//     the full device models on per-switch LPs, digest bit-identical
-//     across every sharded thread count, and serial-vs-sharded
-//     equivalence on end time + merged counter totals (the sharded
-//     digest is a different constant by design: per-lane frame ids).
+//   * SimCluster runs — per-switch partitions (engine_threads >= 2 on a
+//     shardable fabric) put the full device models on per-switch LPs,
+//     digest bit-identical across every thread count >= 2, with end time
+//     and merged counter totals equal to the one-LP run's (the per-switch
+//     digest is a different constant by design: per-lane frame ids);
+//     one-LP partitions are bit-identical at every thread count.
 //
 // CI additionally runs this binary under ThreadSanitizer, so the
 // 1024-host fat-tree stress point doubles as the data-race probe for
@@ -16,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "apps/cluster.hpp"
@@ -122,14 +124,15 @@ TEST(ParallelScaling, FatTree1024StressPoint) {
 // SimCluster device models on LPs: digest/counter contract
 // ---------------------------------------------------------------------
 //
-// Digest semantics (docs/TRACING.md): engine_threads <= 1 is the
-// historical serial dispatch — its digest is the golden-pinned value.
-// engine_threads >= 2 shards the device models across per-switch LPs
-// with per-lane frame ids, so the combined digest is a DIFFERENT
-// constant — but the same one for every thread count >= 2, and the
-// merged counter totals and end time must equal the serial run exactly.
-// On a single-switch star the sharded path degenerates to the serial
-// facade, so there the digest matches serial for every thread count.
+// Digest semantics (docs/TRACING.md): engine_threads <= 1 runs the one-
+// LP partition — the historical serial dispatch, whose digest is the
+// golden-pinned value.  engine_threads >= 2 on a shardable fabric puts
+// the device models on per-switch LPs with per-lane frame ids, so the
+// combined digest is a DIFFERENT constant — but the same one for every
+// thread count >= 2, and the merged counter totals and end time must
+// equal the one-LP run exactly.  A single-switch star (and adaptive
+// routing, and degraded fallback) stays on one LP at every thread
+// count, so there the digest matches the 1-thread run.
 
 std::vector<TopoCase> cluster_topologies() {
   return {
@@ -147,22 +150,20 @@ struct ClusterRun {
   std::uint64_t events = 0;
   Time end = Time::zero();
   std::vector<trace::CounterSample> counters;
-  bool sharded = false;
+  std::size_t lp_count = 0;
 };
 
 /// A neighbour-ring transfer workload with every rank coroutine spawned
-/// on its node's LP; SimCluster::run() drives the engine_threads
-/// dispatch path under test.
-ClusterRun cluster_run(const TopoCase& tc, std::size_t threads) {
-  apps::ClusterOptions copts;
+/// on its node's LP; SimCluster::run() drives the partition that
+/// `copts` (with tc's topology and `threads`) selects.
+ClusterRun cluster_run(const TopoCase& tc, std::size_t threads,
+                       apps::ClusterOptions copts) {
   copts.topology = tc.config;
   copts.engine_threads = threads;
   apps::SimCluster cluster(tc.hosts, apps::Interconnect::kInicIdeal,
                            model::default_calibration(), copts);
   cluster.enable_tracing(/*ring_capacity=*/64);
-  sim::ProcessGroup group =
-      cluster.parallel() ? sim::ProcessGroup(*cluster.parallel())
-                         : sim::ProcessGroup(cluster.engine());
+  sim::ProcessGroup group(*cluster.parallel());
   for (std::size_t i = 0; i < tc.hosts; ++i) {
     const int src = static_cast<int>(i);
     const int dst = static_cast<int>((i + 1) % tc.hosts);
@@ -181,7 +182,7 @@ ClusterRun cluster_run(const TopoCase& tc, std::size_t threads) {
   out.records = cluster.trace_records();
   out.events = cluster.events_executed();
   out.counters = cluster.counters_snapshot();
-  out.sharded = cluster.sharded();
+  out.lp_count = cluster.partition().lp_count;
   return out;
 }
 
@@ -208,7 +209,7 @@ ClusterRun cluster_kv_run(const TopoCase& tc, std::size_t threads,
   out.records = cluster.trace_records();
   out.events = cluster.events_executed();
   out.counters = cluster.counters_snapshot();
-  out.sharded = cluster.sharded();
+  out.lp_count = cluster.partition().lp_count;
   return out;
 }
 
@@ -239,25 +240,46 @@ void expect_same_counters(const std::vector<trace::CounterSample>& run,
 
 TEST(ParallelScaling, ClusterDigestIndependentOfShardedThreadCount) {
   for (const TopoCase& tc : cluster_topologies()) {
-    const ClusterRun serial = cluster_run(tc, /*threads=*/1);
+    const ClusterRun serial = cluster_run(tc, /*threads=*/1, {});
     EXPECT_GT(serial.events, 0u) << tc.label;
-    EXPECT_FALSE(serial.sharded) << tc.label;
+    EXPECT_EQ(serial.lp_count, 1u) << tc.label;
 #ifndef ACC_TRACE_DISABLED
     EXPECT_GT(serial.records, 0u) << tc.label;
 #endif
-    const ClusterRun sharded = cluster_run(tc, /*threads=*/2);
+    const ClusterRun sharded = cluster_run(tc, /*threads=*/2, {});
     // End time and merged counters match serial on every family; the
     // digest additionally matches when the plan stays single-LP (star).
     EXPECT_EQ(sharded.end, serial.end) << tc.label;
     expect_same_counters(sharded.counters, serial.counters, tc.label, 2);
-    if (!sharded.sharded) {
+    if (sharded.lp_count == 1) {
       expect_same_run(sharded, serial, tc.label, 2);
     }
     for (std::size_t threads : {std::size_t{4}, std::size_t{8}}) {
-      const ClusterRun run = cluster_run(tc, threads);
+      const ClusterRun run = cluster_run(tc, threads, {});
       expect_same_run(run, sharded, tc.label, threads);
       expect_same_counters(run.counters, serial.counters, tc.label, threads);
     }
+  }
+}
+
+TEST(ParallelScaling, OneLpFeaturesIndependentOfThreadCount) {
+  // Adaptive routing and degraded fallback keep a multi-switch fabric on
+  // one LP, built through the partitioned Fabric constructor: every
+  // thread count must reproduce the 1-thread run bit for bit.
+  const TopoCase fattree2{"fattree2", net::TopologyConfig::fat_tree(2), 8};
+  apps::ClusterOptions adaptive;
+  adaptive.adaptive_routing = true;
+  apps::ClusterOptions fallback;
+  fallback.degraded_fallback = true;
+  for (const auto& [label, copts] :
+       {std::pair{"adaptive_routing", adaptive},
+        std::pair{"degraded_fallback", fallback}}) {
+    const ClusterRun ref = cluster_run(fattree2, /*threads=*/1, copts);
+    const ClusterRun run = cluster_run(fattree2, /*threads=*/4, copts);
+    EXPECT_GT(ref.events, 0u) << label;
+    EXPECT_EQ(ref.lp_count, 1u) << label;
+    EXPECT_EQ(run.lp_count, 1u) << label;
+    expect_same_run(run, ref, label, 4);
   }
 }
 

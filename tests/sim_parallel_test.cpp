@@ -3,7 +3,7 @@
 // determinism contract's core claim — same seed ⇒ same combined digest
 // for any worker count.  These tests build small synthetic LP graphs
 // directly on ParallelEngine; tests/parallel_scaling_test.cpp covers the
-// topology-derived fabric workload and the SimCluster facade.
+// topology-derived fabric workload and SimCluster partitions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -66,7 +66,7 @@ TEST(ParallelEngine, MultiLpRequiresPositiveLookahead) {
                std::invalid_argument);
   EXPECT_THROW(ParallelEngine(0, config(1, Time::nanos(1))),
                std::invalid_argument);
-  // Single LP: zero lookahead is the degenerate-but-valid facade shape.
+  // Single LP: zero lookahead is valid — the one-LP cluster partition.
   ParallelEngine single(1, config(4, Time::zero()));
   EXPECT_EQ(single.lp_count(), 1u);
   // Workers are clamped to the LP count — extra threads would only idle.
@@ -368,16 +368,16 @@ TEST(ParallelEngine, RingDigestIndependentOfWorkerCount) {
   }
 }
 
-TEST(ParallelEngine, SingleAdoptedShardPreservesEngineDigest) {
-  // The SimCluster facade shape: one pre-existing engine adopted as LP 0
-  // must produce the exact serial dispatch order and expose the
-  // engine's own tracer digest as the combined digest.
+TEST(ParallelEngine, SingleLpPreservesEngineDigest) {
+  // The one-LP partition every SimCluster golden rests on: LP 0 of a
+  // one-LP engine must produce the exact dispatch order of a plain
+  // Engine and expose that lane's tracer digest as the combined digest.
   auto build = [](Engine& eng, std::vector<int>& ran) {
     eng.tracer().enable(/*ring_capacity=*/16);
     for (int k = 0; k < 32; ++k) {
       eng.schedule_at(Time::nanos(k % 5), [&eng, &ran, k] {
         ran.push_back(k);
-        eng.tracer().instant(trace::Category::kApp, k % 3, "facade/ev",
+        eng.tracer().instant(trace::Category::kApp, k % 3, "single/ev",
                              eng.now(), k);
         if (k % 4 == 0) {
           eng.schedule(Time::nanos(2), [&ran, k] { ran.push_back(1000 + k); });
@@ -390,14 +390,13 @@ TEST(ParallelEngine, SingleAdoptedShardPreservesEngineDigest) {
   build(serial, serial_ran);
   serial.run();
 
-  Engine adopted;
-  std::vector<int> adopted_ran;
-  build(adopted, adopted_ran);
-  ParallelEngine peng({&adopted}, config(4, Time::zero()));
+  ParallelEngine peng(1, config(4, Time::zero()));
+  std::vector<int> lp_ran;
+  build(peng.lp(0), lp_ran);
   peng.run();
 
-  EXPECT_EQ(adopted_ran, serial_ran);
-  EXPECT_EQ(adopted.events_executed(), serial.events_executed());
+  EXPECT_EQ(lp_ran, serial_ran);
+  EXPECT_EQ(peng.events_executed(), serial.events_executed());
   EXPECT_EQ(peng.combined_digest(), serial.tracer().digest());
   EXPECT_EQ(peng.windows(), 1u);  // one full-horizon window
 }
