@@ -3,6 +3,10 @@
 // quicksort ("as much as 2.5x faster").
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
 #include "algo/fft.hpp"
 #include "algo/sort.hpp"
 #include "algo/transpose.hpp"
@@ -47,6 +51,32 @@ void BM_StdSort(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_StdSort)->Range(1 << 12, 1 << 20);
+
+// The exact verification oracle of the distributed sort, on 16 nodes'
+// inputs and their correct sorted outputs.  CI gates it against
+// BM_StdSort/1048576, the global sort it replaced.
+void BM_SortOracle(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const std::size_t nodes = 16;
+  const auto keys = algo::uniform_keys(n, 1);
+  auto sorted = keys;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<std::span<const algo::Key>> inputs, outputs;
+  for (std::size_t p = 0; p < nodes; ++p) {
+    inputs.emplace_back(keys.data() + p * n / nodes, n / nodes);
+    outputs.emplace_back(sorted.data() + p * n / nodes, n / nodes);
+  }
+  for (auto _ : state) {
+    bool ok = algo::is_sorted_permutation_of(inputs, outputs);
+    benchmark::DoNotOptimize(ok);
+    if (!ok) {
+      state.SkipWithError("oracle rejected a correct sort");
+      break;
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SortOracle)->Arg(1 << 14)->Arg(1 << 20);
 
 void BM_CacheAwareSort(benchmark::State& state) {
   const auto keys = algo::uniform_keys(1 << 20, 1);

@@ -147,6 +147,15 @@ Matrix<Complex> dft2d_reference(const Matrix<Complex>& input) {
   return out;
 }
 
+bool all_close(std::span<const Complex> got, std::span<const Complex> want,
+               double tol) {
+  if (got.size() != want.size()) return false;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (!(std::abs(got[i] - want[i]) < tol)) return false;
+  }
+  return true;
+}
+
 double fft_flops(std::size_t n) {
   if (n <= 1) return 0.0;
   const double dn = static_cast<double>(n);

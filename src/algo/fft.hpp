@@ -14,6 +14,7 @@
 
 #include <complex>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "algo/matrix.hpp"
@@ -66,6 +67,12 @@ void ifft2d_inplace(Matrix<Complex>& m);
 
 /// Naive O(n^4-ish) reference 2D DFT directly from Equation (1).
 Matrix<Complex> dft2d_reference(const Matrix<Complex>& input);
+
+/// True iff `got` and `want` have the same length and every element
+/// satisfies |got[i] - want[i]| < tol.  A NaN element fails, since every
+/// comparison with NaN is false.
+bool all_close(std::span<const Complex> got, std::span<const Complex> want,
+               double tol);
 
 /// True if n is a power of two (and nonzero).
 constexpr bool is_pow2(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }

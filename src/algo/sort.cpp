@@ -319,4 +319,51 @@ std::vector<std::vector<Key>> splitter_partition(
   return buckets;
 }
 
+bool is_sorted_permutation_of(std::span<const std::span<const Key>> inputs,
+                              std::span<const std::span<const Key>> outputs) {
+  std::size_t n = 0;
+  for (const auto in : inputs) n += in.size();
+  std::size_t n_out = 0;
+  for (const auto out : outputs) n_out += out.size();
+  if (n != n_out) return false;
+
+  // Slice by the top `bits` key bits: ~16 keys per slice, up to 16 bits.
+  int bits = 0;
+  while (bits < 16 && (std::size_t{16} << bits) < n) ++bits;
+  const int shift = kKeyBits - bits;
+  const auto slice_of = [shift](Key k) {
+    return static_cast<std::size_t>(std::uint64_t{k} >> shift);
+  };
+
+  // Count, turn the counts into slice starts, then scatter; afterwards
+  // next[s] is one past the end of slice s.
+  std::vector<std::size_t> next(std::size_t{1} << bits, 0);
+  for (const auto in : inputs) {
+    for (Key k : in) ++next[slice_of(k)];
+  }
+  std::size_t start = 0;
+  for (auto& c : next) {
+    const std::size_t count = c;
+    c = start;
+    start += count;
+  }
+  std::vector<Key> expected(n);
+  for (const auto in : inputs) {
+    for (Key k : in) expected[next[slice_of(k)]++] = k;
+  }
+  start = 0;
+  for (const std::size_t end : next) {
+    std::sort(expected.begin() + static_cast<std::ptrdiff_t>(start),
+              expected.begin() + static_cast<std::ptrdiff_t>(end));
+    start = end;
+  }
+
+  auto at = expected.begin();
+  for (const auto out : outputs) {
+    if (!std::equal(out.begin(), out.end(), at)) return false;
+    at += static_cast<std::ptrdiff_t>(out.size());
+  }
+  return true;
+}
+
 }  // namespace acc::algo

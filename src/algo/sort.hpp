@@ -129,4 +129,17 @@ std::size_t splitter_bucket(Key key, std::span<const Key> splitters);
 std::vector<std::vector<Key>> splitter_partition(
     std::span<const Key> keys, std::span<const Key> splitters);
 
+// ---------------------------------------------------------------------
+// Test oracle.  Shares no code with the sorts above, so a bug in one of
+// them cannot hide in the check of its own output.
+// ---------------------------------------------------------------------
+
+/// True iff the concatenation of `outputs` equals std::sort of the
+/// concatenation of `inputs`.  Exact, in near-linear time: one counting
+/// pass on the keys' top bits (about 16 keys per slice, at most 2^16
+/// slices), one scatter into a single buffer, std::sort of each slice,
+/// then a comparison against each output in order.
+bool is_sorted_permutation_of(std::span<const std::span<const Key>> inputs,
+                              std::span<const std::span<const Key>> outputs);
+
 }  // namespace acc::algo

@@ -30,6 +30,10 @@ struct SortRunResult {
   Time redistribution = Time::zero();  // everything else (T_INIC / comm)
   Time bucket_phase1 = Time::zero();   // host send-side bucket sort (TCP)
   Time bucket_phase2 = Time::zero();   // host recv-side bucket sort
+  /// With verify on: the concatenation of the nodes' sorted outputs, in
+  /// node order, equals std::sort of the concatenation of their initial
+  /// keys (algo::is_sorted_permutation_of).  Always true for
+  /// run_serial_sort.
   bool verified = false;
 };
 

@@ -17,14 +17,6 @@ std::size_t largest_divisor_at_most(std::size_t n, std::size_t cap) {
   return 1;
 }
 
-void route_all_to(TopologyPlan& plan, int sw, std::size_t port) {
-  const std::size_t hosts = plan.hosts.size();
-  for (std::size_t d = 0; d < hosts; ++d) {
-    plan.next_port[static_cast<std::size_t>(sw) * hosts + d] =
-        static_cast<std::uint16_t>(port);
-  }
-}
-
 void set_route(TopologyPlan& plan, int sw, std::size_t dst, std::size_t port) {
   plan.next_port[static_cast<std::size_t>(sw) * plan.hosts.size() + dst] =
       static_cast<std::uint16_t>(port);

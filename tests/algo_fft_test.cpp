@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numbers>
 
 #include "common/rng.hpp"
@@ -24,7 +25,8 @@ double max_abs_diff(const std::vector<Complex>& a,
   EXPECT_EQ(a.size(), b.size());
   double worst = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    worst = std::max(worst, std::abs(a[i] - b[i]));
+    const double d = std::abs(a[i] - b[i]);
+    if (!(d <= worst)) worst = d;  // a NaN sticks, failing EXPECT_LT
   }
   return worst;
 }
@@ -183,6 +185,22 @@ TEST(Fft, FlopCountMatchesFormula) {
   EXPECT_DOUBLE_EQ(fft_flops(1), 0.0);
   EXPECT_DOUBLE_EQ(fft_flops(2), 10.0);
   EXPECT_DOUBLE_EQ(fft_flops(1024), 5.0 * 1024 * 10);
+}
+
+TEST(AllClose, AcceptsErrorsBelowToleranceAndRejectsNaN) {
+  const std::vector<Complex> want = random_signal(64, 8);
+  const double tol = 1e-6 * 64;
+  std::vector<Complex> got = want;
+  EXPECT_TRUE(all_close(got, want, tol));
+  got[17] += Complex(0.9 * tol, 0.0);
+  EXPECT_TRUE(all_close(got, want, tol));
+  got[17] = want[17] + Complex(0.0, 2.0 * tol);
+  EXPECT_FALSE(all_close(got, want, tol));
+  got[17] = Complex(std::numeric_limits<double>::quiet_NaN(), 0.0);
+  EXPECT_FALSE(all_close(got, want, tol));
+  got[17] = want[17];
+  got.pop_back();
+  EXPECT_FALSE(all_close(got, want, tol));
 }
 
 }  // namespace

@@ -1,11 +1,16 @@
 // Sorting kernels: correctness against std::sort, stability of the
-// distribution pass, bucket arithmetic, and the two-phase prototype path.
+// distribution pass, bucket arithmetic, the two-phase prototype path, and
+// the is_sorted_permutation_of oracle (against the plain concatenate-and-
+// std::sort predicate).
 #include "algo/sort.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <numeric>
+#include <span>
+
+#include "common/rng.hpp"
 
 namespace acc::algo {
 namespace {
@@ -188,6 +193,186 @@ TEST(UniformKeys, IsDeterministicPerSeed) {
   auto c = uniform_keys(100, 10);
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
+}
+
+// ---------------------------------------------------------------------
+// is_sorted_permutation_of
+// ---------------------------------------------------------------------
+
+using Nodes = std::vector<std::vector<Key>>;
+
+std::vector<std::span<const Key>> views(const Nodes& nodes) {
+  return {nodes.begin(), nodes.end()};
+}
+
+bool oracle(const Nodes& inputs, const Nodes& outputs) {
+  return is_sorted_permutation_of(views(inputs), views(outputs));
+}
+
+std::vector<Key> concat(const Nodes& nodes) {
+  std::vector<Key> all;
+  for (const auto& v : nodes) all.insert(all.end(), v.begin(), v.end());
+  return all;
+}
+
+/// The predicate the oracle must equal: concat(outputs) ==
+/// std::sort(concat(inputs)).
+bool reference(const Nodes& inputs, const Nodes& outputs) {
+  std::vector<Key> expected = concat(inputs);
+  std::sort(expected.begin(), expected.end());
+  return concat(outputs) == expected;
+}
+
+/// Splits keys into `parts` nodes of near-equal size.
+Nodes split(const std::vector<Key>& keys, std::size_t parts) {
+  Nodes nodes(parts);
+  for (std::size_t p = 0, at = 0; p < parts; ++p) {
+    const std::size_t len = keys.size() / parts + (p < keys.size() % parts);
+    nodes[p].assign(keys.begin() + static_cast<std::ptrdiff_t>(at),
+                    keys.begin() + static_cast<std::ptrdiff_t>(at + len));
+    at += len;
+  }
+  return nodes;
+}
+
+/// The correct distributed result: the sorted keys, split over `parts`.
+Nodes sorted_output(const Nodes& inputs, std::size_t parts) {
+  std::vector<Key> all = concat(inputs);
+  std::sort(all.begin(), all.end());
+  return split(all, parts);
+}
+
+TEST(SortOracle, AcceptsSortedOutputOfEveryDistribution) {
+  for (std::size_t n : {std::size_t{1} << 10, std::size_t{1} << 14,
+                        std::size_t{1} << 20}) {
+    for (const auto& keys :
+         {uniform_keys(n, 11), gaussian_keys(n, 12),
+          zipf_keys(n, 1000, 0.99, 13)}) {
+      const Nodes inputs = split(keys, 8);
+      EXPECT_TRUE(oracle(inputs, sorted_output(inputs, 8))) << "n=" << n;
+      // Only the concatenation matters, not where the nodes split it.
+      EXPECT_TRUE(oracle(inputs, sorted_output(inputs, 3))) << "n=" << n;
+    }
+  }
+}
+
+TEST(SortOracle, AcceptsDegenerateInputs) {
+  EXPECT_TRUE(oracle({}, {}));
+  EXPECT_TRUE(oracle({{}, {}}, {{}}));
+  EXPECT_TRUE(oracle({{42}}, {{}, {42}}));
+  EXPECT_TRUE(oracle(split(std::vector<Key>(5000, 0xABCD1234u), 4),
+                     split(std::vector<Key>(5000, 0xABCD1234u), 4)));
+  const Nodes extremes{{0xFFFFFFFFu, 0u, 7u}, {0u, 0xFFFFFFFFu}};
+  EXPECT_TRUE(oracle(extremes, {{0u, 0u}, {7u, 0xFFFFFFFFu, 0xFFFFFFFFu}}));
+}
+
+TEST(SortOracle, SeparatesKeysAcrossATopBitsSliceEdge) {
+  // At 2^20 keys the slices are 16 bits wide, so these two keys fall on
+  // either side of the first slice edge.
+  std::vector<Key> keys = uniform_keys(std::size_t{1} << 20, 21);
+  keys.insert(keys.end(), {0x00010000u, 0x0000FFFFu, 0x00010000u});
+  const Nodes inputs = split(keys, 4);
+  Nodes outputs = sorted_output(inputs, 4);
+  EXPECT_TRUE(oracle(inputs, outputs));
+  auto& first = outputs[0];
+  const auto hi = std::find(first.begin(), first.end(), 0x00010000u);
+  ASSERT_NE(hi, first.begin());
+  ASSERT_EQ(*(hi - 1), 0x0000FFFFu);
+  std::iter_swap(hi - 1, hi);
+  EXPECT_FALSE(oracle(inputs, outputs));
+
+  EXPECT_TRUE(oracle({{0x00010000u, 0x0000FFFFu}}, {{0x0000FFFFu, 0x00010000u}}));
+  EXPECT_FALSE(
+      oracle({{0x00010000u, 0x0000FFFFu}}, {{0x00010000u, 0x0000FFFFu}}));
+}
+
+class SortOracleRejects : public ::testing::Test {
+ protected:
+  Nodes inputs = split(uniform_keys(1 << 14, 31), 4);
+  Nodes outputs = sorted_output(inputs, 4);
+
+  void SetUp() override { ASSERT_TRUE(oracle(inputs, outputs)); }
+  void TearDown() override {
+    EXPECT_FALSE(oracle(inputs, outputs));
+    EXPECT_FALSE(reference(inputs, outputs));
+  }
+};
+
+TEST_F(SortOracleRejects, AdjacentSwap) {
+  std::swap(outputs[1][10], outputs[1][11]);
+}
+
+TEST_F(SortOracleRejects, KeyReplacedByItsNeighbour) {
+  // Still sorted, but a key is lost and its neighbour duplicated; the
+  // last key of a node, so a check that skips node ends would miss it.
+  auto& node = outputs[2];
+  node.back() = node[node.size() - 2];
+  ASSERT_TRUE(std::is_sorted(node.begin(), node.end()));
+}
+
+TEST_F(SortOracleRejects, MissingKey) { outputs[3].pop_back(); }
+
+TEST_F(SortOracleRejects, ExtraKey) { outputs[0].push_back(outputs[0].back()); }
+
+TEST_F(SortOracleRejects, NodesOutOfOrderAcrossABoundary) {
+  // Exchange the keys either side of the node 0 / node 1 boundary: both
+  // nodes stay sorted and the multiset is intact, but the concatenation
+  // is not.
+  std::swap(outputs[0].back(), outputs[1].front());
+  ASSERT_TRUE(std::is_sorted(outputs[0].begin(), outputs[0].end()));
+  ASSERT_TRUE(std::is_sorted(outputs[1].begin(), outputs[1].end()));
+}
+
+TEST(SortOracle, AgreesWithConcatenateAndSortUnderRandomMutations) {
+  Rng rng(2024);
+  int rejected = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    // Narrow key ranges give duplicate-heavy inputs; wide ones give
+    // several slice widths as the total size varies.
+    const Key range = trial % 3 == 0 ? 16u : trial % 3 == 1 ? 1u << 20 : 0u;
+    Nodes inputs(1 + rng.below(5));
+    for (auto& node : inputs) {
+      node.resize(rng.below(trial % 10 == 0 ? 8000 : 400));
+      for (auto& k : node) {
+        k = range == 0 ? rng.key32() : static_cast<Key>(rng.below(range));
+      }
+    }
+    Nodes outputs = sorted_output(inputs, 1 + rng.below(5));
+    auto& node = outputs[rng.below(outputs.size())];
+    const std::size_t i = node.empty() ? 0 : rng.below(node.size());
+    switch (rng.below(7)) {
+      case 0:  // untouched
+        break;
+      case 1:  // swap with the next key
+        if (i + 1 < node.size()) std::swap(node[i], node[i + 1]);
+        break;
+      case 2:  // replace by the next key
+        if (i + 1 < node.size()) node[i] = node[i + 1];
+        break;
+      case 3:  // drop a key
+        if (!node.empty()) node.erase(node.begin() + static_cast<long>(i));
+        break;
+      case 4:  // add a random key
+        node.insert(node.begin() + static_cast<long>(i), rng.key32());
+        break;
+      case 5:  // nudge a key by one
+        if (!node.empty()) ++node[i];
+        break;
+      case 6:  // exchange the keys either side of a node boundary
+        for (std::size_t q = 0; q + 1 < outputs.size(); ++q) {
+          if (!outputs[q].empty() && !outputs[q + 1].empty()) {
+            std::swap(outputs[q].back(), outputs[q + 1].front());
+            break;
+          }
+        }
+        break;
+    }
+    const bool expected = reference(inputs, outputs);
+    EXPECT_EQ(oracle(inputs, outputs), expected) << "trial " << trial;
+    rejected += expected ? 0 : 1;
+  }
+  // The mutations must actually produce wrong outputs most of the time.
+  EXPECT_GT(rejected, 100);
 }
 
 }  // namespace

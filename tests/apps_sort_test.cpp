@@ -1,5 +1,7 @@
-// End-to-end distributed integer-sort runs: correctness against a global
-// std::sort on every interconnect, plus the paper's timing claims —
+// End-to-end distributed integer-sort runs: correctness on every
+// interconnect (the nodes' outputs, in node order, must equal std::sort
+// of all input keys; checked by algo::is_sorted_permutation_of), plus
+// the paper's timing claims —
 // superlinear INIC speedup from absorbed bucket sorting, prototype
 // between GigE and ideal.
 #include "apps/sort_app.hpp"
