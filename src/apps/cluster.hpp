@@ -71,7 +71,9 @@ struct ClusterOptions {
   /// Degraded-mode fallback: builds a parallel standard-NIC + TCP plane
   /// and reroutes transfer()s over it whenever the source or destination
   /// card is in a reset window — or mid-transfer, when the card declares
-  /// the peer unreachable.  INIC interconnects only; no effect otherwise.
+  /// the peer unreachable.  The apps and both collective backends send
+  /// through transfer(), so all of them reroute.  INIC interconnects
+  /// only; no effect otherwise.
   bool degraded_fallback = false;
   /// Fabric shape (net/topology.hpp): single star by default — the
   /// paper's 8-16 node prototype — or a fat-tree / torus for the scaling

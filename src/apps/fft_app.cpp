@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -12,6 +12,7 @@
 #include "algo/transpose.hpp"
 #include "apps/host_costs.hpp"
 #include "common/rng.hpp"
+#include "proto/tagged_inbox.hpp"
 #include "sim/process.hpp"
 #include "sim/sync.hpp"
 
@@ -33,9 +34,10 @@ struct NodeRun {
   Matrix<Complex> slab;       // current local rows
   Matrix<Complex> assembly;   // slab being assembled by the transpose
   Time row_phase = Time::zero();  // duration of one row-FFT phase
-  // Messages that arrived for a later transpose round than the node is
-  // currently assembling (cross-node skew).
-  std::map<std::uint64_t, std::vector<proto::Message>> stash;
+  // The node's inbox.  It lives across both transposes, so a block that
+  // arrives for a later round than the node is assembling (cross-node
+  // skew) waits in its stash.
+  std::optional<proto::TaggedInbox> inbox;
 };
 
 Matrix<Complex> random_matrix(std::size_t n, std::uint64_t seed) {
@@ -45,33 +47,6 @@ Matrix<Complex> random_matrix(std::size_t n, std::uint64_t seed) {
     x = Complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
   }
   return m;
-}
-
-/// Appends `count` messages tagged `tag` from the inbox to `out`,
-/// stashing any message that belongs to a different (later) tag so that
-/// cross-node skew between exchange rounds cannot mix rounds up.
-template <typename Inbox>
-sim::Process recv_for_round(Inbox& inbox, NodeRun& state, std::uint64_t tag,
-                            std::size_t count,
-                            std::vector<proto::Message>& out) {
-  auto& ready = state.stash[tag];
-  std::size_t got = 0;
-  while (got < count) {
-    if (!ready.empty()) {
-      out.push_back(std::move(ready.back()));
-      ready.pop_back();
-      ++got;
-      continue;
-    }
-    proto::Message msg = co_await inbox.recv();
-    if (msg.tag == tag) {
-      out.push_back(std::move(msg));
-      ++got;
-    } else {
-      state.stash[msg.tag].push_back(std::move(msg));
-    }
-  }
-  state.stash.erase(tag);
 }
 
 /// One transpose on the HostTcp baseline: host local-transpose pass,
@@ -116,7 +91,7 @@ sim::Process transpose_host_tcp(SimCluster& cluster, std::size_t me,
     sim::Process send = cluster.tcp(me).send_message(
         static_cast<int>(dst), block_bytes, tag, std::move(payload));
     send.start(cluster.node_engine(me));
-    co_await recv_for_round(cluster.tcp(me).inbox(), state, tag, 1, received);
+    co_await state.inbox->recv(tag, received.emplace_back());
     co_await send;
   }
 
@@ -175,8 +150,9 @@ sim::Process transpose_inic(SimCluster& cluster, std::size_t me,
   }
 
   std::vector<proto::Message> received;
-  co_await recv_for_round(cluster.inbox(me), state, round, p_count - 1,
-                          received);
+  for (std::size_t got = 1; got < p_count; ++got) {
+    co_await state.inbox->recv(round, received.emplace_back());
+  }
   for (auto& s : sends) co_await *s;
 
   if (verify) {
@@ -257,6 +233,7 @@ FftRunResult run_parallel_fft(SimCluster& cluster, std::size_t n,
   std::vector<NodeRun> state(p_count);
   for (std::size_t p = 0; p < p_count; ++p) {
     state[p].slab = Matrix<Complex>(m, n);
+    state[p].inbox.emplace(cluster.inbox(p));
   }
   if (opts.verify) {
     input = random_matrix(n, opts.seed);

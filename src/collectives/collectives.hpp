@@ -21,13 +21,14 @@
 // All collectives move real data; results are verified against serial
 // references in the tests.
 //
-// Orthogonally to the interconnect, the *driver* of the collective is a
-// swappable backend (collectives/backend.hpp, selected by
-// apps::ClusterOptions::collective_backend): the Host backend runs the
-// send/recv loops above on the host ranks; the Nic backend walks the
-// same topology-aware binomial trees entirely on the INIC cards via
-// trigger primitives (inic/collective.hpp).  The free functions below
-// dispatch to the cluster's configured backend.  See docs/COLLECTIVES.md.
+// Orthogonally to the interconnect, apps::ClusterOptions::collective_backend
+// picks who drives the collective.  Both drivers walk one binomial tree
+// (collectives.cpp) and send through SimCluster::transfer, so the
+// degraded TCP fallback covers both.  The Host backend runs the
+// send/recv loops above on the host ranks.  The Nic backend walks the
+// tree, hop-ordered, entirely on the INIC cards via trigger primitives
+// (inic/collective.hpp).  The free functions below branch on that option
+// themselves.  See docs/COLLECTIVES.md.
 #pragma once
 
 #include <cstdint>
@@ -52,9 +53,10 @@ struct CollectiveResult {
   std::vector<std::vector<double>> data;
 };
 
-/// Barrier: no data, pure synchronization (dissemination algorithm,
-/// ceil(log2 P) rounds).  Verification checks the barrier property: no
-/// rank leaves before every rank has entered.
+/// Barrier: no data, pure synchronization (host ranks: dissemination,
+/// ceil(log2 P) rounds; cards: up and down the tree).  Verification
+/// checks the barrier property: no rank leaves before every rank has
+/// entered.
 CollectiveResult barrier(apps::SimCluster& cluster);
 
 /// Broadcast `elements` doubles from rank 0 (binomial tree).

@@ -25,11 +25,6 @@ Time memoized_serial(std::map<std::size_t, Time>& cache, std::mutex& mu,
 
 }  // namespace
 
-std::vector<std::size_t> paper_processor_counts(bool power_of_two_only) {
-  if (power_of_two_only) return {1, 2, 4, 8, 16};
-  return {1, 2, 4, 8, 16};  // FFT additionally needs P | n; see callers.
-}
-
 Time serial_fft_total(std::size_t n, const model::Calibration& cal) {
   if (&cal != &model::default_calibration()) {
     return apps::run_serial_fft(cal, n).total;

@@ -20,9 +20,6 @@ struct SpeedupPoint {
   double speedup = 1.0;
 };
 
-/// Processor counts used throughout the paper's figures (1..16).
-std::vector<std::size_t> paper_processor_counts(bool power_of_two_only);
-
 /// Memoized serial baselines — the denominator of every speedup the
 /// paper plots.  A baseline depends only on the problem size (and the
 /// calibration), yet the figure sweeps evaluate it at every

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <map>
+#include <string>
 
 #include "apps/cluster.hpp"
 #include "apps/fft_app.hpp"
@@ -313,23 +314,39 @@ TEST(Chaos, NicCollectiveDigestTracksFaultPlanSeed) {
 #endif
 }
 
-TEST(DegradedMode, NicBarrierCompletesThroughAMidCollectiveCardReset) {
+class DegradedModeBarrier
+    : public ::testing::TestWithParam<apps::CollectiveBackend> {};
+
+TEST_P(DegradedModeBarrier, CompletesThroughAMidCollectiveCardReset) {
   // One fault only: a card reset opening at t = 0 and outlasting the
-  // whole healthy barrier, so every token touching node 2 must take the
-  // fallback plane.
+  // whole healthy barrier, so every message touching node 2 must take the
+  // fallback plane.  Both backends send through SimCluster::transfer, so
+  // the host-driven barrier must reroute exactly like the on-card one
+  // instead of waiting the reset out.
+  apps::ClusterOptions opts = nic_collective_chaos_options();
+  opts.collective_backend = GetParam();
   apps::SimCluster cluster(kCollectiveChaosRanks,
                            apps::Interconnect::kInicIdeal,
-                           model::default_calibration(),
-                           nic_collective_chaos_options());
+                           model::default_calibration(), opts);
   cluster.engine().set_time_budget(Time::seconds(5));
+  const Time reset_end = clean_collective_total() * 2.0;
   fault::FaultPlan plan;
-  plan.with_card_reset(2, Time::zero(), clean_collective_total() * 2.0);
+  plan.with_card_reset(2, Time::zero(), reset_end);
   fault::FaultInjector injector(cluster, plan);
   const auto result = coll::barrier(cluster);
   EXPECT_TRUE(result.verified);
   EXPECT_GT(cluster.fallback_transfers(), 0u);
+  EXPECT_LT(result.total.as_seconds(), reset_end.as_seconds());
   EXPECT_EQ(injector.events_fired(), 1u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, DegradedModeBarrier,
+    ::testing::Values(apps::CollectiveBackend::kHost,
+                      apps::CollectiveBackend::kNic),
+    [](const ::testing::TestParamInfo<apps::CollectiveBackend>& info) {
+      return std::string(apps::to_string(info.param));
+    });
 
 // ---------------------------------------------------------------------
 // Degraded mode in isolation: one card reset, no other faults

@@ -294,7 +294,7 @@ TEST(Failover, GoldenReconvergenceDigestIsPinned) {
 
 /// Binomial-tree role over identity order: parent(l) = l - lowbit(l),
 /// ancestors = the parent chain to the root (what
-/// collectives/nic_backend.cpp builds, minus the physical permutation).
+/// collectives/collectives.cpp builds, minus the physical permutation).
 inic::TreeRole binomial_role(int l, int np) {
   inic::TreeRole role;
   if (l > 0) {

@@ -1,4 +1,4 @@
-// NIC-resident collective engine battery (collectives/nic_backend.cpp +
+// NIC-resident collective engine battery (collectives/collectives.cpp +
 // inic/collective.cpp + the InicCard trigger primitives).
 //
 // Property grid: every fabric shape crossed with every realizable rank
@@ -19,7 +19,6 @@
 #include <gtest/gtest.h>
 
 #include "apps/cluster.hpp"
-#include "collectives/backend.hpp"
 #include "collectives/collectives.hpp"
 #include "net/topology.hpp"
 

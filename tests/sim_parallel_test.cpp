@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -487,13 +486,14 @@ TEST(ParallelEngine, WatchdogBudgetSeedsEveryShard) {
   // still stop the run instead of spinning windows forever.
   ParallelEngine peng(2, config(2, Time::micros(1)));
   peng.lp(0).set_time_budget(Time::micros(200));
-  auto hop = std::make_shared<std::function<void(std::size_t)>>();
-  ParallelEngine* pp = &peng;
-  *hop = [pp, hop](std::size_t at) {
+  // The chain refers to `hop` by reference: a closure owning the
+  // function it is stored in would keep itself alive forever (a leak).
+  std::function<void(std::size_t)> hop;
+  hop = [&peng, &hop](std::size_t at) {
     const std::size_t next = 1 - at;
-    pp->post(at, next, Time::micros(1), [hop, next] { (*hop)(next); });
+    peng.post(at, next, Time::micros(1), [&hop, next] { hop(next); });
   };
-  peng.lp(0).schedule_at(Time::zero(), [hop] { (*hop)(0); });
+  peng.lp(0).schedule_at(Time::zero(), [&hop] { hop(0); });
   EXPECT_THROW(peng.run(), sim::WatchdogTimeout);
 }
 
