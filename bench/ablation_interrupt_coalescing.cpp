@@ -11,8 +11,10 @@
 // removes the trade-off entirely.
 #include <cstdio>
 
+#include "apps/cluster.hpp"
+#include "apps/fft_app.hpp"
 #include "common/table.hpp"
-#include "core/experiment.hpp"
+#include "model/calibration.hpp"
 
 using namespace acc;
 
@@ -54,6 +56,7 @@ int main() {
   std::puts(
       "\nExpected: per-packet interrupts maximize CPU interrupt load;"
       "\naggressive coalescing inflates transpose latency.  The INIC"
-      "\n(fig4b/fig8a benches) avoids the trade-off: zero interrupts.");
+      "\n(bench_all's fig4b/fig8a suites) avoids the trade-off: zero"
+      "\ninterrupts.");
   return 0;
 }

@@ -7,10 +7,10 @@
 // where the simulator needs P | n print "-" for the simulated series
 // (the paper's footnote 2 interpolated those points for plotting).
 #include <cstdio>
-#include <map>
 
+#include "apps/cluster.hpp"
+#include "apps/fft_app.hpp"
 #include "common/table.hpp"
-#include "core/experiment.hpp"
 #include "model/fft_model.hpp"
 
 using namespace acc;
@@ -21,15 +21,6 @@ int main() {
   model::FftAnalyticModel fft_model;
   Table table({"P", "INIC 256x256", "INIC 512x512", "GigE 256x256",
                "GigE 512x512"});
-
-  // Hoisted serial baselines: one run per matrix size for the whole
-  // sweep (the model holds a calibration *copy*, so this bench hoists
-  // explicitly rather than relying on core::serial_fft_total's
-  // default-calibration cache).
-  std::map<std::size_t, Time> serial;
-  for (std::size_t n : {std::size_t{256}, std::size_t{512}}) {
-    serial[n] = apps::run_serial_fft(fft_model.calibration(), n).total;
-  }
 
   for (std::size_t p = 1; p <= 16; ++p) {
     table.row().add(static_cast<std::int64_t>(p));
@@ -42,9 +33,12 @@ int main() {
     }
     for (std::size_t n : {std::size_t{256}, std::size_t{512}}) {
       if (n % p == 0) {
+        const Time serial =
+            apps::run_serial_fft(fft_model.calibration(), n).total;
+        apps::SimCluster cluster(p, apps::Interconnect::kGigabitTcp);
         const auto point =
-            core::fft_point(apps::Interconnect::kGigabitTcp, n, p);
-        table.add(serial[n] / point.total, 2);
+            apps::run_parallel_fft(cluster, n, {.verify = false});
+        table.add(serial / point.total, 2);
       } else {
         table.skip();
       }

@@ -7,8 +7,9 @@
 // ("over 5 seconds") are absorbed into the INIC stream.
 #include <cstdio>
 
+#include "apps/cluster.hpp"
+#include "apps/sort_app.hpp"
 #include "common/table.hpp"
-#include "core/experiment.hpp"
 #include "model/sort_model.hpp"
 
 using namespace acc;
@@ -24,7 +25,8 @@ int main() {
   Table table({"P", "INIC speedup", "GigE speedup"});
   for (std::size_t p : {1, 2, 4, 8, 16}) {
     const double inic = sort_model.inic_speedup(keys, p, cache_buckets);
-    const auto gige = core::sort_point(apps::Interconnect::kGigabitTcp, keys, p);
+    apps::SimCluster cluster(p, apps::Interconnect::kGigabitTcp);
+    const auto gige = apps::run_parallel_sort(cluster, keys, {.verify = false});
     table.row()
         .add(static_cast<std::int64_t>(p))
         .add(inic, 2)

@@ -50,7 +50,8 @@ int main(int argc, char** argv) {
                     apps::Interconnect::kGigabitTcp,
                     apps::Interconnect::kInicPrototype,
                     apps::Interconnect::kInicIdeal}) {
-      const auto r = core::fft_point(ic, n, p);
+      apps::SimCluster cluster(p, ic);
+      const auto r = run_parallel_fft(cluster, n, {.verify = false});
       table.row()
           .add(static_cast<std::int64_t>(p))
           .add(to_string(ic))

@@ -44,7 +44,8 @@ int main(int argc, char** argv) {
     for (auto ic : {apps::Interconnect::kGigabitTcp,
                     apps::Interconnect::kInicPrototype,
                     apps::Interconnect::kInicIdeal}) {
-      const auto r = core::sort_point(ic, keys, p);
+      apps::SimCluster cluster(p, ic);
+      const auto r = run_parallel_sort(cluster, keys, {.verify = false});
       table.row()
           .add(static_cast<std::int64_t>(p))
           .add(to_string(ic))

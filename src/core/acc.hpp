@@ -12,7 +12,7 @@
 //   algo/    real algorithms: FFT, transpose decomposition, sorts
 //   apps/    distributed 2D-FFT and integer sort on simulated clusters
 //   model/   the paper's analytic models (Equations 3-17) + calibration
-//   core/    experiment runners producing the paper's figure series
+//   core/    post-run instrumentation reports (ClusterReport)
 //   trace/   deterministic event tracing + counters (any layer may emit)
 //   fault/   deterministic fault injection (scripted windows + seeded
 //            loss processes) against whole cluster runs
@@ -30,7 +30,7 @@
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
-#include "core/experiment.hpp"
+#include "core/report.hpp"
 #include "fault/fault.hpp"
 #include "hw/node.hpp"
 #include "inic/card.hpp"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -18,8 +19,8 @@
 #include "apps/kv_app.hpp"
 #include "apps/sort_app.hpp"
 #include "collectives/collectives.hpp"
-#include "core/experiment.hpp"
 #include "fault/fault.hpp"
+#include "hw/dma.hpp"
 #include "model/calibration.hpp"
 #include "model/fft_model.hpp"
 #include "model/sort_model.hpp"
@@ -27,6 +28,7 @@
 #include "net/topology.hpp"
 #include "runner/bench_json.hpp"
 #include "sim/process.hpp"
+#include "sim/resource.hpp"
 
 namespace acc::runner {
 
@@ -55,7 +57,8 @@ void capture_run(apps::SimCluster& cluster, RunMetrics& m) {
 
 RunMetrics fft_sim_metrics(apps::Interconnect ic, std::size_t n,
                            std::size_t p) {
-  const Time serial = core::serial_fft_total(n);
+  const Time serial =
+      apps::run_serial_fft(model::default_calibration(), n).total;
   apps::SimCluster cluster(p, ic);
   cluster.enable_tracing(/*ring_capacity=*/256);
   apps::FftRunOptions opts;
@@ -72,7 +75,8 @@ RunMetrics fft_sim_metrics(apps::Interconnect ic, std::size_t n,
 
 RunMetrics sort_sim_metrics(apps::Interconnect ic, std::size_t keys,
                             std::size_t p) {
-  const Time serial = core::serial_sort_total(keys);
+  const Time serial =
+      apps::run_serial_sort(model::default_calibration(), keys).total;
   apps::SimCluster cluster(p, ic);
   cluster.enable_tracing(/*ring_capacity=*/256);
   apps::SortRunOptions opts;
@@ -103,6 +107,41 @@ RunMetrics sort_ablation_metrics(const model::Calibration& cal,
   m.sim_time = r.total;
   m.counters = {{"redistribution_ns", r.redistribution.as_nanos()}};
   capture_run(cluster, m);
+  return m;
+}
+
+/// Figure 5(a): the GigE sort's phase times plus communication (total
+/// minus the three compute phases; none at P = 1) and the Equation 12
+/// partition size.
+RunMetrics sort_components_metrics(std::size_t keys, std::size_t p) {
+  RunMetrics m = sort_sim_metrics(apps::Interconnect::kGigabitTcp, keys, p);
+  const std::int64_t comm =
+      p == 1 ? 0
+             : m.sim_time.as_nanos() - m.counter("count_sort_ns") -
+                   m.counter("bucket_phase1_ns") -
+                   m.counter("bucket_phase2_ns");
+  const Bytes partition = model::SortAnalyticModel().partition_size(keys, p);
+  m.counters.emplace_back("comm_ns", comm);
+  m.counters.emplace_back("partition_bytes",
+                          static_cast<std::int64_t>(partition.count()));
+  return m;
+}
+
+/// Equation 15's trade-off at one card-to-host DMA threshold: the sort
+/// run, the DMA efficiency of a threshold-sized transfer, and the
+/// guaranteed-accumulation delay T_dfg at N = 256 buckets.
+RunMetrics dma_threshold_metrics(const model::Calibration& cal,
+                                 std::size_t keys, std::size_t p) {
+  RunMetrics m = sort_ablation_metrics(cal, keys, p);
+  sim::Engine eng;
+  sim::FifoResource bus(eng, cal.host_pci_bus);
+  const hw::DmaEngine dma(bus, {.setup = cal.dma_setup,
+                                .max_burst = cal.dma_efficiency_threshold});
+  const double efficiency = dma.efficiency(cal.dma_efficiency_threshold);
+  m.counters.emplace_back("dma_efficiency_ppm",
+                          std::llround(efficiency * 1e6));
+  m.counters.emplace_back(
+      "accum_delay_ns", model::SortAnalyticModel(cal).t_dfg(256).as_nanos());
   return m;
 }
 
@@ -912,7 +951,12 @@ void add_figure_suites(bool reduced, std::vector<Suite>& suites) {
   suites.push_back(std::move(fig8b));
 
   // Figure 4(b): transpose decomposition (GigE, largest FFT size).
-  Suite fig4b{"fig4b_transpose", {}, {}};
+  Suite fig4b{"fig4b_transpose",
+              {},
+              {{"NIC comm (ms)", "nic_comm_ns", 1e-6, 2},
+               {"NIC compute (ms)", "nic_compute_ns", 1e-6, 2},
+               {"INIC trans (ms)", "inic_transpose_ns", 1e-6, 2},
+               {"partition (KB)", "partition_bytes", 1.0 / 1024, 1}}};
   const std::size_t decomp_n = fft_sizes.back();
   for (std::size_t p : procs) {
     if (decomp_n % p != 0) continue;
@@ -923,20 +967,25 @@ void add_figure_suites(bool reduced, std::vector<Suite>& suites) {
   suites.push_back(std::move(fig4b));
 
   // Figure 5(a): sort component times (GigE).
-  Suite fig5a{"fig5a_sort_components", {}, {}};
+  Suite fig5a{"fig5a_sort_components",
+              {},
+              {{"count sort (ms)", "count_sort_ns", 1e-6, 1},
+               {"phase1 bucket (ms)", "bucket_phase1_ns", 1e-6, 1},
+               {"phase2 bucket (ms)", "bucket_phase2_ns", 1e-6, 1},
+               {"comm (ms)", "comm_ns", 1e-6, 1},
+               {"partition (KB)", "partition_bytes", 1.0 / 1024, 0}}};
   for (std::size_t p : procs) {
     add_point(
         fig5a, "gige/keys=" + num(sort_keys) + "/P=" + num(p),
         {{"interconnect", "gige"}, {"keys", num(sort_keys)}, {"P", num(p)}},
-        [sort_keys, p] {
-          return sort_sim_metrics(apps::Interconnect::kGigabitTcp, sort_keys,
-                                  p);
-        });
+        [sort_keys, p] { return sort_components_metrics(sort_keys, p); });
   }
   suites.push_back(std::move(fig5a));
 
   // Ablation: INIC packet size (Section 4.2 — expected nearly flat).
-  Suite packet{"ablation_packet_size", {}, {}};
+  Suite packet{"ablation_packet_size",
+               {},
+               {{"redistribution (ms)", "redistribution_ns", 1e-6, 1}}};
   const std::vector<std::uint64_t> packets =
       reduced ? std::vector<std::uint64_t>{256, 1024, 4096}
               : std::vector<std::uint64_t>{256, 512, 1024, 2048, 4096};
@@ -955,7 +1004,10 @@ void add_figure_suites(bool reduced, std::vector<Suite>& suites) {
   suites.push_back(std::move(packet));
 
   // Ablation: card-to-host DMA threshold (Equation 15's 64 KB knee).
-  Suite dma{"ablation_dma_threshold", {}, {}};
+  Suite dma{"ablation_dma_threshold",
+            {},
+            {{"DMA efficiency", "dma_efficiency_ppm", 1e-6, 3},
+             {"N x thr delay (ms)", "accum_delay_ns", 1e-6, 1}}};
   const std::vector<std::uint64_t> thresholds_kib =
       reduced ? std::vector<std::uint64_t>{16, 64, 256}
               : std::vector<std::uint64_t>{4, 16, 32, 64, 128, 256};
@@ -967,7 +1019,7 @@ void add_figure_suites(bool reduced, std::vector<Suite>& suites) {
                {"keys", num(ablation_keys)},
                {"P", num(ablation_p)}},
               [cal, ablation_keys, ablation_p] {
-                return sort_ablation_metrics(cal, ablation_keys, ablation_p);
+                return dma_threshold_metrics(cal, ablation_keys, ablation_p);
               });
   }
   suites.push_back(std::move(dma));

@@ -7,8 +7,7 @@
 // Each point runs a fresh simulation with tracing enabled (small ring;
 // the digest covers the full stream), so every point carries the run
 // digest that CI compares between pooled and serial execution.  Serial
-// speedup baselines come from core::serial_*_total, which memoizes one
-// serial run per problem size process-wide (thread-safe).
+// speedup baselines are the closed-form apps::run_serial_* totals.
 //
 // A Suite is data: its points, the counters its table shows beside the
 // common columns, and an optional gate the driver runs over the suite's
@@ -28,8 +27,11 @@
 //   serving_tail           open-loop KV tail latency, host vs NIC plane;
 //                          gate: the NIC plane holds the better p99
 //   engine_scaling         parallel engine at 1/2/4 worker threads
-// The analytic closed-form columns stay with the per-figure binaries:
-// they are free to compute and carry no digest.
+// The six figure and ablation suites are the only source of those
+// simulated tables (`bench_all --suite=X --points=full`); their columns
+// carry the closed-form terms each figure plots beside the simulation.
+// Only the analytic INIC series of Figs. 4(a) and 5(b) stay in
+// standalone binaries.
 #pragma once
 
 #include <string>

@@ -1,46 +1,68 @@
-// Core experiment runners and instrumentation reports: series shapes,
-// determinism, and report accounting.
+// Timing-only FFT/sort runs against their closed-form serial baselines
+// (series shapes, determinism) and instrumentation reports (accounting).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <sstream>
+#include <vector>
 
-#include "core/experiment.hpp"
+#include "apps/cluster.hpp"
+#include "apps/fft_app.hpp"
+#include "apps/sort_app.hpp"
 #include "core/report.hpp"
+#include "model/calibration.hpp"
 
 namespace acc::core {
 namespace {
 
+apps::FftRunResult fft_run(apps::Interconnect ic, std::size_t n,
+                           std::size_t p) {
+  apps::SimCluster cluster(p, ic);
+  return apps::run_parallel_fft(cluster, n, {.verify = false});
+}
+
+apps::SortRunResult sort_run(apps::Interconnect ic, std::size_t keys,
+                             std::size_t p) {
+  apps::SimCluster cluster(p, ic);
+  return apps::run_parallel_sort(cluster, keys, {.verify = false});
+}
+
 TEST(Experiment, FftSeriesIsMonotoneForInic) {
-  const auto series =
-      fft_speedup_series(apps::Interconnect::kInicIdeal, 256, {1, 2, 4, 8});
-  ASSERT_EQ(series.size(), 4u);
-  EXPECT_NEAR(series[0].speedup, 1.0, 0.02);
-  for (std::size_t i = 1; i < series.size(); ++i) {
-    EXPECT_GT(series[i].speedup, series[i - 1].speedup);
-    EXPECT_LT(series[i].total, series[i - 1].total);
+  const Time serial =
+      apps::run_serial_fft(model::default_calibration(), 256).total;
+  std::vector<Time> totals;
+  for (std::size_t p : {1, 2, 4, 8}) {
+    totals.push_back(fft_run(apps::Interconnect::kInicIdeal, 256, p).total);
+  }
+  EXPECT_NEAR(serial / totals[0], 1.0, 0.02);
+  for (std::size_t i = 1; i < totals.size(); ++i) {
+    EXPECT_GT(serial / totals[i], serial / totals[i - 1]);
+    EXPECT_LT(totals[i], totals[i - 1]);
   }
 }
 
 TEST(Experiment, SortSeriesSuperlinearOnInic) {
-  const auto series = sort_speedup_series(apps::Interconnect::kInicIdeal,
-                                          std::size_t{1} << 24, {1, 4, 8});
-  EXPECT_GT(series[1].speedup, 4.0);
-  EXPECT_GT(series[2].speedup, 8.0);
+  const std::size_t keys = std::size_t{1} << 24;
+  const Time serial =
+      apps::run_serial_sort(model::default_calibration(), keys).total;
+  EXPECT_GT(serial / sort_run(apps::Interconnect::kInicIdeal, keys, 4).total,
+            4.0);
+  EXPECT_GT(serial / sort_run(apps::Interconnect::kInicIdeal, keys, 8).total,
+            8.0);
 }
 
 TEST(Experiment, RunsAreDeterministic) {
   // The whole simulator is seeded and event ordering is total: identical
   // runs must produce bit-identical times.
-  const auto a = fft_point(apps::Interconnect::kGigabitTcp, 256, 8);
-  const auto b = fft_point(apps::Interconnect::kGigabitTcp, 256, 8);
+  const auto a = fft_run(apps::Interconnect::kGigabitTcp, 256, 8);
+  const auto b = fft_run(apps::Interconnect::kGigabitTcp, 256, 8);
   EXPECT_EQ(a.total, b.total);
   EXPECT_EQ(a.transpose, b.transpose);
 
-  const auto sa = sort_point(apps::Interconnect::kInicPrototype,
-                             std::size_t{1} << 22, 8);
-  const auto sb = sort_point(apps::Interconnect::kInicPrototype,
-                             std::size_t{1} << 22, 8);
+  const auto sa = sort_run(apps::Interconnect::kInicPrototype,
+                           std::size_t{1} << 22, 8);
+  const auto sb = sort_run(apps::Interconnect::kInicPrototype,
+                           std::size_t{1} << 22, 8);
   EXPECT_EQ(sa.total, sb.total);
 }
 

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
-#include "core/experiment.hpp"
+#include "apps/cluster.hpp"
+#include "apps/fft_app.hpp"
+#include "apps/sort_app.hpp"
 
 namespace acc::model {
 namespace {
@@ -88,8 +90,8 @@ TEST(FftModel, AgreesWithSimulatorWithinTolerance) {
   // idealizes away).
   FftAnalyticModel m;
   for (std::size_t p : {2, 4, 8}) {
-    const auto sim =
-        core::fft_point(apps::Interconnect::kInicIdeal, 512, p);
+    apps::SimCluster cluster(p, apps::Interconnect::kInicIdeal);
+    const auto sim = apps::run_parallel_fft(cluster, 512, {.verify = false});
     const double analytic = m.inic_total_time(512, p).as_seconds();
     const double simulated = sim.total.as_seconds();
     EXPECT_LT(std::abs(analytic - simulated) / simulated, 0.35)
@@ -155,8 +157,9 @@ TEST(SortModel, AgreesWithSimulatorWithinTolerance) {
   SortAnalyticModel m;
   const std::size_t keys = std::size_t{1} << 25;
   for (std::size_t p : {4, 8}) {
+    apps::SimCluster cluster(p, apps::Interconnect::kInicIdeal);
     const auto sim =
-        core::sort_point(apps::Interconnect::kInicIdeal, keys, p);
+        apps::run_parallel_sort(cluster, keys, {.verify = false});
     const double analytic = m.inic_total_time(keys, p, 256).as_seconds();
     const double simulated = sim.total.as_seconds();
     EXPECT_LT(std::abs(analytic - simulated) / simulated, 0.5)

@@ -9,8 +9,10 @@
 // failure, not a flaky digest.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -105,8 +107,11 @@ TEST(SweepRunner, BenchSuitePointsReproduceSeriallyWhenPooled) {
   // The real bench_all point set, reduced grid — the same gate CI
   // applies via `bench_all --points=reduced --check-digests`.
   std::vector<RunPoint> points;
-  for (const auto& suite : runner::bench_suites(/*reduced=*/true)) {
+  std::vector<const std::vector<runner::Column>*> columns;  // per point
+  const auto suites = runner::bench_suites(/*reduced=*/true);
+  for (const auto& suite : suites) {
     points.insert(points.end(), suite.points.begin(), suite.points.end());
+    columns.insert(columns.end(), suite.points.size(), &suite.columns);
   }
   ASSERT_GT(points.size(), 10u);
   const auto pooled = SweepRunner(/*threads=*/4).run(points);
@@ -116,6 +121,18 @@ TEST(SweepRunner, BenchSuitePointsReproduceSeriallyWhenPooled) {
     ASSERT_GT(serial[i].metrics.trace_records, 0u) << serial[i].name;
 #endif
     expect_identical(pooled[i], serial[i]);
+    // RunMetrics::counter reads a missing name as 0, so a misspelled
+    // column would print a plausible zero: every column must be recorded.
+    if (!serial[i].ok) continue;
+    const auto& counters = serial[i].metrics.counters;
+    for (const auto& c : *columns[i]) {
+      EXPECT_TRUE(std::any_of(counters.begin(), counters.end(),
+                              [&](const auto& kv) {
+                                return kv.first == c.counter;
+                              }))
+          << serial[i].suite << "/" << serial[i].name << " has no counter "
+          << c.counter;
+    }
   }
 }
 
@@ -161,6 +178,25 @@ TEST(BenchSuites, RegistryOrderPointNamesAndGates) {
                        "serving_tail", "engine_scaling"}));
   EXPECT_EQ(gated, (std::vector<std::string>{
                        "collectives", "failover_recovery", "serving_tail"}));
+
+  // bench_all is the only printer of these tables, so each registers the
+  // columns its figure plots beside the common sim/speedup/digest ones.
+  const std::map<std::string, std::vector<std::string>> figure_columns = {
+      {"fig4b_transpose",
+       {"nic_comm_ns", "nic_compute_ns", "inic_transpose_ns",
+        "partition_bytes"}},
+      {"fig5a_sort_components",
+       {"count_sort_ns", "bucket_phase1_ns", "bucket_phase2_ns", "comm_ns",
+        "partition_bytes"}},
+      {"ablation_packet_size", {"redistribution_ns"}},
+      {"ablation_dma_threshold", {"dma_efficiency_ppm", "accum_delay_ns"}}};
+  for (const auto& s : suites) {
+    const auto want = figure_columns.find(s.name);
+    if (want == figure_columns.end()) continue;
+    std::vector<std::string> counters;
+    for (const auto& c : s.columns) counters.push_back(c.counter);
+    EXPECT_EQ(counters, want->second) << s.name;
+  }
 }
 
 TEST(BenchSuites, HostCostGateNeedsNicStrictlyCheaper) {
