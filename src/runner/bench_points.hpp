@@ -12,12 +12,20 @@
 // A Suite is data: its points, the counters its table shows beside the
 // common columns, and an optional gate the driver runs over the suite's
 // results.  The registry, in sweep order:
-//   fig8a_fft_sim          FFT speedup, 3 interconnects × 2 sizes × P
-//   fig8b_sort_sim         sort speedup, 3 interconnects × P
+//   fig8a_fft_sim          FFT speedup, 3 interconnects × 2 sizes × P,
+//                          beside the Fig. 4(a) analytic INIC speedup
+//   fig8b_sort_sim         sort speedup, 3 interconnects × P, beside the
+//                          Fig. 5(b) analytic INIC speedup
 //   fig4b_transpose        transpose decomposition vs partition (GigE)
 //   fig5a_sort_components  sort component times (GigE)
 //   ablation_packet_size   INIC packet-size sweep (sort)
 //   ablation_dma_threshold card-to-host DMA threshold sweep (sort)
+//   ablation_interrupt_coalescing  GigE FFT per interrupt-mitigation policy
+//   ablation_key_distribution      INIC sort, key skew × sampled splitters
+//   ablation_rc_placement  host CPU vs PCI RC card vs INIC transform
+//   ablation_derived_datatypes     host pack + TCP vs INIC in-stream gather
+//   netpipe_pingpong       point-to-point latency/goodput, TCP vs INIC
+//   ablation_compute_accelerator   stream slowdown under FPGA offloads
 //   fig_scaling_topology   collectives over multi-hop fabrics, P to 1024
 //   collectives            host/TCP vs NIC-resident collective backend;
 //                          gate: the NIC backend costs the host less
@@ -27,11 +35,11 @@
 //   serving_tail           open-loop KV tail latency, host vs NIC plane;
 //                          gate: the NIC plane holds the better p99
 //   engine_scaling         parallel engine at 1/2/4 worker threads
-// The six figure and ablation suites are the only source of those
-// simulated tables (`bench_all --suite=X --points=full`); their columns
-// carry the closed-form terms each figure plots beside the simulation.
-// Only the analytic INIC series of Figs. 4(a) and 5(b) stay in
-// standalone binaries.
+// The figure, ablation and extension suites are the only source of
+// those simulated tables (`bench_all --suite=X --points=full`); their
+// columns carry the closed-form terms each figure plots beside the
+// simulation.  A row that compares several simulations records each
+// run's time, and each ratio in parts per million, as counters.
 #pragma once
 
 #include <string>

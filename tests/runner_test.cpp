@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -20,6 +21,8 @@
 #include "apps/cluster.hpp"
 #include "apps/fft_app.hpp"
 #include "apps/sort_app.hpp"
+#include "model/fft_model.hpp"
+#include "model/sort_model.hpp"
 #include "runner/bench_json.hpp"
 #include "runner/bench_points.hpp"
 #include "runner/sweep.hpp"
@@ -173,7 +176,11 @@ TEST(BenchSuites, RegistryOrderPointNamesAndGates) {
   EXPECT_EQ(names, (std::vector<std::string>{
                        "fig8a_fft_sim", "fig8b_sort_sim", "fig4b_transpose",
                        "fig5a_sort_components", "ablation_packet_size",
-                       "ablation_dma_threshold", "fig_scaling_topology",
+                       "ablation_dma_threshold",
+                       "ablation_interrupt_coalescing",
+                       "ablation_key_distribution", "ablation_rc_placement",
+                       "ablation_derived_datatypes", "netpipe_pingpong",
+                       "ablation_compute_accelerator", "fig_scaling_topology",
                        "collectives", "failover_recovery", "chaos_recovery",
                        "serving_tail", "engine_scaling"}));
   EXPECT_EQ(gated, (std::vector<std::string>{
@@ -182,6 +189,8 @@ TEST(BenchSuites, RegistryOrderPointNamesAndGates) {
   // bench_all is the only printer of these tables, so each registers the
   // columns its figure plots beside the common sim/speedup/digest ones.
   const std::map<std::string, std::vector<std::string>> figure_columns = {
+      {"fig8a_fft_sim", {"model_speedup_ppm"}},
+      {"fig8b_sort_sim", {"model_speedup_ppm"}},
       {"fig4b_transpose",
        {"nic_comm_ns", "nic_compute_ns", "inic_transpose_ns",
         "partition_bytes"}},
@@ -189,7 +198,22 @@ TEST(BenchSuites, RegistryOrderPointNamesAndGates) {
        {"count_sort_ns", "bucket_phase1_ns", "bucket_phase2_ns", "comm_ns",
         "partition_bytes"}},
       {"ablation_packet_size", {"redistribution_ns"}},
-      {"ablation_dma_threshold", {"dma_efficiency_ppm", "accum_delay_ns"}}};
+      {"ablation_dma_threshold", {"dma_efficiency_ppm", "accum_delay_ns"}},
+      {"ablation_interrupt_coalescing",
+       {"fft_ns", "transpose_ns", "interrupts", "interrupt_cpu_ns"}},
+      {"ablation_key_distribution",
+       {"plain_ns", "sampled_ns", "sampling_win_ppm"}},
+      {"ablation_rc_placement",
+       {"host_ns", "pci_rc_ns", "inic_ns", "inic_win_ppm"}},
+      {"ablation_derived_datatypes",
+       {"payload_bytes", "blocks", "pack_ns", "host_ns", "inic_ns",
+        "inic_win_ppm"}},
+      {"netpipe_pingpong",
+       {"tcp_latency_ns", "inic_latency_ns", "tcp_goodput_bytes_per_s",
+        "inic_goodput_bytes_per_s"}},
+      {"ablation_compute_accelerator",
+       {"ideal_ns", "ideal_slowdown_ppm", "prototype_ns",
+        "prototype_slowdown_ppm"}}};
   for (const auto& s : suites) {
     const auto want = figure_columns.find(s.name);
     if (want == figure_columns.end()) continue;
@@ -197,6 +221,32 @@ TEST(BenchSuites, RegistryOrderPointNamesAndGates) {
     for (const auto& c : s.columns) counters.push_back(c.counter);
     EXPECT_EQ(counters, want->second) << s.name;
   }
+}
+
+TEST(BenchSuites, FigureEightPointsCarryTheAnalyticInicSpeedup) {
+  // Figs. 4(a) and 5(b) plot the analytic INIC series beside the GigE
+  // speedups fig8a/fig8b already simulate; each point's model column
+  // must be the closed form at its own (n or keys, P), cache_buckets 256.
+  std::size_t checked = 0;
+  for (const auto& s : runner::bench_suites(/*reduced=*/true)) {
+    if (s.name != "fig8a_fft_sim" && s.name != "fig8b_sort_sim") continue;
+    for (const auto& p : s.points) {
+      std::map<std::string, std::string> params(p.params.begin(),
+                                                p.params.end());
+      const std::size_t procs = std::stoul(params.at("P"));
+      const double model =
+          s.name == "fig8a_fft_sim"
+              ? model::FftAnalyticModel().inic_speedup(
+                    std::stoul(params.at("n")), procs)
+              : model::SortAnalyticModel().inic_speedup(
+                    std::stoul(params.at("keys")), procs, 256);
+      EXPECT_EQ(p.body().counter("model_speedup_ppm"),
+                std::llround(model * 1e6))
+          << s.name << "/" << p.name;
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 18u);
 }
 
 TEST(BenchSuites, HostCostGateNeedsNicStrictlyCheaper) {
