@@ -46,9 +46,9 @@ int main(int argc, char** argv) {
     Runner run;
   };
   const Op ops[] = {
-      {"broadcast", &coll::broadcast},
-      {"reduce", &coll::reduce},
-      {"allreduce", &coll::allreduce},
+      {"broadcast", &coll::topology_broadcast},
+      {"reduce", &coll::topology_reduce},
+      {"allreduce", &coll::topology_allreduce},
       {"alltoall", &coll::alltoall},
   };
 
@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
   // protocol time, only the trigger-table counters move.
   std::puts("\nNIC-engine allreduce instrumentation:");
   apps::SimCluster engine = nic_engine_cluster(nodes);
-  coll::allreduce(engine, elements, 1);
+  coll::topology_allreduce(engine, elements, 1);
   core::collect_report(engine).print(std::cout);
   return 0;
 }

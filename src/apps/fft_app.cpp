@@ -88,8 +88,9 @@ sim::Process transpose_host_tcp(SimCluster& cluster, std::size_t me,
       payload = BlockPayload{static_cast<int>(me),
                              algo::extract_block(state.slab, dst)};
     }
-    sim::Process send = cluster.tcp(me).send_message(
-        static_cast<int>(dst), block_bytes, tag, std::move(payload));
+    sim::Process send =
+        cluster.transfer(static_cast<int>(me), static_cast<int>(dst),
+                         block_bytes, tag, std::move(payload));
     send.start(cluster.node_engine(me));
     co_await state.inbox->recv(tag, received.emplace_back());
     co_await send;

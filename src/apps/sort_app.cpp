@@ -103,12 +103,12 @@ sim::Process sort_node_tcp(SimCluster& cluster, std::size_t me,
     if (verify) {
       payload = BucketPayload{static_cast<int>(me), std::move(buckets[dst])};
     }
-    sim::Process send = cluster.tcp(me).send_message(
-        static_cast<int>(dst), Bytes(count * sizeof(Key)), r,
-        std::move(payload));
+    sim::Process send =
+        cluster.transfer(static_cast<int>(me), static_cast<int>(dst),
+                         Bytes(count * sizeof(Key)), r, std::move(payload));
     send.start(cluster.node_engine(me));
 
-    proto::Message msg = co_await cluster.tcp(me).inbox().recv();
+    proto::Message msg = co_await cluster.inbox(me).recv();
     co_await send;
 
     const std::size_t got = msg.size.count() / sizeof(Key);

@@ -1,11 +1,11 @@
 // Collective operations: one binomial tree per call, walked either by the
 // host ranks or by the INIC cards.
 //
-// Both backends lay the same tree (build_tree) over a rank order and send
-// through SimCluster::transfer, so the degraded TCP fallback covers them
-// alike.  The Host backend runs the send/recv loops on the host ranks:
-// combines charge host CPU time on the TCP interconnects and ride the
-// INIC stream for free on the INIC ones.  The Nic backend only arms each
+// Both backends lay the same tree (build_tree) over the hop-ordered ranks
+// and send through SimCluster::transfer, so the degraded TCP fallback
+// covers them alike.  The Host backend runs the send/recv loops on the
+// host ranks: combines charge host CPU time on the TCP interconnects and
+// ride the INIC stream for free on the INIC ones.  The Nic backend only arms each
 // card's triggers (inic::CollectiveEngine) and awaits completion; every
 // forward and combine runs on the cards.  The golden trace digests pin
 // both backends event for event.
@@ -35,7 +35,7 @@ constexpr std::uint64_t kReduceTag = 0x0300'0000;
 constexpr std::uint64_t kAllreduceBcastTag = 0x0400'0000;
 constexpr std::uint64_t kAlltoallTagBase = 0x0500'0000;
 
-enum class TreeOp { kBroadcast, kReduce, kAllreduce };
+using inic::TreeOp;
 
 Bytes vec_bytes(std::size_t elements) {
   return Bytes(elements * sizeof(double));
@@ -88,18 +88,6 @@ Tree build_tree(std::vector<std::size_t> order) {
   return tree;
 }
 
-/// The tree a collective walks.  The cards always hop-order it; on the
-/// host the plain variants keep rank-id order and the topology_*
-/// variants hop-order.  On a star both orders are the identity.
-Tree tree_for(apps::SimCluster& cluster, bool topology) {
-  if (topology || on_nic(cluster)) {
-    return build_tree(hop_ordered_ranks(cluster));
-  }
-  std::vector<std::size_t> order(cluster.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  return build_tree(std::move(order));
-}
-
 CollectiveResult make_result(apps::SimCluster& cluster, Bytes payload,
                              Time total) {
   CollectiveResult result;
@@ -122,7 +110,9 @@ sim::Process barrier_rank(apps::SimCluster& cluster, std::size_t me,
   co_await sim::Delay{eng, enter_delay};
   entered = eng.now();
   if (on_nic(cluster)) {
-    co_await cluster.collective_engine(me).barrier(role, op_id);
+    DoubleVec none;
+    co_await cluster.collective_engine(me).run(TreeOp::kBarrier, role, op_id,
+                                               none);
   } else {
     proto::TaggedInbox inbox(cluster.inbox(me));
     const std::size_t p_count = cluster.size();
@@ -190,30 +180,11 @@ sim::Process host_tree_rank(apps::SimCluster& cluster, std::size_t me,
   }
 }
 
-/// One NIC rank: arm the card's state machine and await its completion.
-sim::Process nic_tree_rank(apps::SimCluster& cluster, std::size_t me,
-                           const inic::TreeRole& role, std::uint64_t op_id,
-                           TreeOp op, DoubleVec& data) {
-  inic::CollectiveEngine& card = cluster.collective_engine(me);
-  switch (op) {
-    case TreeOp::kBroadcast:
-      co_await card.broadcast(role, op_id, data);
-      break;
-    case TreeOp::kReduce:
-      co_await card.reduce(role, op_id, data);
-      break;
-    case TreeOp::kAllreduce:
-      co_await card.allreduce(role, op_id, data);
-      break;
-  }
-}
-
 CollectiveResult run_tree(apps::SimCluster& cluster, TreeOp op,
-                          std::size_t elements, std::uint64_t seed,
-                          bool topology) {
+                          std::size_t elements, std::uint64_t seed) {
   const std::size_t p_count = cluster.size();
   const bool nic = on_nic(cluster);
-  const Tree tree = tree_for(cluster, topology);
+  const Tree tree = build_tree(hop_ordered_ranks(cluster));
   const std::uint64_t op_id = nic ? cluster.next_collective_op() : 0;
   std::vector<DoubleVec> data(p_count);  // indexed by physical node
   // What every checked rank must hold at the end: the root's vector for
@@ -238,7 +209,8 @@ CollectiveResult run_tree(apps::SimCluster& cluster, TreeOp op,
     const std::size_t phys = tree.order[l];
     group.spawn_on(
         cluster.node_lp(phys),
-        nic ? nic_tree_rank(cluster, phys, tree.role[l], op_id, op, data[phys])
+        nic ? cluster.collective_engine(phys).run(op, tree.role[l], op_id,
+                                                  data[phys])
             : host_tree_rank(cluster, phys, tree.role[l], op, data[phys]));
   }
   CollectiveResult result =
@@ -266,9 +238,15 @@ CollectiveResult run_tree(apps::SimCluster& cluster, TreeOp op,
 
 CollectiveResult barrier(apps::SimCluster& cluster) {
   const std::size_t p_count = cluster.size();
-  const Tree tree = tree_for(cluster, /*topology=*/false);
-  const std::uint64_t op_id =
-      on_nic(cluster) ? cluster.next_collective_op() : 0;
+  const bool nic = on_nic(cluster);
+  // Ranks enter in logical-rank order: hop order on the cards, whose tree
+  // it is; node-id order on the hosts, whose dissemination rounds pair
+  // ranks by node id.
+  std::vector<std::size_t> order(p_count);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  if (nic) order = hop_ordered_ranks(cluster);
+  const Tree tree = build_tree(std::move(order));
+  const std::uint64_t op_id = nic ? cluster.next_collective_op() : 0;
   std::vector<Time> entered(p_count), left(p_count);
 
   sim::ProcessGroup group(*cluster.parallel());
@@ -286,21 +264,6 @@ CollectiveResult barrier(apps::SimCluster& cluster) {
   const Time first_exit = *std::min_element(left.begin(), left.end());
   result.verified = p_count == 1 || first_exit >= last_entry;
   return result;
-}
-
-CollectiveResult broadcast(apps::SimCluster& cluster, std::size_t elements,
-                           std::uint64_t seed) {
-  return run_tree(cluster, TreeOp::kBroadcast, elements, seed, false);
-}
-
-CollectiveResult reduce(apps::SimCluster& cluster, std::size_t elements,
-                        std::uint64_t seed) {
-  return run_tree(cluster, TreeOp::kReduce, elements, seed, false);
-}
-
-CollectiveResult allreduce(apps::SimCluster& cluster, std::size_t elements,
-                           std::uint64_t seed) {
-  return run_tree(cluster, TreeOp::kAllreduce, elements, seed, false);
 }
 
 // No tree to walk, so both backends drive all-to-all from the hosts.
@@ -380,17 +343,17 @@ CollectiveResult alltoall(apps::SimCluster& cluster, std::size_t elements,
 
 CollectiveResult topology_broadcast(apps::SimCluster& cluster,
                                     std::size_t elements, std::uint64_t seed) {
-  return run_tree(cluster, TreeOp::kBroadcast, elements, seed, true);
+  return run_tree(cluster, TreeOp::kBroadcast, elements, seed);
 }
 
 CollectiveResult topology_reduce(apps::SimCluster& cluster,
                                  std::size_t elements, std::uint64_t seed) {
-  return run_tree(cluster, TreeOp::kReduce, elements, seed, true);
+  return run_tree(cluster, TreeOp::kReduce, elements, seed);
 }
 
 CollectiveResult topology_allreduce(apps::SimCluster& cluster,
                                     std::size_t elements, std::uint64_t seed) {
-  return run_tree(cluster, TreeOp::kAllreduce, elements, seed, true);
+  return run_tree(cluster, TreeOp::kAllreduce, elements, seed);
 }
 
 std::vector<std::size_t> hop_ordered_ranks(apps::SimCluster& cluster,

@@ -26,7 +26,7 @@
 // (collectives.cpp) and send through SimCluster::transfer, so the
 // degraded TCP fallback covers both.  The Host backend runs the
 // send/recv loops above on the host ranks.  The Nic backend walks the
-// tree, hop-ordered, entirely on the INIC cards via trigger primitives
+// tree entirely on the INIC cards via trigger primitives
 // (inic/collective.hpp).  The free functions below branch on that option
 // themselves.  See docs/COLLECTIVES.md.
 #pragma once
@@ -59,20 +59,6 @@ struct CollectiveResult {
 /// entered.
 CollectiveResult barrier(apps::SimCluster& cluster);
 
-/// Broadcast `elements` doubles from rank 0 (binomial tree).
-CollectiveResult broadcast(apps::SimCluster& cluster, std::size_t elements,
-                           std::uint64_t seed = 1);
-
-/// Elementwise-sum reduce of `elements` doubles to rank 0 (binomial
-/// tree).  On the host path each combine charges CPU time per element;
-/// on the INIC the combine rides the stream for free.
-CollectiveResult reduce(apps::SimCluster& cluster, std::size_t elements,
-                        std::uint64_t seed = 2);
-
-/// Allreduce = reduce to rank 0 + broadcast.
-CollectiveResult allreduce(apps::SimCluster& cluster, std::size_t elements,
-                           std::uint64_t seed = 3);
-
 /// Personalized all-to-all of `elements` doubles per pair.  Host path:
 /// serialized pairwise exchanges (MPI style); INIC path: concurrent
 /// credit-windowed streams.
@@ -80,28 +66,31 @@ CollectiveResult alltoall(apps::SimCluster& cluster, std::size_t elements,
                           std::uint64_t seed = 4);
 
 // ---------------------------------------------------------------------
-// Topology-aware tree collectives.
+// Tree collectives.
 //
-// The binomial trees above pair ranks by id, which on a multi-hop fabric
-// (fat tree, torus — see net/topology.hpp) makes the largest subtrees
-// span the longest paths.  These variants lay the same binomial tree
-// over the ranks re-ordered by fabric hop distance from the root
-// (ties broken by node id — fully deterministic), so early tree edges
-// connect topologically close nodes and the deep-path hops carry the
-// smallest subtrees.  On a star the order is the identity and the
-// result is the plain binomial collective.
+// One binomial tree, rooted at rank 0, laid over the ranks ordered by
+// fabric hop distance from the root (ties broken by node id — fully
+// deterministic).  On a multi-hop fabric (fat tree, torus — see
+// net/topology.hpp) early tree edges therefore connect topologically
+// close nodes and the deep-path hops carry the smallest subtrees.  On a
+// star the order is the identity.  Both backends walk this tree.
 // ---------------------------------------------------------------------
 
-/// Rank permutation used by the topology_* collectives: position i holds
-/// the physical node acting as logical rank i (root first).
+/// Rank permutation the tree collectives use: position i holds the
+/// physical node acting as logical rank i (root first).
 std::vector<std::size_t> hop_ordered_ranks(apps::SimCluster& cluster,
                                            std::size_t root = 0);
 
+/// Broadcast `elements` doubles from rank 0.
 CollectiveResult topology_broadcast(apps::SimCluster& cluster,
                                     std::size_t elements,
                                     std::uint64_t seed = 1);
+/// Elementwise-sum reduce of `elements` doubles to rank 0.  On the host
+/// path each combine charges CPU time per element; on the INIC the
+/// combine rides the stream for free.
 CollectiveResult topology_reduce(apps::SimCluster& cluster,
                                  std::size_t elements, std::uint64_t seed = 2);
+/// Allreduce = reduce to rank 0 + broadcast.
 CollectiveResult topology_allreduce(apps::SimCluster& cluster,
                                     std::size_t elements,
                                     std::uint64_t seed = 3);

@@ -118,197 +118,95 @@ void CollectiveEngine::prune_firmware() {
                 });
 }
 
-sim::Process CollectiveEngine::barrier(TreeRole role, std::uint64_t op_id) {
+sim::Process CollectiveEngine::run(TreeOp op, TreeRole role,
+                                   std::uint64_t op_id,
+                                   std::vector<double>& data) {
   prune_firmware();
-  sim::Engine& eng = card_.node().engine();
-  auto st = std::make_shared<OpState>(eng);
+  auto st = std::make_shared<OpState>(card_.node().engine());
+  const bool has_up = op != TreeOp::kBroadcast;
+  const bool has_down = op != TreeOp::kReduce;
+  const bool carries_data = op != TreeOp::kBarrier;
+  const bool root = role.parent < 0;
   const std::uint64_t up = up_tag(op_id);
   const std::uint64_t down = down_tag(op_id);
-  const bool root = role.parent < 0;
-  const Bytes token(8);
+  st->acc = std::move(data);
+  st->size = carries_data ? vec_bytes(st->acc.size()) : Bytes(8);
+  // Barrier tokens carry nothing; data ops carry the current vector.
+  auto payload = [st, carries_data] {
+    return carries_data ? std::any{st->acc} : std::any{};
+  };
   // Tree repair: if the parent dies, report to its ancestors in order.
   std::vector<int> relays;
   if (role.ancestors.size() > 1) {
     relays.assign(role.ancestors.begin() + 1, role.ancestors.end());
   }
 
-  // Release: forward the go token to the subtree (own children plus any
-  // orphans adopted during the up phase), open the local gate.
-  auto release = [this, st, children = role.children, down, token]() {
-    for (int child : children) post_send(child, token, down, std::any{});
-    for (int orphan : st->adopted) post_send(orphan, token, down, std::any{});
+  // Down phase: fan the release/result out to the subtree — to adopted
+  // orphans too, since their dead parent will never forward it.
+  auto fan_out = [this, st, children = role.children, down, payload]() {
+    for (int child : children) post_send(child, st->size, down, payload());
+    for (int orphan : st->adopted) {
+      post_send(orphan, st->size, down, payload());
+    }
     st->done.trigger();
   };
-  if (!root) {
-    card_.arm_trigger(down, 1,
-                      [release](proto::Message&&, bool) { release(); });
+  if (has_down && !root) {
+    card_.arm_trigger(down, 1, [st, fan_out, carries_data](
+                                   proto::Message&& msg, bool) {
+      if (carries_data) {
+        st->acc = std::any_cast<DoubleVec>(std::move(msg.payload));
+        st->size = msg.size;
+      }
+      // Cut-through: forward down the tree before the host copy.
+      fan_out();
+    });
   }
-  if (role.children.empty()) {
-    // Leaf arrival: report straight up (root leaf means a 1-rank
-    // barrier — release immediately).
-    if (root) {
-      release();
+  if (!has_up) {
+    if (root) fan_out();
+  } else {
+    // Up phase: gather the children's reports, then report to the parent
+    // (or, at the root, start the down phase).
+    auto up_complete = [this, st, parent = role.parent, root, has_down, up,
+                        payload, relays, fan_out]() {
+      if (!root) post_send(parent, st->size, up, payload(), relays);
+      if (!has_down) {
+        st->done.trigger();
+      } else if (root) {
+        fan_out();
+      }
+    };
+    if (role.children.empty()) {
+      up_complete();
     } else {
-      post_send(role.parent, token, up, std::any{}, relays);
+      card_.arm_trigger(
+          up, role.children.size(),
+          [this, st, children = role.children, has_down, carries_data,
+           up_complete](proto::Message&& msg, bool last) {
+            if (has_down) note_adopted(*st, children, msg.src);
+            if (carries_data) {
+              const auto partial =
+                  std::any_cast<DoubleVec>(std::move(msg.payload));
+              // On-card combine, in arrival order (like the host
+              // backend's any-child receive loop); charges no CPU time.
+              for (std::size_t i = 0; i < st->acc.size(); ++i) {
+                st->acc[i] += partial[i];
+              }
+            }
+            if (last) up_complete();
+          });
     }
-  } else {
-    const int parent = role.parent;
-    card_.arm_trigger(
-        up, role.children.size(),
-        [this, st, children = role.children, parent, root, release, token,
-         up, relays](proto::Message&& msg, bool last) {
-          note_adopted(*st, children, msg.src);
-          if (!last) return;
-          if (root) {
-            release();
-          } else {
-            post_send(parent, token, up, std::any{}, relays);
-          }
-        });
   }
   co_await st->done.wait();
-}
-
-sim::Process CollectiveEngine::broadcast(TreeRole role, std::uint64_t op_id,
-                                         std::vector<double>& data) {
-  prune_firmware();
-  sim::Engine& eng = card_.node().engine();
-  auto st = std::make_shared<OpState>(eng);
-  const std::uint64_t tag = down_tag(op_id);
-  const bool root = role.parent < 0;
-  if (root) {
-    st->acc = std::move(data);
-    st->size = vec_bytes(st->acc.size());
-    for (int child : role.children) {
-      post_send(child, st->size, tag, std::any{st->acc});
-    }
-    st->done.trigger();
-  } else {
-    card_.arm_trigger(
-        tag, 1,
-        [this, st, children = role.children, tag](proto::Message&& msg,
-                                                  bool) {
-          st->acc = std::any_cast<DoubleVec>(std::move(msg.payload));
-          st->size = msg.size;
-          // Cut-through: forward down the tree before the host copy.
-          for (int child : children) {
-            post_send(child, st->size, tag, std::any{st->acc});
-          }
-          st->done.trigger();
-        });
-  }
-  co_await st->done.wait();
-  if (!root) co_await card_.dma_to_host(st->size);
-  data = std::move(st->acc);
-}
-
-sim::Process CollectiveEngine::reduce(TreeRole role, std::uint64_t op_id,
-                                      std::vector<double>& data) {
-  prune_firmware();
-  sim::Engine& eng = card_.node().engine();
-  auto st = std::make_shared<OpState>(eng);
-  st->acc = std::move(data);
-  st->size = vec_bytes(st->acc.size());
-  const std::uint64_t up = up_tag(op_id);
-  const bool root = role.parent < 0;
-  const int parent = role.parent;
-  std::vector<int> relays;
-  if (role.ancestors.size() > 1) {
-    relays.assign(role.ancestors.begin() + 1, role.ancestors.end());
-  }
-
-  auto forward_up = [this, st, parent, root, up, relays]() {
-    if (!root) post_send(parent, st->size, up, std::any{st->acc}, relays);
-    st->done.trigger();
-  };
-  if (role.children.empty()) {
-    forward_up();
-  } else {
-    card_.arm_trigger(
-        up, role.children.size(),
-        [st, forward_up](proto::Message&& msg, bool last) {
-          const auto partial =
-              std::any_cast<DoubleVec>(std::move(msg.payload));
-          // On-card combine, in arrival order (like the host backend's
-          // any-child receive loop); charges no CPU time.
-          for (std::size_t i = 0; i < st->acc.size(); ++i) {
-            st->acc[i] += partial[i];
-          }
-          if (last) forward_up();
-        });
-  }
-  co_await st->done.wait();
-  if (root) {
+  // The result crosses PCI only where the card produced it: at the root
+  // after an up phase, elsewhere after a down phase.
+  if (carries_data && (root ? has_up : has_down)) {
     co_await card_.dma_to_host(st->size);
+  }
+  if (root || has_down) {
     data = std::move(st->acc);
   } else {
     data.clear();
   }
-}
-
-sim::Process CollectiveEngine::allreduce(TreeRole role, std::uint64_t op_id,
-                                         std::vector<double>& data) {
-  prune_firmware();
-  sim::Engine& eng = card_.node().engine();
-  auto st = std::make_shared<OpState>(eng);
-  st->acc = std::move(data);
-  st->size = vec_bytes(st->acc.size());
-  const std::uint64_t up = up_tag(op_id);
-  const std::uint64_t down = down_tag(op_id);
-  const bool root = role.parent < 0;
-  const int parent = role.parent;
-  std::vector<int> relays;
-  if (role.ancestors.size() > 1) {
-    relays.assign(role.ancestors.begin() + 1, role.ancestors.end());
-  }
-
-  // Down phase: install the global sum and fan it out — to adopted
-  // orphans too, since their dead parent will never forward it.
-  auto deliver_down = [this, st, children = role.children, down]() {
-    for (int child : children) {
-      post_send(child, st->size, down, std::any{st->acc});
-    }
-    for (int orphan : st->adopted) {
-      post_send(orphan, st->size, down, std::any{st->acc});
-    }
-    st->done.trigger();
-  };
-  if (!root) {
-    card_.arm_trigger(down, 1,
-                      [st, deliver_down](proto::Message&& msg, bool) {
-                        st->acc =
-                            std::any_cast<DoubleVec>(std::move(msg.payload));
-                        deliver_down();
-                      });
-  }
-  // Up phase: combine children partials, then report to the parent (or,
-  // at the root, start the down phase).
-  auto up_complete = [this, st, parent, root, up, deliver_down, relays]() {
-    if (root) {
-      deliver_down();
-    } else {
-      post_send(parent, st->size, up, std::any{st->acc}, relays);
-    }
-  };
-  if (role.children.empty()) {
-    up_complete();
-  } else {
-    card_.arm_trigger(
-        up, role.children.size(),
-        [this, st, children = role.children, up_complete](
-            proto::Message&& msg, bool last) {
-          note_adopted(*st, children, msg.src);
-          const auto partial =
-              std::any_cast<DoubleVec>(std::move(msg.payload));
-          for (std::size_t i = 0; i < st->acc.size(); ++i) {
-            st->acc[i] += partial[i];
-          }
-          if (last) up_complete();
-        });
-  }
-  co_await st->done.wait();
-  co_await card_.dma_to_host(st->size);
-  data = std::move(st->acc);
 }
 
 }  // namespace acc::inic

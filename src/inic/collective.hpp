@@ -1,14 +1,17 @@
-// NIC-resident collective state machines (barrier / broadcast /
+// NIC-resident tree collectives (barrier / broadcast / reduce /
 // allreduce) built on InicCard's trigger primitives.
 //
 // The model follows Yu et al.'s NIC-based collective protocol: each card
 // holds one role of a topology-aware binomial tree, and the per-hop
 // forward/combine steps run on the card the moment a matching message
 // finishes assembly — no host CPU time is charged and no interrupt is
-// raised anywhere on the path.  The host rank only (a) kicks the
-// operation off by arming its card's triggers and posting its own
-// contribution, and (b) awaits the completion event; for data-bearing
-// ops it additionally pays the final card-to-host DMA of the result.
+// raised anywhere on the path.  Every op is the same up/down walk: an up
+// phase gathers (and, for data ops, combines) toward the root, a down
+// phase fans the release or result back out; an op runs one or both.
+// The host rank only (a) kicks the operation off by arming its card's
+// triggers and posting its own contribution, and (b) awaits the
+// completion event; when its result was produced on the card it
+// additionally pays the final card-to-host DMA.
 //
 // Sends go through a SendFn supplied by SimCluster (bound to
 // SimCluster::transfer), so a card lost to a reset window transparently
@@ -27,6 +30,12 @@
 #include "sim/sync.hpp"
 
 namespace acc::inic {
+
+/// The tree collectives.  Up phase (children toward the root): barrier,
+/// reduce, allreduce.  Down phase (root toward the leaves): barrier,
+/// broadcast, allreduce.  Barrier moves 8-byte tokens; the others carry
+/// the vector.
+enum class TreeOp { kBarrier, kBroadcast, kReduce, kAllreduce };
 
 /// One card's role in a binomial spanning tree: physical parent id (-1
 /// at the root) and physical children ids in ascending-mask order.
@@ -64,26 +73,16 @@ class CollectiveEngine {
   CollectiveEngine(const CollectiveEngine&) = delete;
   CollectiveEngine& operator=(const CollectiveEngine&) = delete;
 
-  /// Tree barrier: the returned process completes when the card receives
-  /// the release token (root: when every subtree has reported in).  The
-  /// up/down tokens are 8-byte frames walked entirely on-card.
-  sim::Process barrier(TreeRole role, std::uint64_t op_id);
-
-  /// Binomial broadcast of root's `data`; on non-roots `data` is
-  /// replaced by the received payload after the final card-to-host DMA.
-  sim::Process broadcast(TreeRole role, std::uint64_t op_id,
-                         std::vector<double>& data);
-
-  /// Tree reduce toward the root: children partials are summed on the
-  /// card in arrival order.  The root ends with the global sum in
-  /// `data`; other ranks surrender their buffer (cleared), matching the
-  /// host backend's reduce contract.
-  sim::Process reduce(TreeRole role, std::uint64_t op_id,
-                      std::vector<double>& data);
-
-  /// Reduce up + broadcast down: every rank ends with the root's sum.
-  sim::Process allreduce(TreeRole role, std::uint64_t op_id,
-                         std::vector<double>& data);
+  /// Runs one tree op on this card; the returned process completes when
+  /// the rank's part is done.  Barrier: when the release token arrives
+  /// (root: when every subtree has reported in); `data` is ignored.
+  /// Broadcast: non-roots end with the root's `data`.  Reduce: children
+  /// partials are summed on the card in arrival order; the root ends
+  /// with the global sum, other ranks surrender their buffer (cleared),
+  /// matching the host backend's reduce contract.  Allreduce: every rank
+  /// ends with the root's sum.
+  sim::Process run(TreeOp op, TreeRole role, std::uint64_t op_id,
+                   std::vector<double>& data);
 
  private:
   struct OpState;

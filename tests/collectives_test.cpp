@@ -19,27 +19,29 @@ TEST_P(Collectives, BarrierHoldsEveryRank) {
   apps::SimCluster cluster(p, ic);
   const auto r = barrier(cluster);
   EXPECT_TRUE(r.verified) << to_string(ic) << " P=" << p;
-  if (p > 1) EXPECT_GT(r.total, Time::zero());
+  if (p > 1) {
+    EXPECT_GT(r.total, Time::zero());
+  }
 }
 
 TEST_P(Collectives, BroadcastReachesEveryRank) {
   const auto [p, ic] = GetParam();
   apps::SimCluster cluster(p, ic);
-  const auto r = broadcast(cluster, 1024);
+  const auto r = topology_broadcast(cluster, 1024);
   EXPECT_TRUE(r.verified) << to_string(ic) << " P=" << p;
 }
 
 TEST_P(Collectives, ReduceSumsAllContributions) {
   const auto [p, ic] = GetParam();
   apps::SimCluster cluster(p, ic);
-  const auto r = reduce(cluster, 1024);
+  const auto r = topology_reduce(cluster, 1024);
   EXPECT_TRUE(r.verified) << to_string(ic) << " P=" << p;
 }
 
 TEST_P(Collectives, AllreduceLeavesSumEverywhere) {
   const auto [p, ic] = GetParam();
   apps::SimCluster cluster(p, ic);
-  const auto r = allreduce(cluster, 512);
+  const auto r = topology_allreduce(cluster, 512);
   EXPECT_TRUE(r.verified) << to_string(ic) << " P=" << p;
 }
 
@@ -78,7 +80,7 @@ TEST(CollectivesTiming, InicBarrierIsFasterThanTcp) {
 
 TEST(CollectivesTiming, InicReduceChargesNoHostCombine) {
   apps::SimCluster inic(8, apps::Interconnect::kInicIdeal);
-  const auto r = reduce(inic, 1 << 16);
+  const auto r = topology_reduce(inic, 1 << 16);
   ASSERT_TRUE(r.verified);
   for (std::size_t p = 0; p < 8; ++p) {
     EXPECT_EQ(inic.node(p).cpu().total_compute_time(), Time::zero());
@@ -88,7 +90,7 @@ TEST(CollectivesTiming, InicReduceChargesNoHostCombine) {
 
 TEST(CollectivesTiming, TcpReduceChargesHostCombine) {
   apps::SimCluster tcp(8, apps::Interconnect::kGigabitTcp);
-  const auto r = reduce(tcp, 1 << 16);
+  const auto r = topology_reduce(tcp, 1 << 16);
   ASSERT_TRUE(r.verified);
   // Rank 0 combines at least one partial on the host.
   EXPECT_GT(tcp.node(0).cpu().total_compute_time(), Time::zero());

@@ -13,9 +13,10 @@
 //     combine order is arrival order),
 //   * the whole faulted run — fault edges, re-convergence instants,
 //     reroute grants — replays digest-identically,
-// plus a targeted test of the collective engine's tree repair: a
+// plus targeted tests of the collective engine's tree repair: a
 // mid-collective dead parent re-parents its orphaned subtree onto the
-// grandparent and the barrier completes without the dead rank.
+// grandparent, and a barrier or an allreduce completes without the dead
+// rank.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -329,12 +330,14 @@ TEST(TreeRepair, OrphanReparentsOntoGrandparentAndBarrierCompletes) {
   cluster.engine().set_time_budget(Time::seconds(5));
   cluster.network().set_link_state(6, false);
 
+  std::vector<double> none;
   std::vector<std::unique_ptr<sim::Process>> ranks;
   for (int l = 0; l < 8; ++l) {
     if (l == 6) continue;  // the dead member never enters the collective
     ranks.push_back(std::make_unique<sim::Process>(
         cluster.collective_engine(static_cast<std::size_t>(l))
-            .barrier(binomial_role(l, 8), /*op_id=*/1)));
+            .run(inic::TreeOp::kBarrier, binomial_role(l, 8), /*op_id=*/1,
+                 none)));
     ranks.back()->start(cluster.engine());
   }
   cluster.engine().run();
@@ -367,6 +370,63 @@ TEST(TreeRepair, OrphanReparentsOntoGrandparentAndBarrierCompletes) {
   }
 }
 
+TEST(TreeRepair, OrphanReparentsOntoGrandparentAndAllreduceCompletes) {
+  // The barrier test above with a data-bearing op: same tree, same dark
+  // host link on node 6.  7's partial reaches 4 in place of 6's, so the
+  // root's sum covers exactly the surviving ranks, and 4's down phase
+  // fans that sum out to the adopted orphan along with its own children.
+  apps::ClusterOptions opts;
+  opts.inic_hw_retransmit = true;
+  opts.inic_max_retries = 4;
+  opts.degraded_fallback = false;
+  apps::SimCluster cluster(8, apps::Interconnect::kInicIdeal,
+                           model::default_calibration(), opts);
+  cluster.tracer().enable();
+  cluster.engine().set_time_budget(Time::seconds(5));
+  cluster.network().set_link_state(6, false);
+
+  constexpr std::size_t kElements = 16;
+  std::vector<std::vector<double>> data(8);
+  std::vector<double> expected(kElements, 0.0);
+  for (int l = 0; l < 8; ++l) {
+    for (std::size_t i = 0; i < kElements; ++i) {
+      data[l].push_back(static_cast<double>(l * 100 + i));
+      if (l != 6) expected[i] += data[l][i];
+    }
+  }
+  std::vector<std::unique_ptr<sim::Process>> ranks;
+  for (int l = 0; l < 8; ++l) {
+    if (l == 6) continue;  // the dead member never enters the collective
+    ranks.push_back(std::make_unique<sim::Process>(
+        cluster.collective_engine(static_cast<std::size_t>(l))
+            .run(inic::TreeOp::kAllreduce, binomial_role(l, 8), /*op_id=*/1,
+                 data[l])));
+    ranks.back()->start(cluster.engine());
+  }
+  cluster.engine().run();
+
+  for (const auto& p : ranks) EXPECT_TRUE(p->done());
+  for (int l = 0; l < 8; ++l) {
+    if (l != 6) {
+      EXPECT_EQ(data[l], expected) << "rank " << l;
+    }
+  }
+  auto count = [&](const char* name) {
+    std::uint64_t n = 0;
+    for (const auto& r : cluster.tracer().records()) {
+      if (std::strcmp(r.name, name) == 0) ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(count("coll/repair_reparent"), 1u);
+  EXPECT_EQ(count("coll/adopt"), 1u);
+  for (std::size_t i = 0; i < cluster.size(); ++i) {
+    if (i == 6) continue;
+    EXPECT_EQ(cluster.card(i).armed_triggers(), 0u) << "node " << i;
+    EXPECT_EQ(cluster.card(i).stashed_trigger_messages(), 0u) << "node " << i;
+  }
+}
+
 TEST(TreeRepair, RepairFailsGracefullyWhenNoAncestorSurvives) {
   // Cut BOTH of 7's ancestors (6 and 4): the relay chain ends at the
   // root, which is alive, so repair still lands there.  Then cut the
@@ -386,8 +446,9 @@ TEST(TreeRepair, RepairFailsGracefullyWhenNoAncestorSurvives) {
   cluster.network().set_link_state(4, false);
   cluster.network().set_link_state(0, false);
 
-  auto p = std::make_unique<sim::Process>(
-      cluster.collective_engine(7).barrier(binomial_role(7, 8), /*op_id=*/2));
+  std::vector<double> none;
+  auto p = std::make_unique<sim::Process>(cluster.collective_engine(7).run(
+      inic::TreeOp::kBarrier, binomial_role(7, 8), /*op_id=*/2, none));
   p->start(cluster.engine());
   cluster.engine().run();
 

@@ -159,6 +159,53 @@ TEST(Integration, GoldenTraceDigestForNicCollectives) {
       << " — see the re-pin instructions in GoldenTraceDigestForSmallFft";
 }
 
+TEST(Integration, GoldenTraceDigestForNicBroadcastAndReduce) {
+  // Companion to GoldenTraceDigestForNicCollectives for the two on-card
+  // ops it does not run: a broadcast (down phase only, cut-through
+  // forwards) and a reduce (up phase only, root-only final DMA) on the
+  // same 2-level fat tree.  Re-pin procedure as in
+  // GoldenTraceDigestForSmallFft.
+  apps::ClusterOptions copts;
+  copts.topology = net::TopologyConfig::fat_tree(2);
+  copts.collective_backend = apps::CollectiveBackend::kNic;
+  apps::SimCluster cluster(8, apps::Interconnect::kInicIdeal,
+                           model::default_calibration(), copts);
+  cluster.tracer().enable(/*ring_capacity=*/64);
+  EXPECT_TRUE(coll::topology_broadcast(cluster, 128, /*seed=*/3).verified);
+  EXPECT_TRUE(coll::topology_reduce(cluster, 128, /*seed=*/4).verified);
+
+  const std::uint64_t kPinnedDigest = 0x5e766ea34039ea66ULL;
+  char actual[17];
+  std::snprintf(actual, sizeof actual, "%016llx",
+                static_cast<unsigned long long>(cluster.tracer().digest()));
+  EXPECT_EQ(cluster.tracer().digest(), kPinnedDigest)
+      << "actual digest: 0x" << actual
+      << " — see the re-pin instructions in GoldenTraceDigestForSmallFft";
+}
+
+TEST(Integration, GoldenTraceDigestForHostCollectivesOnTorus) {
+  // Host-backend pin on a fabric where hop order differs from node-id
+  // order: the dissemination barrier's ranks enter in node-id order,
+  // while the allreduce tree is laid over hop_ordered_ranks.  A change
+  // to either order (or to the host send/recv loops) trips this pin.
+  // Re-pin procedure as in GoldenTraceDigestForSmallFft.
+  apps::ClusterOptions copts;
+  copts.topology = net::TopologyConfig::torus(2);
+  apps::SimCluster cluster(16, apps::Interconnect::kGigabitTcp,
+                           model::default_calibration(), copts);
+  cluster.tracer().enable(/*ring_capacity=*/64);
+  EXPECT_TRUE(coll::barrier(cluster).verified);
+  EXPECT_TRUE(coll::topology_allreduce(cluster, 128, /*seed=*/5).verified);
+
+  const std::uint64_t kPinnedDigest = 0x4cb9c899feaaafe0ULL;
+  char actual[17];
+  std::snprintf(actual, sizeof actual, "%016llx",
+                static_cast<unsigned long long>(cluster.tracer().digest()));
+  EXPECT_EQ(cluster.tracer().digest(), kPinnedDigest)
+      << "actual digest: 0x" << actual
+      << " — see the re-pin instructions in GoldenTraceDigestForSmallFft";
+}
+
 TEST(Integration, ReportCarriesTraceDigestAndCounters) {
   // collect_report() must surface the trace stream summary and the full
   // counter snapshot so figure drivers can log them.

@@ -153,7 +153,7 @@ TEST(Topology, ExplicitStarIsDigestIdenticalToDefaultFabric) {
     apps::SimCluster cluster(4, apps::Interconnect::kGigabitTcp,
                              model::default_calibration(), opts);
     cluster.tracer().enable(/*ring_capacity=*/64);
-    const auto r = coll::allreduce(cluster, /*elements=*/256, /*seed=*/5);
+    const auto r = coll::topology_allreduce(cluster, /*elements=*/256, /*seed=*/5);
     EXPECT_TRUE(r.verified);
     return cluster.tracer().digest();
   };
