@@ -7,6 +7,7 @@
 // Usage:
 //   bench_all [--threads=N] [--points=full|reduced] [--suite=NAME]
 //             [--out=PATH] [--check-digests] [--list] [--check-floor]
+//             [--check-golden=FILE] [--write-golden=FILE]
 //
 //   --threads=N       pool size (default: hardware concurrency; 1 = the
 //                     serial reference execution)
@@ -24,6 +25,11 @@
 //   --check-floor     after the sweep, re-measure the parallel engine's
 //                     1024-host shapes at 1 vs 4 threads and fail unless
 //                     both reach 1.6x (runner::check_speedup_floor)
+//   --check-golden=FILE  fail (exit 1) on the first point whose digest,
+//                     sim_ms, events or trace_records differ from the
+//                     golden table (bench/golden.json), printing both
+//                     values
+//   --write-golden=FILE  re-pin the golden table from this sweep
 //
 // The gates registered with the swept suites (host cost, NIC p99,
 // failover recovery) always run; a violation fails the run (exit 1).
@@ -54,6 +60,8 @@ struct Options {
   bool list = false;
   std::string suite;  // empty = every suite
   std::string out = "BENCH_results.json";
+  std::string check_golden;  // golden table to compare against
+  std::string write_golden;  // golden table to (re)write
 };
 
 bool parse_args(int argc, char** argv, Options& opts) {
@@ -82,6 +90,10 @@ bool parse_args(int argc, char** argv, Options& opts) {
       opts.check_digests = true;
     } else if (arg == "--check-floor") {
       opts.check_floor = true;
+    } else if (arg.rfind("--check-golden=", 0) == 0) {
+      opts.check_golden = arg.substr(15);
+    } else if (arg.rfind("--write-golden=", 0) == 0) {
+      opts.write_golden = arg.substr(15);
     } else if (arg == "--list") {
       opts.list = true;
     } else {
@@ -255,9 +267,39 @@ int main(int argc, char** argv) {
     std::printf("wrote %s\n", opts.out.c_str());
   }
 
+  if (!opts.write_golden.empty()) {
+    if (failed) {
+      std::fprintf(stderr, "not writing %s: %d point(s) failed\n",
+                   opts.write_golden.c_str(), failed);
+      return 1;
+    }
+    std::ofstream golden(opts.write_golden);
+    if (!golden) {
+      std::fprintf(stderr, "cannot open %s for writing\n",
+                   opts.write_golden.c_str());
+      return 2;
+    }
+    runner::write_golden_json(golden, results);
+    std::printf("wrote golden table %s\n", opts.write_golden.c_str());
+  }
+
   int mismatches = 0;
   if (opts.check_digests) {
     mismatches = compare_against_serial(points, results);
+  }
+  if (!opts.check_golden.empty()) {
+    std::ifstream golden(opts.check_golden);
+    if (!golden) {
+      std::fprintf(stderr, "cannot open %s\n", opts.check_golden.c_str());
+      return 2;
+    }
+    const int rc = runner::check_golden(golden, results, stderr);
+    if (rc == 2) return 2;
+    if (rc == 0) {
+      std::printf("golden check passed: %zu points match %s\n",
+                  results.size(), opts.check_golden.c_str());
+    }
+    mismatches += rc;
   }
   int gate_failures = 0;
   for (std::size_t i = 0; i < suites.size(); ++i) {

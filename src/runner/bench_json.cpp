@@ -1,8 +1,11 @@
 #include "runner/bench_json.hpp"
 
+#include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <istream>
 #include <ostream>
+#include <string_view>
 
 namespace acc::runner {
 
@@ -104,7 +107,149 @@ void write_point(std::ostream& os, const RunRecord& r,
   os << "\n" << indent << "}";
 }
 
+/// The golden table's per-point fields, in check order, rendered exactly
+/// as the table stores them.
+constexpr const char* kGoldenFields[] = {"digest", "sim_ms", "events",
+                                         "trace_records"};
+
+std::vector<std::string> golden_values(const RunRecord& r) {
+  const std::int64_t ns = r.metrics.sim_time.as_nanos();
+  char sim_ms[48];
+  std::snprintf(sim_ms, sizeof sim_ms, "%" PRId64 ".%06" PRId64,
+                ns / 1000000, ns % 1000000);
+  return {"\"" + digest_hex(r.metrics.digest) + "\"", sim_ms,
+          std::to_string(r.metrics.events),
+          std::to_string(r.metrics.trace_records)};
+}
+
+std::string golden_key(const RunRecord& r) {
+  return escaped(r.suite + "/" + r.name);
+}
+
+/// The raw value of `"key": <value>` in one line of the golden table:
+/// a quoted string keeps its quotes; a number runs to the next ',' or
+/// '}'.  Empty when the key is absent.
+std::string golden_field(std::string_view line, std::string_view key) {
+  const std::string needle = "\"" + std::string(key) + "\": ";
+  const auto at = line.find(needle);
+  if (at == std::string_view::npos) return {};
+  const auto begin = at + needle.size();
+  if (begin < line.size() && line[begin] == '"') {
+    const auto end = line.find('"', begin + 1);
+    if (end == std::string_view::npos) return {};
+    return std::string(line.substr(begin, end - begin + 1));
+  }
+  const auto end = line.find_first_of(",}", begin);
+  return std::string(line.substr(begin, end - begin));
+}
+
+std::string unquoted(const std::string& s) {
+  return s.size() >= 2 && s.front() == '"' ? s.substr(1, s.size() - 2) : s;
+}
+
 }  // namespace
+
+std::string compiler_id() {
+#if defined(__clang__)
+  return "clang " __clang_version__;
+#elif defined(__GNUC__)
+  return "gcc " __VERSION__;
+#else
+  return "unknown";
+#endif
+}
+
+void write_golden_json(std::ostream& os,
+                       const std::vector<RunRecord>& results) {
+  os << "{\n";
+  os << "  \"schema\": \"acc-bench-golden/v1\",\n";
+  os << "  \"compiler\": \"" << escaped(compiler_id()) << "\",\n";
+  os << "  \"points\": [\n";
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const auto values = golden_values(results[i]);
+    os << "    {\"point\": \"" << golden_key(results[i]) << "\"";
+    for (std::size_t f = 0; f < values.size(); ++f) {
+      os << ", \"" << kGoldenFields[f] << "\": " << values[f];
+    }
+    os << "}" << (i + 1 < results.size() ? "," : "") << "\n";
+  }
+  os << "  ]\n";
+  os << "}\n";
+}
+
+int check_golden(std::istream& is, const std::vector<RunRecord>& results,
+                 std::FILE* err) {
+  std::string compiler;
+  std::vector<std::pair<std::string, std::string>> table;  // key, line
+  for (std::string line; std::getline(is, line);) {
+    if (const auto c = golden_field(line, "compiler"); !c.empty()) {
+      compiler = unquoted(c);
+    }
+    if (const auto k = golden_field(line, "point"); !k.empty()) {
+      table.emplace_back(unquoted(k), line);
+    }
+  }
+  if (table.empty()) {
+    std::fprintf(err, "golden table has no points\n");
+    return 2;
+  }
+  const std::string built_with = compiler_id();
+  const bool same_compiler = compiler == built_with;
+  if (!same_compiler) {
+    std::fprintf(err,
+                 "note: golden table written with \"%s\", this binary built "
+                 "with \"%s\"\n",
+                 compiler.c_str(), built_with.c_str());
+  }
+  auto fail = [&] {
+    if (!same_compiler) {
+      std::fprintf(err,
+                   "  (toolchains differ: floating-point results such as the "
+                   "FFT's may legitimately move; re-pin with "
+                   "--write-golden if this build is the new reference)\n");
+    }
+    return 1;
+  };
+  std::vector<bool> seen(table.size(), false);
+  for (const auto& r : results) {
+    const std::string key = golden_key(r);
+    std::size_t at = 0;
+    while (at < table.size() && table[at].first != key) ++at;
+    if (at == table.size()) {
+      std::fprintf(err, "GOLDEN MISMATCH %s: point not in the table\n",
+                   key.c_str());
+      return fail();
+    }
+    seen[at] = true;
+    if (!r.ok) {
+      std::fprintf(err, "GOLDEN MISMATCH %s: point failed: %s\n",
+                   key.c_str(), r.error.c_str());
+      return fail();
+    }
+    const auto values = golden_values(r);
+    for (std::size_t f = 0; f < values.size(); ++f) {
+      const std::string want = golden_field(table[at].second, kGoldenFields[f]);
+      if (want != values[f]) {
+        std::fprintf(err, "GOLDEN MISMATCH %s: %s golden %s, run %s\n",
+                     key.c_str(), kGoldenFields[f], want.c_str(),
+                     values[f].c_str());
+        return fail();
+      }
+    }
+  }
+  // A table point of a suite the run covered but did not produce.
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    if (seen[i]) continue;
+    for (const auto& r : results) {
+      if (table[i].first.rfind(escaped(r.suite) + "/", 0) == 0) {
+        std::fprintf(err, "GOLDEN MISMATCH %s: in the table but not run\n",
+                     table[i].first.c_str());
+        return fail();
+      }
+    }
+  }
+  return 0;
+}
 
 std::string digest_hex(std::uint64_t digest) {
   char buf[17];

@@ -54,8 +54,27 @@
 // SweepRunner guarantees is deterministic — so two runs of the same
 // point set produce byte-identical files apart from the wall-clock
 // fields.
+//
+// The golden point table (bench/golden.json, schema acc-bench-golden/v1)
+// pins the deterministic fields of every point of one sweep: `digest`,
+// `sim_ms` (exact, from integer nanoseconds), `events` and
+// `trace_records`.  It holds no wall-clock field, so a checked-in table
+// turns "no digest moved" into a check any build can run:
+//
+//   {
+//     "schema": "acc-bench-golden/v1",
+//     "compiler": "gcc 12.2.0",
+//     "points": [
+//       {"point": "<suite>/<name>", "digest": "<hex>", "sim_ms": 1.234567,
+//        "events": 62, "trace_records": 71},
+//       ...
+//     ]
+//   }
+//
+// One point per line, in sweep order, so a re-pin is a readable diff.
 #pragma once
 
+#include <cstdio>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -78,5 +97,22 @@ void write_bench_json(std::ostream& os, const std::vector<RunRecord>& results,
 
 /// 16-hex-digit lowercase rendering used for the "digest" field.
 std::string digest_hex(std::uint64_t digest);
+
+/// The compiler this binary was built with ("gcc 12.2.0", "clang ...").
+/// The golden table records it: libm and codegen differences can move
+/// floating-point results (the FFT), and a mismatch under a different
+/// toolchain must say so instead of looking like a regression.
+std::string compiler_id();
+
+/// Writes the golden table for `results` (every point must be ok).
+void write_golden_json(std::ostream& os, const std::vector<RunRecord>& results);
+
+/// Checks `results` against a golden table read from `is`.  Every run
+/// point must be in the table with identical fields, and every table
+/// point of a suite the run covered must have been run.  Prints the
+/// first difference (point, field, both values) to `err` and returns 1;
+/// returns 0 when everything matches, 2 when the table is unreadable.
+int check_golden(std::istream& is, const std::vector<RunRecord>& results,
+                 std::FILE* err);
 
 }  // namespace acc::runner

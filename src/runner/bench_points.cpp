@@ -1152,7 +1152,7 @@ void add_figure_suites(bool reduced, std::vector<Suite>& suites) {
   // Figure 8(a): FFT speedup across the three interconnect families.
   Suite fig8a{"fig8a_fft_sim",
               {},
-              {{"INIC model", "model_speedup_ppm", 1e-6, 2}}};
+              {{"INIC model (ideal)", "model_speedup_ppm", 1e-6, 2}}};
   for (auto ic : {apps::Interconnect::kInicPrototype,
                   apps::Interconnect::kFastEthernetTcp,
                   apps::Interconnect::kGigabitTcp}) {
@@ -1170,7 +1170,7 @@ void add_figure_suites(bool reduced, std::vector<Suite>& suites) {
   // Figure 8(b): sort speedup, prototype vs GigE vs ideal INIC.
   Suite fig8b{"fig8b_sort_sim",
               {},
-              {{"INIC model", "model_speedup_ppm", 1e-6, 2}}};
+              {{"INIC model (ideal)", "model_speedup_ppm", 1e-6, 2}}};
   for (auto ic : {apps::Interconnect::kInicPrototype,
                   apps::Interconnect::kGigabitTcp,
                   apps::Interconnect::kInicIdeal}) {
