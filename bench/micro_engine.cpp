@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks of the event core: schedule/dispatch
 // throughput of the zero-allocation engine (InlineCallback + 4-ary
 // move-out heap + cancelable timers), coroutine resume, timer churn and
-// cancellation, plus the parallel engine's window scheduler.  CI's
+// cancellation, the hold model's steady state, plus the parallel
+// engine's window scheduler.  CI's
 // micro-engine job holds the BM_NewEngine_* cases to an absolute
 // events/sec floor.
 #include <benchmark/benchmark.h>
@@ -155,7 +156,7 @@ BENCHMARK(BM_NewEngine_TimerChurn)->Arg(1 << 12);
 // Cancel-heavy: interior removal under load
 // ---------------------------------------------------------------------
 
-/// Worst case for the slot table: a large queue where most cancelable
+/// Worst case for eager cancellation: a large queue where most cancelable
 /// events are removed from the middle of the heap before firing.
 void BM_NewEngine_CancelHeavy(benchmark::State& state) {
   const int events = static_cast<int>(state.range(0));
@@ -180,6 +181,47 @@ void BM_NewEngine_CancelHeavy(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * events);
 }
 BENCHMARK(BM_NewEngine_CancelHeavy)->Arg(1 << 12)->Arg(1 << 16);
+
+// ---------------------------------------------------------------------
+// Hold model: the classic PDES steady state
+// ---------------------------------------------------------------------
+
+/// Every dispatched event schedules one successor at a random future
+/// time, so the queue holds a constant number of live events and each
+/// dispatch is one pop plus one push at full heap depth.
+struct HoldModel {
+  sim::Engine eng;
+  Rng rng{13};
+
+  void hold(EventPayload payload) {
+    eng.schedule(Time::nanos(1 + static_cast<std::int64_t>(
+                                     rng.below(1u << 16))),
+                 [payload] {
+                   *payload.sink += payload.generation;
+                   static_cast<HoldModel*>(payload.owner)->hold(payload);
+                 });
+  }
+};
+
+/// Hold at 16K and 128K live events with the 24-byte EventPayload
+/// capture.  The queue is filled untimed; items/sec is events
+/// dispatched (each rescheduling itself) per second.
+void BM_NewEngine_Hold(benchmark::State& state) {
+  const auto live = static_cast<std::uint64_t>(state.range(0));
+  constexpr int kBatch = 1024;
+  std::uint64_t sink = 0;
+  HoldModel model;
+  model.eng.reserve(live);
+  for (std::uint64_t i = 0; i < live; ++i) {
+    model.hold(EventPayload{&model, i, &sink});
+  }
+  for (auto _ : state) {
+    for (int i = 0; i < kBatch; ++i) model.eng.step();
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(state.iterations() * kBatch);
+}
+BENCHMARK(BM_NewEngine_Hold)->Arg(1 << 14)->Arg(1 << 17);
 
 // ---------------------------------------------------------------------
 // Parallel engine: LP-partitioned fabric traffic across worker counts

@@ -17,8 +17,9 @@
 //
 // kInlineSize is 48 so the common engine lambdas ([this, frame] with a
 // small frame, [this, &c, generation], [h]) stay inline while
-// sizeof(InlineCallback) stays at one cache line alongside the (when,
-// seq, slot) key it is stored with in the event heap.
+// sizeof(InlineCallback) stays at one cache line: the event heap keeps
+// its callbacks in a slab of them, apart from the (when, seq, slot) keys
+// it sifts.
 #pragma once
 
 #include <cassert>
@@ -41,8 +42,8 @@ class InlineFunction<R(Args...)> {
 
   /// True when a callable of type `F` is stored in the inline buffer
   /// (public so tests can pin the threshold).  A throwing move
-  /// constructor forces the heap: the event heap relocates entries while
-  /// sifting and must be able to do so noexcept.
+  /// constructor forces the heap: the event heap's slab relocates
+  /// callbacks when it grows and must be able to do so noexcept.
   template <class F>
   static constexpr bool stores_inline() {
     using D = std::decay_t<F>;

@@ -13,15 +13,16 @@ void Engine::schedule_at(Time when, Callback fn) {
 
 TimerHandle Engine::schedule_cancelable_at(Time when, Callback fn) {
   assert(when >= now_ && "cannot schedule into the past");
-  return TimerHandle(this,
-                     queue_.push_cancelable(when, next_seq_++, std::move(fn)));
+  return TimerHandle(this, queue_.push(when, next_seq_++, std::move(fn)));
 }
 
 bool Engine::step() {
   if (queue_.empty()) return false;
-  // pop() moves the entry (callback included) out of the heap — no copy,
-  // no allocation on the dispatch path.
-  EventHeap::Entry ev = queue_.pop();
+  // Copy the 24-byte key, then let pop() move the callback out of its
+  // slab slot: its only move between schedule and dispatch, and no
+  // allocation on the dispatch path.
+  const EventHeap::Key ev = queue_.top();
+  Callback fn = queue_.pop();
   assert(ev.when >= now_);
   now_ = ev.when;
   ++executed_;
@@ -34,7 +35,7 @@ bool Engine::step() {
     tracer_.instant(trace::Category::kEngine, -1, "engine/dispatch", now_,
                     static_cast<std::int64_t>(ev.seq));
   }
-  ev.fn();
+  fn();
   return true;
 }
 

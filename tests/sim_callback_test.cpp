@@ -91,8 +91,8 @@ TEST(InlineCallback, ThresholdMatchesInlineSize) {
 }
 
 TEST(InlineCallback, ThrowingMoveFallsBackToHeap) {
-  // The event heap relocates entries while sifting and needs noexcept
-  // moves; a callable with a throwing move must be boxed instead.
+  // The event heap's slab relocates callbacks when it grows and needs
+  // noexcept moves; a callable with a throwing move must be boxed instead.
   struct ThrowingMove {
     ThrowingMove() = default;
     ThrowingMove(ThrowingMove&&) noexcept(false) {}
