@@ -26,9 +26,10 @@
 //                     1024-host shapes at 1 vs 4 threads and fail unless
 //                     both reach 1.6x (runner::check_speedup_floor)
 //   --check-golden=FILE  fail (exit 1) on the first point whose digest,
-//                     sim_ms, events or trace_records differ from the
-//                     golden table (bench/golden.json), printing both
-//                     values
+//                     sim_ms, events, trace_records or counters differ
+//                     from the golden table (bench/golden.json for the
+//                     reduced grid, bench/golden_full.json for the
+//                     full one), printing both values
 //   --write-golden=FILE  re-pin the golden table from this sweep
 //
 // The gates registered with the swept suites (host cost, NIC p99,

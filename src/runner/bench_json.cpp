@@ -1,5 +1,6 @@
 #include "runner/bench_json.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -147,6 +148,38 @@ std::string unquoted(const std::string& s) {
   return s.size() >= 2 && s.front() == '"' ? s.substr(1, s.size() - 2) : s;
 }
 
+using CounterList = std::vector<std::pair<std::string, std::string>>;
+
+/// A point's counters as (name, rendered value), in the body's order.
+CounterList golden_counters(const RunRecord& r) {
+  CounterList out;
+  for (const auto& [name, value] : r.metrics.counters) {
+    out.emplace_back(escaped(name), std::to_string(value));
+  }
+  return out;
+}
+
+/// The `"counters": {"name": value, ...}` object of one table line
+/// (empty when the point pinned none).  Counter names never contain a
+/// quote, and values are integers.
+CounterList golden_counters(std::string_view line) {
+  CounterList out;
+  constexpr std::string_view kNeedle = "\"counters\": {";
+  const auto at = line.find(kNeedle);
+  if (at == std::string_view::npos) return out;
+  const auto end = line.find('}', at);
+  for (auto pos = line.find('"', at + kNeedle.size()); pos < end;
+       pos = line.find('"', pos)) {
+    const auto name_end = line.find('"', pos + 1);
+    const auto value_at = name_end + 3;  // skip `": `
+    const auto value_end = line.find_first_of(",}", value_at);
+    out.emplace_back(std::string(line.substr(pos + 1, name_end - pos - 1)),
+                     std::string(line.substr(value_at, value_end - value_at)));
+    pos = value_end;
+  }
+  return out;
+}
+
 }  // namespace
 
 std::string compiler_id() {
@@ -162,7 +195,7 @@ std::string compiler_id() {
 void write_golden_json(std::ostream& os,
                        const std::vector<RunRecord>& results) {
   os << "{\n";
-  os << "  \"schema\": \"acc-bench-golden/v1\",\n";
+  os << "  \"schema\": \"acc-bench-golden/v2\",\n";
   os << "  \"compiler\": \"" << escaped(compiler_id()) << "\",\n";
   os << "  \"points\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
@@ -170,6 +203,15 @@ void write_golden_json(std::ostream& os,
     os << "    {\"point\": \"" << golden_key(results[i]) << "\"";
     for (std::size_t f = 0; f < values.size(); ++f) {
       os << ", \"" << kGoldenFields[f] << "\": " << values[f];
+    }
+    const auto counters = golden_counters(results[i]);
+    if (!counters.empty()) {
+      os << ", \"counters\": {";
+      for (std::size_t c = 0; c < counters.size(); ++c) {
+        os << (c ? ", " : "") << "\"" << counters[c].first
+           << "\": " << counters[c].second;
+      }
+      os << "}";
     }
     os << "}" << (i + 1 < results.size() ? "," : "") << "\n";
   }
@@ -235,6 +277,25 @@ int check_golden(std::istream& is, const std::vector<RunRecord>& results,
                      values[f].c_str());
         return fail();
       }
+    }
+    // Counters pair up by position, so a moved, renamed, added or
+    // dropped column is reported at the first place the lists differ.
+    const auto want = golden_counters(table[at].second);
+    const auto got = golden_counters(r);
+    for (std::size_t c = 0; c < std::max(want.size(), got.size()); ++c) {
+      if (c < want.size() && c < got.size() && want[c] == got[c]) continue;
+      if (c < want.size() && c < got.size() && want[c].first == got[c].first) {
+        std::fprintf(err, "GOLDEN MISMATCH %s: counter %s golden %s, run %s\n",
+                     key.c_str(), got[c].first.c_str(), want[c].second.c_str(),
+                     got[c].second.c_str());
+      } else {
+        std::fprintf(err,
+                     "GOLDEN MISMATCH %s: counter #%zu golden %s, run %s\n",
+                     key.c_str(), c,
+                     c < want.size() ? want[c].first.c_str() : "(none)",
+                     c < got.size() ? got[c].first.c_str() : "(none)");
+      }
+      return fail();
     }
   }
   // A table point of a suite the run covered but did not produce.

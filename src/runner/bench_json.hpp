@@ -55,18 +55,20 @@
 // point set produce byte-identical files apart from the wall-clock
 // fields.
 //
-// The golden point table (bench/golden.json, schema acc-bench-golden/v1)
-// pins the deterministic fields of every point of one sweep: `digest`,
-// `sim_ms` (exact, from integer nanoseconds), `events` and
-// `trace_records`.  It holds no wall-clock field, so a checked-in table
-// turns "no digest moved" into a check any build can run:
+// The golden point tables (bench/golden.json for the reduced grid,
+// bench/golden_full.json for the full grid; schema acc-bench-golden/v2)
+// pin the deterministic fields of every point of one sweep: `digest`,
+// `sim_ms` (exact, from integer nanoseconds), `events`, `trace_records`
+// and the body's `counters` in order (v2; v1 tables had no counters).
+// They hold no wall-clock field, so a checked-in table turns "no digest
+// or table column moved" into a check any build can run:
 //
 //   {
-//     "schema": "acc-bench-golden/v1",
+//     "schema": "acc-bench-golden/v2",
 //     "compiler": "gcc 12.2.0",
 //     "points": [
 //       {"point": "<suite>/<name>", "digest": "<hex>", "sim_ms": 1.234567,
-//        "events": 62, "trace_records": 71},
+//        "events": 62, "trace_records": 71, "counters": {"comm_ns": 812}},
 //       ...
 //     ]
 //   }
@@ -108,9 +110,10 @@ std::string compiler_id();
 void write_golden_json(std::ostream& os, const std::vector<RunRecord>& results);
 
 /// Checks `results` against a golden table read from `is`.  Every run
-/// point must be in the table with identical fields, and every table
-/// point of a suite the run covered must have been run.  Prints the
-/// first difference (point, field, both values) to `err` and returns 1;
+/// point must be in the table with identical fields and counters, and
+/// every table point of a suite the run covered must have been run.
+/// Prints the first difference (point, field or counter, both values)
+/// to `err` and returns 1;
 /// returns 0 when everything matches, 2 when the table is unreadable.
 int check_golden(std::istream& is, const std::vector<RunRecord>& results,
                  std::FILE* err);

@@ -12,11 +12,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "apps/cluster.hpp"
 #include "apps/fft_app.hpp"
@@ -420,6 +422,56 @@ TEST(BenchJson, SchemaV4EmitsLatencyObjectOnlyWhenPresent) {
   EXPECT_EQ(json.find("\"latency\""), json.rfind("\"latency\"")) << json;
 }
 
+TEST(BenchJson, GoldenTablePinsCountersAndNamesTheFirstThatMoved) {
+  RunRecord r;
+  r.suite = "suite";
+  r.name = "point";
+  r.ok = true;
+  r.metrics.sim_time = Time::nanos(1234567);
+  r.metrics.digest = 0xabcdef;
+  r.metrics.events = 62;
+  r.metrics.trace_records = 71;
+  r.metrics.counters = {{"comm_ns", 812}, {"drops", 0}};
+  std::ostringstream table;
+  runner::write_golden_json(table, {r});
+  EXPECT_NE(table.str().find("\"counters\": {\"comm_ns\": 812, \"drops\": 0}"),
+            std::string::npos)
+      << table.str();
+
+  auto check = [&table](const RunRecord& run, std::string* message) {
+    std::istringstream is(table.str());
+    std::FILE* err = std::tmpfile();
+    const int rc = runner::check_golden(is, {run}, err);
+    std::rewind(err);
+    char buf[512] = {};
+    message->assign(buf, std::fread(buf, 1, sizeof buf - 1, err));
+    std::fclose(err);
+    return rc;
+  };
+  std::string message;
+  EXPECT_EQ(check(r, &message), 0) << message;
+
+  RunRecord moved = r;
+  moved.metrics.counters[1].second = 3;
+  EXPECT_EQ(check(moved, &message), 1);
+  EXPECT_NE(message.find("counter drops golden 0, run 3"), std::string::npos)
+      << message;
+
+  RunRecord reordered = r;
+  std::swap(reordered.metrics.counters[0], reordered.metrics.counters[1]);
+  EXPECT_EQ(check(reordered, &message), 1);
+  EXPECT_NE(message.find("counter #0 golden comm_ns, run drops"),
+            std::string::npos)
+      << message;
+
+  RunRecord extra = r;
+  extra.metrics.counters.emplace_back("retransmits", 0);
+  EXPECT_EQ(check(extra, &message), 1);
+  EXPECT_NE(message.find("counter #2 golden (none), run retransmits"),
+            std::string::npos)
+      << message;
+}
+
 TEST(RunRecord, EventsPerSecGuardsDegenerateRecords) {
   RunRecord r;
   r.ok = true;
@@ -518,7 +570,9 @@ TEST(TraceEnv, CapturedOncePerProcessAndSitesAgree) {
   EXPECT_EQ(&a, &b);
   // ctest runs this binary without ACC_TRACE set; guard the expectation
   // so a developer running it traced doesn't see a confusing failure.
-  if (!a.trace_json) EXPECT_TRUE(a.trace_path.empty());
+  if (!a.trace_json) {
+    EXPECT_TRUE(a.trace_path.empty());
+  }
 }
 
 }  // namespace
