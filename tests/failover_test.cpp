@@ -311,6 +311,19 @@ inic::TreeRole binomial_role(int l, int np) {
   return role;
 }
 
+#ifndef ACC_TRACE_DISABLED
+/// Trace records named `name`.  Tree-repair steps are traced, not
+/// counted one by one, so a trace-off build checks only the
+/// coll/tree_repairs counter.
+std::uint64_t count_records(apps::SimCluster& cluster, const char* name) {
+  std::uint64_t n = 0;
+  for (const auto& r : cluster.tracer().records()) {
+    if (std::strcmp(r.name, name) == 0) ++n;
+  }
+  return n;
+}
+#endif
+
 TEST(TreeRepair, OrphanReparentsOntoGrandparentAndBarrierCompletes) {
   // 8-rank binomial tree: 6's only child is 7, 6's parent is 4.  Node
   // 6's host link is dark from the start and never recovers, and there
@@ -344,20 +357,15 @@ TEST(TreeRepair, OrphanReparentsOntoGrandparentAndBarrierCompletes) {
 
   for (const auto& p : ranks) EXPECT_TRUE(p->done());
   // Exactly one repair: 7 re-parented once, onto 4 (the next ancestor).
-  auto count = [&](const char* name) {
-    std::uint64_t n = 0;
-    for (const auto& r : cluster.tracer().records()) {
-      if (std::strcmp(r.name, name) == 0) ++n;
-    }
-    return n;
-  };
   EXPECT_EQ(cluster.engine()
                 .counters()
                 .get(trace::Category::kCollective, 7, "coll/tree_repairs")
                 .value(),
             1u);
-  EXPECT_EQ(count("coll/repair_reparent"), 1u);
-  EXPECT_EQ(count("coll/adopt"), 1u);
+#ifndef ACC_TRACE_DISABLED
+  EXPECT_EQ(count_records(cluster, "coll/repair_reparent"), 1u);
+  EXPECT_EQ(count_records(cluster, "coll/adopt"), 1u);
+#endif
   // 7 gave up on 6 (that is what triggered the repair); 4 gives up on 6
   // too when its release token dies — a down-phase send has no relays,
   // so it surfaces only as a peer-unreachable count, never an exception.
@@ -411,15 +419,15 @@ TEST(TreeRepair, OrphanReparentsOntoGrandparentAndAllreduceCompletes) {
       EXPECT_EQ(data[l], expected) << "rank " << l;
     }
   }
-  auto count = [&](const char* name) {
-    std::uint64_t n = 0;
-    for (const auto& r : cluster.tracer().records()) {
-      if (std::strcmp(r.name, name) == 0) ++n;
-    }
-    return n;
-  };
-  EXPECT_EQ(count("coll/repair_reparent"), 1u);
-  EXPECT_EQ(count("coll/adopt"), 1u);
+  EXPECT_EQ(cluster.engine()
+                .counters()
+                .get(trace::Category::kCollective, 7, "coll/tree_repairs")
+                .value(),
+            1u);
+#ifndef ACC_TRACE_DISABLED
+  EXPECT_EQ(count_records(cluster, "coll/repair_reparent"), 1u);
+  EXPECT_EQ(count_records(cluster, "coll/adopt"), 1u);
+#endif
   for (std::size_t i = 0; i < cluster.size(); ++i) {
     if (i == 6) continue;
     EXPECT_EQ(cluster.card(i).armed_triggers(), 0u) << "node " << i;
@@ -453,11 +461,9 @@ TEST(TreeRepair, RepairFailsGracefullyWhenNoAncestorSurvives) {
   cluster.engine().run();
 
   EXPECT_FALSE(p->done());  // no release can ever arrive — op stalls
-  std::uint64_t failed = 0;
-  for (const auto& r : cluster.tracer().records()) {
-    if (std::strcmp(r.name, "coll/repair_failed") == 0) ++failed;
-  }
-  EXPECT_EQ(failed, 1u);
+#ifndef ACC_TRACE_DISABLED
+  EXPECT_EQ(count_records(cluster, "coll/repair_failed"), 1u);
+#endif
   // The relay chain was walked to the end: 6, then 4, then 0.
   EXPECT_EQ(cluster.engine()
                 .counters()

@@ -1,26 +1,31 @@
 // Multi-hop fabric tests: routing determinism (torus dimension-order,
 // fat-tree up/down), star equivalence with the flat model, per-hop
 // latency accounting, the set_port_rate_factor contract, the
-// corrupted/dropped byte-accounting fixes, and interior-link fault
-// recovery on a torus.
+// corrupted/dropped byte-accounting fixes, interior-link fault recovery
+// on a torus, and the Engine vs one-LP ParallelEngine fabric equivalence.
 #include "net/topology.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "apps/cluster.hpp"
 #include "collectives/collectives.hpp"
+#include "common/rng.hpp"
 #include "fault/fault.hpp"
 #include "model/calibration.hpp"
 #include "net/lp_map.hpp"
 #include "net/network.hpp"
 #include "sim/engine.hpp"
+#include "sim/parallel.hpp"
 #include "sim/resource.hpp"
 
 namespace acc {
@@ -416,6 +421,99 @@ TEST(Fault, RejectsBadRateFactorsAndNonAdjacentInteriorLinks) {
   EXPECT_THROW(fault::FaultInjector(star, on_star), std::invalid_argument);
 }
 
+
+// ---------------------------------------------------------------------
+// One lane model: a fabric built on a plain Engine and one built on a
+// one-LP ParallelEngine are the same fabric.
+// ---------------------------------------------------------------------
+
+/// Everything a seeded injection run leaves behind.
+struct InjectionOutcome {
+  std::uint64_t digest = 0;
+  std::vector<std::pair<std::uint64_t, Time>> delivered;  // (id, at)
+  std::uint64_t frames_forwarded = 0;
+  std::uint64_t frames_dropped = 0;
+  Bytes bytes_forwarded = Bytes::zero();
+  Bytes peak = Bytes::zero();
+  std::vector<Bytes> port_peaks;
+  bool operator==(const InjectionOutcome&) const = default;
+};
+
+/// 256 seeded frames between random hosts of a 16-host fat tree,
+/// injected at random instants on `eng` (the fabric's host engine) and
+/// overflowing its 32 KiB port buffers, then `run` drains the engine.
+InjectionOutcome run_seeded_injections(sim::Engine& eng, net::Fabric& fabric,
+                                       const std::function<void()>& run) {
+  constexpr int kHosts = 16;
+  eng.tracer().enable(/*ring_capacity=*/64);
+  std::vector<std::unique_ptr<RecordingEndpoint>> sinks;
+  for (int h = 0; h < kHosts; ++h) {
+    sinks.push_back(std::make_unique<RecordingEndpoint>(eng));
+    fabric.attach(h, *sinks.back());
+  }
+  Rng rng(/*seed=*/22);
+  for (int k = 0; k < 256; ++k) {
+    const int src = static_cast<int>(rng.below(kHosts));
+    const int dst = (src + 1 + static_cast<int>(rng.below(kHosts - 1))) %
+                    kHosts;
+    const net::Frame f = make_frame(src, dst, Bytes(64 + rng.below(16384)),
+                                    1 + rng.below(8));
+    eng.schedule_at(Time::nanos(static_cast<std::int64_t>(rng.below(200000))),
+                    [&fabric, f] { fabric.inject(f); });
+  }
+  run();
+  InjectionOutcome out;
+  out.digest = eng.tracer().digest();
+  for (const auto& sink : sinks) {
+    for (std::size_t i = 0; i < sink->frames.size(); ++i) {
+      out.delivered.emplace_back(sink->frames[i].id, sink->times[i]);
+    }
+  }
+  out.frames_forwarded = fabric.frames_forwarded();
+  out.frames_dropped = fabric.frames_dropped();
+  out.bytes_forwarded = fabric.bytes_forwarded();
+  out.peak = fabric.peak_buffer_occupancy();
+  out.port_peaks = fabric.per_port_peak_occupancy();
+  return out;
+}
+
+TEST(Fabric, EngineAndOneLpParallelEngineBuildTheSameFabric) {
+  net::NetworkConfig cfg;
+  cfg.topology = net::TopologyConfig::fat_tree(2);
+  cfg.port_buffer = Bytes::kib(32);
+
+  sim::Engine eng;
+  net::Fabric serial(eng, 16, cfg);
+  const InjectionOutcome a =
+      run_seeded_injections(eng, serial, [&eng] { eng.run(); });
+
+  sim::ParallelEngine peng(1, sim::ParallelConfig{});
+  net::TopologyPlan plan = net::build_topology(cfg.topology, 16);
+  net::LpPartition part;
+  part.lp_count = 1;
+  part.lp_of_switch.assign(plan.switches.size(), 0);
+  part.lp_of_host.assign(plan.hosts.size(), 0);
+  net::Fabric one_lp(peng, part, std::move(plan), cfg);
+  const InjectionOutcome b =
+      run_seeded_injections(peng.lp(0), one_lp, [&peng] { peng.run(); });
+
+  // The run exercises forwarding and drop-tail loss on a multi-hop path.
+  EXPECT_GT(serial.switch_count(), 1u);
+  EXPECT_GT(a.frames_forwarded, 0u);
+  EXPECT_GT(a.frames_dropped, 0u);
+  EXPECT_LE(a.peak, cfg.port_buffer);
+  EXPECT_GT(a.peak, cfg.port_buffer - Bytes::kib(16));  // nearly full
+  EXPECT_EQ(a.delivered.size(), a.frames_forwarded);
+#ifndef ACC_TRACE_DISABLED
+  EXPECT_NE(a.digest, 0u);
+#endif
+  EXPECT_EQ(a.digest, b.digest);
+  EXPECT_EQ(a.delivered, b.delivered);
+  EXPECT_EQ(a.frames_forwarded, b.frames_forwarded);
+  EXPECT_EQ(a.bytes_forwarded, b.bytes_forwarded);
+  EXPECT_EQ(a.peak, b.peak);
+  EXPECT_TRUE(a == b);
+}
 
 // ---------------------------------------------------------------------
 // LP partition: per-link latencies and lookahead derivation
