@@ -129,7 +129,7 @@ SimCluster::SimCluster(std::size_t n, Interconnect ic,
   net_cfg.switch_latency = cal.switch_latency;
   net_cfg.port_buffer = cal.switch_port_buffer;
   net_cfg.topology = opts_.topology;
-  net_cfg.routing.adaptive = opts_.adaptive_routing;
+  net_cfg.adaptive_routing = opts_.adaptive_routing;
 
   // The partition decides how the cluster runs (ClusterOptions::
   // engine_threads): one LP per switch, hosts on their edge switch's LP,
@@ -148,9 +148,7 @@ SimCluster::SimCluster(std::size_t n, Interconnect ic,
     partition_ =
         net::build_lp_partition(plan, [hop](int, int) { return hop; });
   } else {
-    partition_.lp_count = 1;
-    partition_.lp_of_switch.assign(plan.switches.size(), 0);
-    partition_.lp_of_host.assign(plan.hosts.size(), 0);
+    partition_ = net::single_lp_partition(plan);
   }
   sim::ParallelConfig pcfg;
   pcfg.threads = std::max<std::size_t>(1, opts_.engine_threads);

@@ -80,11 +80,12 @@ struct ClusterOptions {
   /// studies.  Protocol timers (TCP RTO, INIC go-back-N) seed from the
   /// fabric's per-path latency, so multi-hop topologies work unchanged.
   net::TopologyConfig topology{};
-  /// Fault-aware adaptive routing (net::RoutingConfig): the fabric
-  /// tracks per-interior-link health and re-converges its next-port
-  /// tables around declared failures, and the INIC/TCP retry planes may
-  /// request a reroute instead of failing terminally.  Off by default —
-  /// static tables, zero kRouting records, digests bit-identical.
+  /// Fault-aware adaptive routing (net::NetworkConfig::adaptive_routing):
+  /// the fabric tracks per-interior-link health and re-converges its
+  /// next-port tables around declared failures, and the INIC/TCP retry
+  /// planes may request a reroute instead of failing terminally.  Off by
+  /// default — static tables, zero kRouting records, digests
+  /// bit-identical.
   bool adaptive_routing = false;
   /// Collective execution backend.  kNic requires an INIC interconnect
   /// (the state machines live on the cards); the default keeps every

@@ -82,7 +82,7 @@ struct InteriorLinkDownWindow {
 
 /// Permanent backbone failure: the link goes dark at `start` and never
 /// recovers — the hardware-replacement scenario the adaptive routing
-/// plane (net::RoutingConfig) exists for.  On a static-routing fabric
+/// plane (net::NetworkConfig::adaptive_routing) exists for.  On a static-routing fabric
 /// every flow crossing the link keeps failing until its protocol gives
 /// up; with adaptive routing the fabric re-converges around it.
 struct InteriorLinkFailure {

@@ -225,9 +225,9 @@ Time InicCard::effective_retransmit_timeout(int dst) const {
   // burst reaches the peer and the credit frame crosses back, so the
   // go-back-N timer must never undercut two such round trips over the
   // *actual* route — including multi-hop serialization and degraded port
-  // rates the flat one_way_latency() constant knew nothing about.  On
-  // the single-star fabric the configured timeout dominates, preserving
-  // the historical timing.
+  // rates a single-hop constant knows nothing about.  On the single-star
+  // fabric the configured timeout dominates, preserving the historical
+  // timing.
   const std::size_t packets =
       (cfg_.burst.count() + cfg_.packet.count() - 1) / cfg_.packet.count();
   const Bytes burst_wire =

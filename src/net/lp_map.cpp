@@ -6,6 +6,14 @@
 
 namespace acc::net {
 
+LpPartition single_lp_partition(const TopologyPlan& plan) {
+  LpPartition part;
+  part.lp_count = 1;
+  part.lp_of_switch.assign(plan.switches.size(), 0);
+  part.lp_of_host.assign(plan.hosts.size(), 0);
+  return part;
+}
+
 LpPartition build_lp_partition(const TopologyPlan& plan,
                                const LinkLatencyFn& latency_of) {
   if (plan.switches.empty()) {

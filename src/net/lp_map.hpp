@@ -55,6 +55,10 @@ struct LpPartition {
   Time lookahead = Time::zero();
 };
 
+/// The one-LP partition: every switch and host on LP 0, no cross-LP
+/// link, zero lookahead.  This is how a fabric runs serially.
+LpPartition single_lp_partition(const TopologyPlan& plan);
+
 /// Derives the LP partition from a materialized topology.  `link_latency`
 /// is the uniform one-way interior-link latency the fabric is configured
 /// with (NetworkConfig::link_latency + the per-hop switch_latency floor

@@ -12,6 +12,15 @@
 namespace acc::net {
 namespace {
 
+// Adaptive-routing detection tunables (docs/NETWORK.md).  Back-to-back
+// frames lost at a dark interior port that declare it failed at once:
+constexpr int kDropThreshold = 3;
+// A physical state change is declared only if it still holds this many
+// probe intervals later (down, resp. up):
+constexpr int kDownProbes = 3;
+constexpr int kUpProbes = 2;
+constexpr Time kProbeInterval = Time::nanos(100'000);
+
 // trace::Counter keeps the name as a const char*, so dynamically built
 // per-link names need stable storage.  The pool is process-wide (cheap:
 // one string per distinct link label across all runs) and locked because
@@ -23,62 +32,70 @@ const char* intern_counter_name(std::string name) {
   return pool.insert(std::move(name)).first->c_str();
 }
 
+std::vector<sim::Engine*> lp_engines(sim::ParallelEngine& pe,
+                                     std::size_t lanes) {
+  std::vector<sim::Engine*> engines;
+  for (std::size_t l = 0; l < lanes; ++l) engines.push_back(&pe.lp(l));
+  return engines;
+}
+
 }  // namespace
 
 Fabric::Fabric(sim::Engine& eng, std::size_t ports, const NetworkConfig& cfg)
-    : Fabric(eng, nullptr, nullptr, build_topology(cfg.topology, ports), cfg) {}
+    : Fabric(eng, build_topology(cfg.topology, ports), cfg) {}
+
+Fabric::Fabric(sim::Engine& eng, TopologyPlan&& plan, const NetworkConfig& cfg)
+    : Fabric(nullptr, {&eng}, single_lp_partition(plan), std::move(plan),
+             cfg) {}
 
 Fabric::Fabric(sim::ParallelEngine& pe, const LpPartition& part,
                TopologyPlan plan, const NetworkConfig& cfg)
-    : Fabric(pe.lp(0), &pe, &part, std::move(plan), cfg) {}
+    : Fabric(&pe, lp_engines(pe, part.lp_count), part, std::move(plan), cfg) {}
 
-Fabric::Fabric(sim::Engine& eng, sim::ParallelEngine* pe,
-               const LpPartition* part, TopologyPlan plan,
-               const NetworkConfig& cfg)
-    : eng_(eng), pe_(pe), part_(part), cfg_(cfg), plan_(std::move(plan)) {
-  const std::size_t lanes = part_ == nullptr ? 1 : part_->lp_count;
-  if (lanes > 1 && cfg_.routing.adaptive) {
+Fabric::Fabric(sim::ParallelEngine* pe, std::vector<sim::Engine*> lane_engines,
+               LpPartition part, TopologyPlan&& plan, const NetworkConfig& cfg)
+    : pe_(pe),
+      lane_engines_(std::move(lane_engines)),
+      part_(std::move(part)),
+      cfg_(cfg),
+      plan_(std::move(plan)) {
+  const std::size_t lanes = lane_engines_.size();
+  if (lanes > 1 && cfg_.adaptive_routing) {
     throw std::invalid_argument(
         "Fabric: adaptive routing mutates next-port tables and link-health "
         "state shared by every switch; it is not supported on a fabric "
         "partitioned over more than one LP");
   }
-  if (part_ != nullptr && part_->lp_of_switch.size() != plan_.switches.size()) {
+  if (part_.lp_of_switch.size() != plan_.switches.size()) {
     throw std::invalid_argument(
         "Fabric: LP partition does not match the materialized topology");
   }
   lanes_.resize(lanes);
   lane_counters_.resize(lanes);
   for (std::size_t l = 0; l < lanes; ++l) {
-    sim::Engine& le = pe_ == nullptr ? eng_ : pe_->lp(l);
+    trace::CounterRegistry& reg = lane_engines_[l]->counters();
     auto& c = lane_counters_[l];
-    c.forwarded = &le.counters().get(trace::Category::kNet, -1,
-                                     "net/frames_forwarded");
-    c.dropped = &le.counters().get(trace::Category::kNet, -1,
-                                   "net/frames_dropped");
-    c.bytes_forwarded = &le.counters().get(trace::Category::kNet, -1,
-                                           "net/bytes_forwarded");
-    c.link_dropped =
-        &le.counters().get(trace::Category::kNet, -1, "net/link_drops");
-    c.burst_dropped =
-        &le.counters().get(trace::Category::kNet, -1, "net/burst_drops");
-    c.corrupted =
-        &le.counters().get(trace::Category::kNet, -1, "net/corrupted");
+    c.forwarded = &reg.get(trace::Category::kNet, -1, "net/frames_forwarded");
+    c.dropped = &reg.get(trace::Category::kNet, -1, "net/frames_dropped");
+    c.bytes_forwarded =
+        &reg.get(trace::Category::kNet, -1, "net/bytes_forwarded");
+    c.link_dropped = &reg.get(trace::Category::kNet, -1, "net/link_drops");
+    c.burst_dropped = &reg.get(trace::Category::kNet, -1, "net/burst_drops");
+    c.corrupted = &reg.get(trace::Category::kNet, -1, "net/corrupted");
     c.corrupted_bytes =
-        &le.counters().get(trace::Category::kNet, -1, "net/bytes_corrupted");
+        &reg.get(trace::Category::kNet, -1, "net/bytes_corrupted");
   }
   const bool single = plan_.switches.size() == 1;
-  switches_.reserve(plan_.switches.size());
+  ports_.resize(plan_.switches.size());
   for (std::size_t s = 0; s < plan_.switches.size(); ++s) {
     const auto& spec = plan_.switches[s];
-    auto sw = std::make_unique<Switch>(static_cast<int>(s), spec.level,
-                                       spec.ports.size());
     // Every per-port resource and counter binds to the engine of the
-    // switch's owning LP: the egress serializer computes completion times
-    // from that engine's clock, and only that LP's worker drives it.
-    sim::Engine& swe = switch_engine(static_cast<int>(s));
+    // switch's lane: the egress serializer computes completion times
+    // from that engine's clock, and only that lane's events drive it.
+    sim::Engine& swe = *lane_engines_[part_.lp_of_switch[s]];
+    ports_[s].resize(spec.ports.size());
     for (std::size_t p = 0; p < spec.ports.size(); ++p) {
-      auto& port = sw->out(p);
+      auto& port = ports_[s][p];
       port.peer_switch = spec.ports[p].peer_switch;
       port.host = spec.ports[p].host;
       // The single-star fabric keeps the flat model's "egress-<port>"
@@ -102,22 +119,14 @@ Fabric::Fabric(sim::Engine& eng, sim::ParallelEngine* pe,
                                 std::to_string(hi)));
       }
     }
-    switches_.push_back(std::move(sw));
   }
-  if (cfg_.routing.adaptive) {
-    route_epochs_ = &eng.counters().get(trace::Category::kRouting, -1,
-                                        "net/route_epoch");
-    reroute_requests_ = &eng.counters().get(trace::Category::kRouting, -1,
-                                            "net/reroute_requests");
+  if (cfg_.adaptive_routing) {
+    trace::CounterRegistry& reg = lane0_engine().counters();
+    route_epochs_ =
+        &reg.get(trace::Category::kRouting, -1, "net/route_epoch");
+    reroute_requests_ =
+        &reg.get(trace::Category::kRouting, -1, "net/reroute_requests");
   }
-}
-
-sim::Engine& Fabric::switch_engine(int sw) {
-  return pe_ == nullptr ? eng_ : pe_->lp(lane_of_switch(sw));
-}
-
-sim::Engine& Fabric::host_engine(int host) {
-  return pe_ == nullptr ? eng_ : pe_->lp(lane_of_host(host));
 }
 
 void Fabric::require_unsharded(const char* what) const {
@@ -130,46 +139,10 @@ void Fabric::require_unsharded(const char* what) const {
       "(run engine_threads <= 1 for fault scenarios)");
 }
 
-std::uint64_t Fabric::frames_forwarded() const {
+std::uint64_t Fabric::lane_sum(trace::Counter* LaneCounters::*counter) const {
   std::uint64_t total = 0;
-  for (const auto& c : lane_counters_) total += c.forwarded->value();
+  for (const auto& c : lane_counters_) total += (c.*counter)->value();
   return total;
-}
-
-std::uint64_t Fabric::frames_dropped() const {
-  std::uint64_t total = 0;
-  for (const auto& c : lane_counters_) total += c.dropped->value();
-  return total;
-}
-
-std::uint64_t Fabric::frames_dropped_link_down() const {
-  std::uint64_t total = 0;
-  for (const auto& c : lane_counters_) total += c.link_dropped->value();
-  return total;
-}
-
-std::uint64_t Fabric::frames_dropped_burst() const {
-  std::uint64_t total = 0;
-  for (const auto& c : lane_counters_) total += c.burst_dropped->value();
-  return total;
-}
-
-std::uint64_t Fabric::frames_corrupted() const {
-  std::uint64_t total = 0;
-  for (const auto& c : lane_counters_) total += c.corrupted->value();
-  return total;
-}
-
-Bytes Fabric::bytes_forwarded() const {
-  std::uint64_t total = 0;
-  for (const auto& c : lane_counters_) total += c.bytes_forwarded->value();
-  return Bytes(total);
-}
-
-Bytes Fabric::bytes_corrupted() const {
-  std::uint64_t total = 0;
-  for (const auto& c : lane_counters_) total += c.corrupted_bytes->value();
-  return Bytes(total);
 }
 
 Bytes Fabric::peak_buffer_occupancy() const {
@@ -178,14 +151,14 @@ Bytes Fabric::peak_buffer_occupancy() const {
   return peak;
 }
 
-Switch::OutPort& Fabric::host_port(int node) {
+Fabric::OutPort& Fabric::host_port(int node) {
   const auto& attach = plan_.hosts.at(static_cast<std::size_t>(node));
-  return switches_[static_cast<std::size_t>(attach.sw)]->out(attach.port);
+  return ports_[static_cast<std::size_t>(attach.sw)][attach.port];
 }
 
-const Switch::OutPort& Fabric::host_port(int node) const {
+const Fabric::OutPort& Fabric::host_port(int node) const {
   const auto& attach = plan_.hosts.at(static_cast<std::size_t>(node));
-  return switches_[static_cast<std::size_t>(attach.sw)]->out(attach.port);
+  return ports_[static_cast<std::size_t>(attach.sw)][attach.port];
 }
 
 void Fabric::set_random_loss(double probability, std::uint64_t seed) {
@@ -220,38 +193,37 @@ void Fabric::set_interior_link_state(int sw_a, int sw_b, bool up) {
         "set_interior_link_state: switches are not adjacent");
   }
   const auto set_direction = [this, up](int from, int to) {
-    auto& sw = *switches_.at(static_cast<std::size_t>(from));
-    for (std::size_t p = 0; p < sw.port_count(); ++p) {
-      if (sw.out(p).peer_switch == to) sw.out(p).link_up = up;
+    for (auto& port : ports_[static_cast<std::size_t>(from)]) {
+      if (port.peer_switch == to) port.link_up = up;
     }
   };
   set_direction(sw_a, sw_b);
   set_direction(sw_b, sw_a);
-  if (!cfg_.routing.adaptive) return;
+  if (!cfg_.adaptive_routing) return;
   // Heartbeat hysteresis: every physical state change invalidates any
   // in-flight probe check (epoch bump) and schedules one new check
-  // `{down,up}_probes` intervals out — the link is declared only if the
-  // state still holds then.  One bounded event per change, never a
+  // kDownProbes/kUpProbes intervals out — the link is declared only if
+  // the state still holds then.  One bounded event per change, never a
   // free-running prober, so Engine::run() still terminates when the
   // workload drains.
   const int lo = std::min(sw_a, sw_b);
   const int hi = std::max(sw_a, sw_b);
   auto& health = link_health_[{lo, hi}];
   const std::uint64_t epoch = ++health.probe_epoch;
-  const int probes = up ? cfg_.routing.up_probes : cfg_.routing.down_probes;
-  eng_.schedule(cfg_.routing.probe_interval * static_cast<double>(probes),
-                [this, lo, hi, epoch, up] { probe_check(lo, hi, epoch, up); });
+  const int probes = up ? kUpProbes : kDownProbes;
+  lane0_engine().schedule(
+      kProbeInterval * static_cast<double>(probes),
+      [this, lo, hi, epoch, up] { probe_check(lo, hi, epoch, up); });
 }
 
 bool Fabric::has_interior_link(int sw_a, int sw_b) const {
   if (sw_a < 0 || sw_b < 0 ||
-      static_cast<std::size_t>(sw_a) >= switches_.size() ||
-      static_cast<std::size_t>(sw_b) >= switches_.size()) {
+      static_cast<std::size_t>(sw_a) >= ports_.size() ||
+      static_cast<std::size_t>(sw_b) >= ports_.size()) {
     return false;
   }
-  const auto& sw = *switches_[static_cast<std::size_t>(sw_a)];
-  for (std::size_t p = 0; p < sw.port_count(); ++p) {
-    if (sw.out(p).peer_switch == sw_b) return true;
+  for (const auto& port : ports_[static_cast<std::size_t>(sw_a)]) {
+    if (port.peer_switch == sw_b) return true;
   }
   return false;
 }
@@ -292,8 +264,7 @@ std::vector<int> Fabric::route(int src, int dst) const {
   int sw = plan_.hosts.at(static_cast<std::size_t>(src)).sw;
   for (;;) {
     path.push_back(sw);
-    const auto& port = switches_[static_cast<std::size_t>(sw)]->out(
-        live_port_to(sw, dst));
+    const auto& port = live_port(sw, dst);
     if (port.host >= 0) break;
     sw = port.peer_switch;
   }
@@ -305,8 +276,7 @@ Time Fabric::path_latency(int src, int dst, Bytes wire) const {
   int sw = plan_.hosts.at(static_cast<std::size_t>(src)).sw;
   for (;;) {
     total += cfg_.switch_latency;
-    const auto& port = switches_[static_cast<std::size_t>(sw)]->out(
-        live_port_to(sw, dst));
+    const auto& port = live_port(sw, dst);
     if (wire > Bytes::zero()) {
       total += transfer_time(wire, port.egress->rate());
     }
@@ -327,20 +297,19 @@ std::vector<Bytes> Fabric::per_port_peak_occupancy() const {
 
 std::vector<Fabric::InteriorLinkStats> Fabric::interior_link_stats() const {
   std::vector<InteriorLinkStats> stats;
-  for (const auto& sw : switches_) {
-    for (std::size_t p = 0; p < sw->port_count(); ++p) {
-      const auto& port = sw->out(p);
+  for (std::size_t s = 0; s < ports_.size(); ++s) {
+    for (const auto& port : ports_[s]) {
       if (port.peer_switch < 0) continue;
-      InteriorLinkStats s;
-      s.from_switch = sw->id();
-      s.to_switch = port.peer_switch;
-      s.frames = port.frames_out;
-      s.bytes = port.bytes_out;
-      s.peak_queue = port.peak;
-      s.drops = port.drops();
-      s.drops_congestion = port.drops_congestion;
-      s.drops_link = port.drops_link;
-      stats.push_back(s);
+      InteriorLinkStats st;
+      st.from_switch = static_cast<int>(s);
+      st.to_switch = port.peer_switch;
+      st.frames = port.frames_out;
+      st.bytes = port.bytes_out;
+      st.peak_queue = port.peak;
+      st.drops = port.drops_congestion + port.drops_link;
+      st.drops_congestion = port.drops_congestion;
+      st.drops_link = port.drops_link;
+      stats.push_back(st);
     }
   }
   return stats;
@@ -351,12 +320,12 @@ void Fabric::inject(Frame frame) {
   if (dst_port.endpoint == nullptr) {
     throw std::logic_error("Fabric::inject: destination port not attached");
   }
-  // Injection executes on the source host's LP (its edge switch's
-  // engine); the entry-switch hop below is therefore always LP-local.
+  // Injection executes on the source host's lane (its edge switch's
+  // engine); the entry-switch hop below is therefore always lane-local.
   // Frame ids come from the lane's own space — (lane << 40) | local —
-  // which on the single serial lane is the historical 1, 2, 3, ...
+  // which on one lane is the historical 1, 2, 3, ...
   const std::size_t lane = lane_of_host(frame.src);
-  sim::Engine& eng = host_engine(frame.src);
+  sim::Engine& eng = *lane_engines_[lane];
   const LaneCounters& ctr = lane_counters_[lane];
   frame.id = (static_cast<std::uint64_t>(lane) << 40) |
              lanes_[lane].next_frame_id++;
@@ -415,16 +384,15 @@ void Fabric::inject(Frame frame) {
 }
 
 void Fabric::forward_at(int sw, Frame frame) {
-  Switch& node = *switches_[static_cast<std::size_t>(sw)];
   const std::size_t out = live_port_to(sw, frame.dst);
-  Switch::OutPort& port = node.out(out);
-  // Everything below runs on (and touches only) this switch's LP: its
+  OutPort& port = ports_[static_cast<std::size_t>(sw)][out];
+  // Everything below runs on (and touches only) this switch's lane: its
   // engine drives the trace lane, its counters take the tallies, its
-  // ports are single-writer.  A hop whose peer switch lives on another
-  // LP leaves through post() at the link+switch latency — never less
-  // than the partition's lookahead.
+  // ports are single-writer.  A hop whose peer switch is on another lane
+  // leaves through post() at the link+switch latency — never less than
+  // the partition's lookahead.
   const std::size_t lane = lane_of_switch(sw);
-  sim::Engine& eng = switch_engine(sw);
+  sim::Engine& eng = *lane_engines_[lane];
   const LaneCounters& ctr = lane_counters_[lane];
 
   // Interior link state is checked here, at forwarding time, because a
@@ -440,7 +408,10 @@ void Fabric::forward_at(int sw, Frame frame) {
     return;
   }
 
-  if (!node.admit(out, frame.wire)) {
+  // Drop-tail admission: the whole burst fits in the output buffer or
+  // the whole burst is lost.
+  if (port.buffered + frame.wire > port.capacity) {
+    ++port.drops_congestion;
     ctr.dropped->add(eng.now(), 1);
     eng.tracer().instant(trace::Category::kNet, frame.dst, "net/drop",
                          eng.now(), static_cast<std::int64_t>(frame.id));
@@ -449,8 +420,10 @@ void Fabric::forward_at(int sw, Frame frame) {
     // Only dark-link losses (above) and heartbeat probes may declare
     // link_down, so an incast storm cannot flip route_epoch
     // (tests/routing_test.cpp IncastStorm*).
-    return;  // drop-tail: the whole burst is lost
+    return;
   }
+  port.buffered += frame.wire;
+  port.peak = std::max(port.peak, port.buffered);
   if (port.buffered > lanes_[lane].peak_occupancy) {
     lanes_[lane].peak_occupancy = port.buffered;
   }
@@ -463,21 +436,20 @@ void Fabric::forward_at(int sw, Frame frame) {
                     eng.now(), serialized_at - eng.now(),
                     static_cast<std::int64_t>(frame.wire.count()));
   eng.schedule_at(serialized_at, [this, frame, sw, out] {
-    Switch& node = *switches_[static_cast<std::size_t>(sw)];
-    Switch::OutPort& port = node.out(out);
+    OutPort& port = ports_[static_cast<std::size_t>(sw)][out];
     const std::size_t lane = lane_of_switch(sw);
-    sim::Engine& eng = switch_engine(sw);
+    sim::Engine& eng = *lane_engines_[lane];
     const LaneCounters& ctr = lane_counters_[lane];
-    node.release(out, frame.wire);
+    port.buffered -= frame.wire;
+    ++port.frames_out;
+    port.bytes_out += frame.wire;
     if (port.peer_switch >= 0) {
-      ++port.frames_out;
-      port.bytes_out += frame.wire;
       port.congestion->add(eng.now(), 1);
       const int next = port.peer_switch;
       note_interior_success(sw, next);
       const Time hop = cfg_.link_latency + cfg_.switch_latency;
       const std::size_t next_lane = lane_of_switch(next);
-      if (pe_ != nullptr && next_lane != lane) {
+      if (next_lane != lane) {
         pe_->post(lane, next_lane, hop,
                   [this, frame, next] { forward_at(next, frame); });
       } else {
@@ -485,12 +457,10 @@ void Fabric::forward_at(int sw, Frame frame) {
       }
       return;
     }
-    ++port.frames_out;
-    port.bytes_out += frame.wire;
     ctr.forwarded->add(eng.now(), 1);
-    // Accounting fix: only clean deliveries count as forwarded bytes;
-    // corrupted frames crossed the fabric but the endpoint discards
-    // them, so their bytes land in a separate tally.
+    // Only clean deliveries count as forwarded bytes; corrupted frames
+    // crossed the fabric but the endpoint discards them, so their bytes
+    // land in a separate tally.
     (frame.corrupted ? *ctr.corrupted_bytes : *ctr.bytes_forwarded)
         .add(eng.now(), frame.wire.count());
     Endpoint* endpoint = port.endpoint;
@@ -501,15 +471,15 @@ void Fabric::forward_at(int sw, Frame frame) {
 
 // ---------------------------------------------------------------------
 // Adaptive routing plane.  Every entry point below is gated on
-// cfg_.routing.adaptive (directly or via its only callers), so with the
+// cfg_.adaptive_routing (directly or via its only callers), so with the
 // default static config none of this runs and no kRouting record is
-// ever emitted.
+// ever emitted.  Adaptive routing is rejected on more than one lane, so
+// the plane runs on lane 0's engine.
 // ---------------------------------------------------------------------
 
 bool Fabric::interior_phys_up(int sw_a, int sw_b) const {
-  const auto& sw = *switches_.at(static_cast<std::size_t>(sw_a));
-  for (std::size_t p = 0; p < sw.port_count(); ++p) {
-    if (sw.out(p).peer_switch == sw_b) return sw.out(p).link_up;
+  for (const auto& port : ports_.at(static_cast<std::size_t>(sw_a))) {
+    if (port.peer_switch == sw_b) return port.link_up;
   }
   return false;
 }
@@ -529,16 +499,16 @@ std::vector<std::pair<int, int>> Fabric::links_declared_down() const {
 }
 
 void Fabric::note_interior_drop(int sw_a, int sw_b) {
-  if (!cfg_.routing.adaptive) return;
+  if (!cfg_.adaptive_routing) return;
   auto& health = link_health_[{std::min(sw_a, sw_b), std::max(sw_a, sw_b)}];
   if (!health.routed_up) return;  // already failed over
-  if (++health.consecutive_drops >= cfg_.routing.drop_threshold) {
+  if (++health.consecutive_drops >= kDropThreshold) {
     declare_link(std::min(sw_a, sw_b), std::max(sw_a, sw_b), false);
   }
 }
 
 void Fabric::note_interior_success(int sw_a, int sw_b) {
-  if (!cfg_.routing.adaptive) return;
+  if (!cfg_.adaptive_routing) return;
   const auto it = link_health_.find(
       {std::min(sw_a, sw_b), std::max(sw_a, sw_b)});
   if (it != link_health_.end()) it->second.consecutive_drops = 0;
@@ -559,18 +529,52 @@ void Fabric::declare_link(int lo, int hi, bool up) {
   health.routed_up = up;
   health.consecutive_drops = 0;
   ++health.probe_epoch;  // a declaration also retires in-flight checks
-  eng_.tracer().instant(
+  sim::Engine& eng = lane0_engine();
+  eng.tracer().instant(
       trace::Category::kRouting, -1,
-      up ? "routing/link_up" : "routing/link_down", eng_.now(),
+      up ? "routing/link_up" : "routing/link_down", eng.now(),
       (static_cast<std::int64_t>(lo) << 32) | static_cast<std::int64_t>(hi));
   reconverge();
 }
 
+void Fabric::routed_distances(int dst, std::vector<int>& dist,
+                              std::vector<int>& queue) const {
+  dist.assign(ports_.size(), -1);
+  const int root = plan_.hosts.at(static_cast<std::size_t>(dst)).sw;
+  dist[static_cast<std::size_t>(root)] = 0;
+  queue.clear();
+  queue.push_back(root);
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const int at = queue[head];
+    for (const auto& port : ports_[static_cast<std::size_t>(at)]) {
+      const int peer = port.peer_switch;
+      if (peer < 0 || dist[static_cast<std::size_t>(peer)] >= 0) continue;
+      if (!link_routed_up(at, peer)) continue;
+      dist[static_cast<std::size_t>(peer)] =
+          dist[static_cast<std::size_t>(at)] + 1;
+      queue.push_back(peer);
+    }
+  }
+}
+
+void Fabric::minimal_ports(int sw, const std::vector<int>& dist,
+                           std::vector<std::size_t>& ports) const {
+  const auto& row = ports_[static_cast<std::size_t>(sw)];
+  const int here = dist[static_cast<std::size_t>(sw)];
+  for (std::size_t p = 0; p < row.size(); ++p) {
+    const int peer = row[p].peer_switch;
+    if (peer < 0 || dist[static_cast<std::size_t>(peer)] != here - 1) continue;
+    if (!link_routed_up(sw, peer)) continue;
+    ports.push_back(p);
+  }
+}
+
 void Fabric::reconverge() {
   ++route_epoch_;
-  if (route_epochs_ != nullptr) route_epochs_->add(eng_.now(), 1);
-  eng_.tracer().instant(trace::Category::kRouting, -1, "routing/reconverge",
-                        eng_.now(), static_cast<std::int64_t>(route_epoch_));
+  sim::Engine& eng = lane0_engine();
+  if (route_epochs_ != nullptr) route_epochs_->add(eng.now(), 1);
+  eng.tracer().instant(trace::Category::kRouting, -1, "routing/reconverge",
+                       eng.now(), static_cast<std::int64_t>(route_epoch_));
 
   bool any_down = false;
   for (const auto& [link, health] : link_health_) {
@@ -583,52 +587,26 @@ void Fabric::reconverge() {
   }
   if (routing_.empty()) routing_ = plan_.next_port;
 
-  // Per destination: BFS over surviving interior links from the
-  // destination's attach switch gives minimal distances; each switch
-  // then forwards through any port whose peer is strictly closer.  The
-  // candidate list is built in ascending port index (== ascending link
-  // id, the stable tie-break) and the live entry takes
-  // candidates[dst % n] — deterministic ECMP spread, the same idiom the
-  // static fat-tree tables use for spine selection.  Paths are loop-free
-  // by construction (distance strictly decreases); switches the BFS
-  // cannot reach keep their stale entries, so stranded frames die at
-  // the dead hop and the end-to-end planes escalate.
+  // Per destination: the routed-distance BFS from the destination's
+  // attach switch; each switch then forwards through any port whose peer
+  // is strictly closer.  The candidate list is in ascending port index
+  // (== ascending link id, the stable tie-break) and the live entry
+  // takes candidates[dst % n] — deterministic ECMP spread, the same
+  // idiom the static fat-tree tables use for spine selection.  Paths are
+  // loop-free by construction (distance strictly decreases); switches
+  // the BFS cannot reach keep their stale entries, so stranded frames
+  // die at the dead hop and the end-to-end planes escalate.
   const std::size_t hosts = plan_.hosts.size();
-  std::vector<int> dist(switches_.size());
+  std::vector<int> dist;
   std::vector<int> queue;
-  queue.reserve(switches_.size());
+  queue.reserve(ports_.size());
   std::vector<std::size_t> candidates;
   for (std::size_t dst = 0; dst < hosts; ++dst) {
-    std::fill(dist.begin(), dist.end(), -1);
-    const int root = plan_.hosts[dst].sw;
-    dist[static_cast<std::size_t>(root)] = 0;
-    queue.clear();
-    queue.push_back(root);
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      const int at = queue[head];
-      const auto& sw = *switches_[static_cast<std::size_t>(at)];
-      for (std::size_t p = 0; p < sw.port_count(); ++p) {
-        const int peer = sw.out(p).peer_switch;
-        if (peer < 0 || dist[static_cast<std::size_t>(peer)] >= 0) continue;
-        if (!link_routed_up(at, peer)) continue;
-        dist[static_cast<std::size_t>(peer)] =
-            dist[static_cast<std::size_t>(at)] + 1;
-        queue.push_back(peer);
-      }
-    }
-    for (std::size_t s = 0; s < switches_.size(); ++s) {
-      if (static_cast<int>(s) == root) continue;  // host port entry is fixed
-      if (dist[s] < 0) continue;                  // unreachable: keep stale
-      const auto& sw = *switches_[s];
+    routed_distances(static_cast<int>(dst), dist, queue);
+    for (std::size_t s = 0; s < ports_.size(); ++s) {
+      if (dist[s] <= 0) continue;  // unreachable (keep stale) or the root
       candidates.clear();
-      for (std::size_t p = 0; p < sw.port_count(); ++p) {
-        const int peer = sw.out(p).peer_switch;
-        if (peer < 0 || dist[static_cast<std::size_t>(peer)] != dist[s] - 1 ||
-            !link_routed_up(static_cast<int>(s), peer)) {
-          continue;
-        }
-        candidates.push_back(p);
-      }
+      minimal_ports(static_cast<int>(s), dist, candidates);
       if (candidates.empty()) continue;
       routing_[s * hosts + dst] =
           static_cast<std::uint16_t>(candidates[dst % candidates.size()]);
@@ -643,55 +621,36 @@ std::vector<std::size_t> Fabric::ecmp_ports(int sw, int dst) const {
     ports.push_back(attach.port);
     return ports;
   }
-  std::vector<int> dist(switches_.size(), -1);
+  std::vector<int> dist;
   std::vector<int> queue;
-  queue.reserve(switches_.size());
-  dist[static_cast<std::size_t>(attach.sw)] = 0;
-  queue.push_back(attach.sw);
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const int at = queue[head];
-    const auto& node = *switches_[static_cast<std::size_t>(at)];
-    for (std::size_t p = 0; p < node.port_count(); ++p) {
-      const int peer = node.out(p).peer_switch;
-      if (peer < 0 || dist[static_cast<std::size_t>(peer)] >= 0) continue;
-      if (!link_routed_up(at, peer)) continue;
-      dist[static_cast<std::size_t>(peer)] =
-          dist[static_cast<std::size_t>(at)] + 1;
-      queue.push_back(peer);
-    }
+  routed_distances(dst, dist, queue);
+  if (dist.at(static_cast<std::size_t>(sw)) < 0) {
+    return ports;  // unreachable over surviving links
   }
-  const int here = dist.at(static_cast<std::size_t>(sw));
-  if (here < 0) return ports;  // unreachable over surviving links
-  const auto& node = *switches_.at(static_cast<std::size_t>(sw));
-  for (std::size_t p = 0; p < node.port_count(); ++p) {
-    const int peer = node.out(p).peer_switch;
-    if (peer < 0 || dist[static_cast<std::size_t>(peer)] != here - 1) continue;
-    if (!link_routed_up(sw, peer)) continue;
-    ports.push_back(p);
-  }
+  minimal_ports(sw, dist, ports);
   return ports;
 }
 
 bool Fabric::request_reroute(int src, int dst) {
-  if (!cfg_.routing.adaptive) return false;
-  if (reroute_requests_ != nullptr) reroute_requests_->add(eng_.now(), 1);
-  eng_.tracer().instant(trace::Category::kRouting, src,
-                        "routing/reroute_request", eng_.now(), dst);
+  if (!cfg_.adaptive_routing) return false;
+  sim::Engine& eng = lane0_engine();
+  if (reroute_requests_ != nullptr) reroute_requests_->add(eng.now(), 1);
+  eng.tracer().instant(trace::Category::kRouting, src,
+                       "routing/reroute_request", eng.now(), dst);
   // A dead host port cannot be routed around — each host has a single
   // attachment — so fail fast and let the caller escalate terminally.
   if (!host_port(src).link_up || !host_port(dst).link_up) return false;
   // Each pass either finds the live route clean, declares one more dark
   // link (and re-converges), or proves there is no alternate.  At most
   // one declaration per interior link bounds the loop.
-  const std::size_t hop_cap = switches_.size() + 1;
-  for (std::size_t pass = 0; pass <= link_health_.size() + switches_.size();
+  const std::size_t hop_cap = ports_.size() + 1;
+  for (std::size_t pass = 0; pass <= link_health_.size() + ports_.size();
        ++pass) {
     int sw = plan_.hosts.at(static_cast<std::size_t>(src)).sw;
     bool declared = false;
     bool clean = false;
     for (std::size_t hops = 0; hops < hop_cap; ++hops) {
-      const auto& port = switches_[static_cast<std::size_t>(sw)]->out(
-          live_port_to(sw, dst));
+      const auto& port = live_port(sw, dst);
       if (port.host >= 0) {
         clean = true;
         break;

@@ -58,131 +58,53 @@ class Endpoint {
   virtual void deliver(const Frame& frame) = 0;
 };
 
-/// Fault-aware adaptive routing knobs.  Off by default: with
-/// `adaptive = false` the fabric forwards over the static topology
-/// tables forever and emits no kRouting trace records, so every
-/// pre-existing run (and its digest) is bit-identical.
-///
-/// With `adaptive = true` the fabric maintains a per-interior-link
-/// health state driven by two deterministic signals:
-///   * heartbeat probes — a physical state change schedules a detection
-///     check `down_probes` (resp. `up_probes`) probe intervals later;
-///     the link is declared failed/recovered only if the state still
-///     holds then (hysteresis: a flap shorter than the probe window
-///     never reaches the routing plane);
-///   * consecutive-drop counters — `drop_threshold` back-to-back frames
-///     lost at a dark interior port declare it failed immediately
-///     (data-driven fast path); any successful forward resets the count.
-/// Gilbert–Elliott burst loss is applied at injection, never at interior
-/// ports, so bursty loss cannot flap routes by construction.
-/// A declared state change bumps the route epoch and re-converges the
-/// next-port tables (see Fabric::request_reroute for the end-to-end
-/// escalation path).
-struct RoutingConfig {
-  bool adaptive = false;
-  int drop_threshold = 3;
-  int down_probes = 3;
-  int up_probes = 2;
-  Time probe_interval = Time::micros(100.0);
-};
-
 struct NetworkConfig {
   Bandwidth line_rate = Bandwidth::gbit_per_sec(1.0);
   Time link_latency = Time::micros(1.0);    // cable + PHY each way
   Time switch_latency = Time::micros(4.0);  // forwarding decision per hop
   Bytes port_buffer = Bytes::kib(512);      // output buffer per port
   TopologyConfig topology{};                // default: single star switch
-  RoutingConfig routing{};                  // default: static tables
+  /// Fault-aware adaptive routing.  Off by default: static topology
+  /// tables forever, no kRouting trace records.  When on, heartbeat
+  /// probes (with hysteresis) and a consecutive-drop fast path declare
+  /// interior links failed or recovered, and each declaration bumps the
+  /// route epoch and re-converges the next-port tables (see
+  /// Fabric::request_reroute for the end-to-end escalation path).  The
+  /// detection tunables are constants in network.cpp (docs/NETWORK.md).
+  /// Gilbert–Elliott burst loss is applied at injection, never at
+  /// interior ports, so bursty loss cannot flap routes.
+  bool adaptive_routing = false;
 };
 
-/// One store-and-forward switch: a set of output ports, each with a
+/// The routed fabric: every switch is a row of output ports, each with a
 /// byte-capacity buffer (drop-tail admission), an egress serializer at
 /// the port's (possibly degraded) line rate, and a link-state flag.
-/// Ports face either a host or a peer switch; the Fabric drives
-/// forwarding and owns the routing decision.
-class Switch {
- public:
-  struct OutPort {
-    int peer_switch = -1;  // >= 0: interior link to that switch
-    int host = -1;         // >= 0: host-facing port
-    Endpoint* endpoint = nullptr;
-    std::unique_ptr<sim::FifoResource> egress;
-    Bytes buffered = Bytes::zero();
-    Bytes capacity = Bytes::zero();  // admission limit (fault-adjustable)
-    Bytes peak = Bytes::zero();      // peak occupancy of this port
-    double rate_factor = 1.0;        // (0, 1] of nominal line rate
-    bool link_up = true;
-    // Per-port tallies for interior_link_stats() and reports.
-    std::uint64_t frames_out = 0;  // frames fully serialized out
-    Bytes bytes_out = Bytes::zero();
-    // Loss attribution.  Congestion (drop-tail overflow of a live port)
-    // and link failure (a physically dark link) are different signals:
-    // only the latter may feed the adaptive-routing consecutive-drop
-    // fast path — an incast burst overflowing a healthy port must never
-    // masquerade as a dead link.  drops() keeps the historical summed
-    // value for reports and interior_link_stats() compatibility.
-    std::uint64_t drops_congestion = 0;  // drop-tail losses at this port
-    std::uint64_t drops_link = 0;        // link-down/fault losses
-    std::uint64_t drops() const { return drops_congestion + drops_link; }
-    trace::Counter* congestion = nullptr;  // interior links only
-  };
-
-  Switch(int id, int level, std::size_t ports) : id_(id), level_(level) {
-    ports_.resize(ports);
-  }
-  Switch(const Switch&) = delete;
-  Switch& operator=(const Switch&) = delete;
-
-  int id() const { return id_; }
-  int level() const { return level_; }
-  std::size_t port_count() const { return ports_.size(); }
-  OutPort& out(std::size_t port) { return ports_.at(port); }
-  const OutPort& out(std::size_t port) const { return ports_.at(port); }
-
-  /// Drop-tail admission into one output buffer: false (and a counted
-  /// congestion drop) when the whole burst does not fit, else the buffer
-  /// grows and the per-port peak updates.
-  bool admit(std::size_t port, Bytes wire) {
-    auto& p = ports_.at(port);
-    if (p.buffered + wire > p.capacity) {
-      ++p.drops_congestion;
-      return false;
-    }
-    p.buffered += wire;
-    if (p.buffered > p.peak) p.peak = p.buffered;
-    return true;
-  }
-
-  void release(std::size_t port, Bytes wire) {
-    ports_.at(port).buffered -= wire;
-  }
-
- private:
-  int id_;
-  int level_;
-  std::vector<OutPort> ports_;
-};
-
-/// The routed fabric.  `Network` remains an alias for source
+/// Ports face either a host or a peer switch; the fabric owns the
+/// routing decision.  `Network` remains an alias for source
 /// compatibility: a default-constructed config is a single star switch
 /// with the exact semantics (and trace stream) of the original flat
 /// model.
+///
+/// Every fabric runs on lanes, one per LP of its partition
+/// (docs/ENGINE.md ownership rules): a switch's mutable state — ports,
+/// buffers, egress serializers, per-lane counters — is touched only by
+/// events executing on its lane's engine, and host-facing work (inject,
+/// delivery) runs on the host's edge-switch lane.  An interior hop whose
+/// peer switch is on another lane crosses via ParallelEngine::post() at
+/// the link+switch latency (>= the partition's lookahead by
+/// construction).  With more than one lane, fault hooks and adaptive
+/// routing mutate state across lanes and are rejected
+/// (std::logic_error / std::invalid_argument).
 class Fabric {
  public:
+  /// One-lane fabric on `eng`, over the topology cfg.topology builds for
+  /// `ports` hosts.
   Fabric(sim::Engine& eng, std::size_t ports, const NetworkConfig& cfg = {});
 
   /// LP-partitioned fabric over an already materialized `plan` (built
-  /// from cfg.topology; docs/ENGINE.md ownership rules): every switch's
-  /// mutable state — ports, buffers, egress serializers, per-lane
-  /// counters — lives on its own LP from `part` and is touched only by
-  /// events executing on that LP's shard engine; an interior hop whose
-  /// peer lives on another LP crosses via `pe.post()` at the link+switch
-  /// latency (>= the partition's lookahead by construction).  Host-facing
-  /// work (inject, delivery) runs on the host's edge-switch LP.  Both
-  /// `pe` and `part` must outlive the fabric.  A one-LP partition behaves
-  /// exactly like the engine constructor on pe.lp(0).  With more than one
-  /// LP, fault hooks and adaptive routing mutate state across LPs and are
-  /// rejected (std::logic_error / std::invalid_argument).
+  /// from cfg.topology), lane l on pe.lp(l).  `pe` must outlive the
+  /// fabric.  A one-LP partition behaves exactly like the engine
+  /// constructor on pe.lp(0).
   Fabric(sim::ParallelEngine& pe, const LpPartition& part, TopologyPlan plan,
          const NetworkConfig& cfg);
 
@@ -202,21 +124,16 @@ class Fabric {
   /// their own transmit at the same line rate).
   Bandwidth line_rate() const { return cfg_.line_rate; }
 
-  /// Single-hop constant from the flat model.  Kept for star-era
-  /// callers; protocol timers should use path_latency(), which knows the
-  /// real hop count, per-hop serialization, and degraded port rates.
-  Time one_way_latency() const {
-    return cfg_.link_latency + cfg_.switch_latency;
-  }
-
   // ------------------------------------------------------------------
   // Topology and routing queries.
   // ------------------------------------------------------------------
 
   const TopologyConfig& topology() const { return cfg_.topology; }
   const TopologyPlan& plan() const { return plan_; }
-  std::size_t switch_count() const { return switches_.size(); }
-  int switch_level(int sw) const { return switches_.at(static_cast<std::size_t>(sw))->level(); }
+  std::size_t switch_count() const { return plan_.switches.size(); }
+  int switch_level(int sw) const {
+    return plan_.switches.at(static_cast<std::size_t>(sw)).level;
+  }
 
   /// Switch ids a src->dst frame visits, in order (>= 1 entries).
   std::vector<int> route(int src, int dst) const;
@@ -234,10 +151,10 @@ class Fabric {
   Time path_latency(int src, int dst, Bytes wire = Bytes::zero()) const;
 
   // ------------------------------------------------------------------
-  // Adaptive routing (RoutingConfig; inert while adaptive = false).
+  // Adaptive routing (NetworkConfig::adaptive_routing; inert while off).
   // ------------------------------------------------------------------
 
-  bool adaptive_routing() const { return cfg_.routing.adaptive; }
+  bool adaptive_routing() const { return cfg_.adaptive_routing; }
 
   /// Times the routing plane re-converged (0 until a link-health change
   /// is declared).  Same seed + same fault plan → same epoch trajectory.
@@ -272,16 +189,30 @@ class Fabric {
   // accumulates into its own lane's counters (single writer) and these
   // accessors sum the lanes — a deterministic merge, because every
   // lane's total is itself thread-count independent.
-  std::uint64_t frames_forwarded() const;
-  std::uint64_t frames_dropped() const;
-  std::uint64_t frames_dropped_link_down() const;
-  std::uint64_t frames_dropped_burst() const;
-  std::uint64_t frames_corrupted() const;
+  std::uint64_t frames_forwarded() const {
+    return lane_sum(&LaneCounters::forwarded);
+  }
+  std::uint64_t frames_dropped() const {
+    return lane_sum(&LaneCounters::dropped);
+  }
+  std::uint64_t frames_dropped_link_down() const {
+    return lane_sum(&LaneCounters::link_dropped);
+  }
+  std::uint64_t frames_dropped_burst() const {
+    return lane_sum(&LaneCounters::burst_dropped);
+  }
+  std::uint64_t frames_corrupted() const {
+    return lane_sum(&LaneCounters::corrupted);
+  }
   /// Bytes of *clean* frames delivered to endpoints.  Corrupted frames'
   /// bytes are tallied separately (they cross the fabric but the
   /// endpoint discards them), and dropped bursts never count.
-  Bytes bytes_forwarded() const;
-  Bytes bytes_corrupted() const;
+  Bytes bytes_forwarded() const {
+    return Bytes(lane_sum(&LaneCounters::bytes_forwarded));
+  }
+  Bytes bytes_corrupted() const {
+    return Bytes(lane_sum(&LaneCounters::corrupted_bytes));
+  }
 
   /// Peak output-buffer occupancy seen on any port of any switch — used
   /// by tests of the paper's "fits in network buffers" claim.
@@ -367,10 +298,32 @@ class Fabric {
   void set_port_buffer_factor(int node, double factor);
 
  private:
-  /// Per-LP fabric statistics: one lane of counters per LP, written only
-  /// by that LP's worker; the public accessors sum the lanes.  Serial
-  /// fabrics have exactly one lane on the main engine, so every add()
-  /// lands on the very counters (same engine, same names) it always did.
+  /// One output port of one switch.
+  struct OutPort {
+    int peer_switch = -1;  // >= 0: interior link to that switch
+    int host = -1;         // >= 0: host-facing port
+    Endpoint* endpoint = nullptr;
+    std::unique_ptr<sim::FifoResource> egress;
+    Bytes buffered = Bytes::zero();
+    Bytes capacity = Bytes::zero();  // admission limit (fault-adjustable)
+    Bytes peak = Bytes::zero();      // peak occupancy of this port
+    double rate_factor = 1.0;        // (0, 1] of nominal line rate
+    bool link_up = true;
+    // Per-port tallies for interior_link_stats() and reports.
+    std::uint64_t frames_out = 0;  // frames fully serialized out
+    Bytes bytes_out = Bytes::zero();
+    // Loss attribution.  Congestion (drop-tail overflow of a live port)
+    // and link failure (a physically dark link) are different signals:
+    // only the latter may feed the adaptive-routing consecutive-drop
+    // fast path — an incast burst overflowing a healthy port must never
+    // masquerade as a dead link.
+    std::uint64_t drops_congestion = 0;  // drop-tail losses at this port
+    std::uint64_t drops_link = 0;        // link-down/fault losses
+    trace::Counter* congestion = nullptr;  // interior links only
+  };
+  /// Per-lane fabric statistics, written only by that lane's events; the
+  /// public accessors sum the lanes.  A one-lane fabric's counters are
+  /// the very counters (same engine, same names) the flat model had.
   struct LaneCounters {
     trace::Counter* forwarded = nullptr;
     trace::Counter* dropped = nullptr;
@@ -380,36 +333,34 @@ class Fabric {
     trace::Counter* corrupted = nullptr;
     trace::Counter* corrupted_bytes = nullptr;
   };
-  /// Per-LP mutable scalars, cache-line isolated (distinct LPs write
-  /// their own lane concurrently).  Frame ids are per-LP spaces: the id
-  /// is (lane << 40) | local, which for the single serial lane reduces to
-  /// the historical 1, 2, 3, ... sequence bit-for-bit.
+  /// Per-lane mutable scalars, cache-line isolated (distinct lanes write
+  /// their own concurrently).  Frame ids are per-lane spaces: the id is
+  /// (lane << 40) | local, which on one lane reduces to the historical
+  /// 1, 2, 3, ... sequence bit-for-bit.
   struct alignas(64) LaneState {
     std::uint64_t next_frame_id = 1;
     Bytes peak_occupancy = Bytes::zero();
   };
 
-  Fabric(sim::Engine& eng, sim::ParallelEngine* pe, const LpPartition* part,
-         TopologyPlan plan, const NetworkConfig& cfg);
+  Fabric(sim::Engine& eng, TopologyPlan&& plan, const NetworkConfig& cfg);
+  Fabric(sim::ParallelEngine* pe, std::vector<sim::Engine*> lane_engines,
+         LpPartition part, TopologyPlan&& plan, const NetworkConfig& cfg);
 
   std::size_t lane_of_switch(int sw) const {
-    return part_ == nullptr
-               ? 0
-               : part_->lp_of_switch[static_cast<std::size_t>(sw)];
+    return part_.lp_of_switch[static_cast<std::size_t>(sw)];
   }
   std::size_t lane_of_host(int host) const {
-    return part_ == nullptr
-               ? 0
-               : part_->lp_of_host[static_cast<std::size_t>(host)];
+    return part_.lp_of_host[static_cast<std::size_t>(host)];
   }
-  /// The engine owning switch `sw` (eng_ when serial).
-  sim::Engine& switch_engine(int sw);
-  /// The engine owning host `h`'s device-side events (its edge switch's).
-  sim::Engine& host_engine(int host);
+  /// The engine of the routing plane and of the fault hooks' probes,
+  /// which run only on one-lane fabrics.
+  sim::Engine& lane0_engine() const { return *lane_engines_.front(); }
   /// Throws std::logic_error on more than one lane: fault hooks mutate
   /// port state owned by other LPs with no delay, which the conservative
   /// windows cannot order.
   void require_unsharded(const char* what) const;
+  /// Sums one of the LaneCounters over every lane.
+  std::uint64_t lane_sum(trace::Counter* LaneCounters::*counter) const;
 
   /// Health the routing plane tracks per undirected interior link,
   /// keyed by the normalized (min, max) switch pair.
@@ -419,8 +370,12 @@ class Fabric {
     std::uint64_t probe_epoch = 0;  // invalidates in-flight probe checks
   };
 
-  Switch::OutPort& host_port(int node);
-  const Switch::OutPort& host_port(int node) const;
+  OutPort& host_port(int node);
+  const OutPort& host_port(int node) const;
+  /// The port switch `sw` forwards `dst`'s frames through (live tables).
+  const OutPort& live_port(int sw, int dst) const {
+    return ports_[static_cast<std::size_t>(sw)][live_port_to(sw, dst)];
+  }
   void forward_at(int sw, Frame frame);
 
   /// True while the physical interior link (both directions) is up.
@@ -432,9 +387,9 @@ class Fabric {
   void note_interior_drop(int sw_a, int sw_b);
   /// A frame successfully serialized across an interior link.
   void note_interior_success(int sw_a, int sw_b);
-  /// Heartbeat hysteresis: fires `probes` intervals after a physical
-  /// state change; declares the link only if the state still holds and
-  /// no newer change superseded this check (epoch match).
+  /// Heartbeat hysteresis: fires a fixed number of probe intervals after
+  /// a physical state change; declares the link only if the state still
+  /// holds and no newer change superseded this check (epoch match).
   void probe_check(int lo, int hi, std::uint64_t epoch, bool expect_up);
   /// Commits a routed-state change (traced under kRouting) and
   /// re-converges.  No-op if the link is already in that state.
@@ -443,6 +398,15 @@ class Fabric {
   /// minimal paths, candidates in ascending link id, spread by
   /// `dst % candidates`.  Bumps route_epoch_.
   void reconverge();
+  /// Routed-distance BFS: hops from every switch to `dst`'s attach
+  /// switch over the interior links the routing plane believes are up
+  /// (-1 where unreachable).  `queue` is scratch.
+  void routed_distances(int dst, std::vector<int>& dist,
+                        std::vector<int>& queue) const;
+  /// Appends to `ports`, ascending, every interior port of `sw` whose
+  /// peer is one routed hop closer to the destination `dist` measures.
+  void minimal_ports(int sw, const std::vector<int>& dist,
+                     std::vector<std::size_t>& ports) const;
   std::size_t live_port_to(int sw, int dst) const {
     return routing_.empty()
                ? plan_.port_to(sw, dst)
@@ -450,12 +414,12 @@ class Fabric {
                           static_cast<std::size_t>(dst)];
   }
 
-  sim::Engine& eng_;
-  sim::ParallelEngine* pe_ = nullptr;   // non-null when partitioned
-  const LpPartition* part_ = nullptr;   // non-null when partitioned
+  sim::ParallelEngine* pe_;  // carries cross-lane hops (null: one lane)
+  std::vector<sim::Engine*> lane_engines_;  // lane -> its engine
+  LpPartition part_;                        // switch/host -> lane
   NetworkConfig cfg_;
   TopologyPlan plan_;
-  std::vector<std::unique_ptr<Switch>> switches_;
+  std::vector<std::vector<OutPort>> ports_;  // ports_[switch][port]
   // Live next-port tables (empty until the first re-convergence; the
   // static plan_ tables serve until then, so the inert path allocates
   // and copies nothing).
@@ -469,8 +433,8 @@ class Fabric {
   std::unique_ptr<fault::GilbertElliott> burst_loss_;
   double corruption_probability_ = 0.0;
   std::unique_ptr<Rng> corruption_rng_;
-  std::vector<LaneCounters> lane_counters_;  // one per LP (1 when serial)
-  std::vector<LaneState> lanes_;             // one per LP (1 when serial)
+  std::vector<LaneCounters> lane_counters_;  // one per lane
+  std::vector<LaneState> lanes_;             // one per lane
 };
 
 /// The flat star network the rest of the tree grew up with is now the

@@ -63,10 +63,9 @@ Time TcpStack::current_rto(const Connection& c) const {
                                     : std::max(cfg_.min_rto, c.srtt * 3.0);
   // Path-aware floor: the timer must never undercut two round trips of
   // the burst and its ACK over the *actual* route — on a multi-hop or
-  // rate-degraded fabric the old flat one_way_latency() constant
-  // under-estimates the RTT and fires spurious retransmissions.  On the
-  // single-star configs the floor sits far below min_rto and changes
-  // nothing.
+  // rate-degraded fabric a single-hop constant under-estimates the RTT
+  // and fires spurious retransmissions.  On the single-star configs the
+  // floor sits far below min_rto and changes nothing.
   if (c.peer >= 0) {
     const auto& net = nic_.network();
     const Time rtt =

@@ -51,7 +51,7 @@ struct Harness {
   Harness(std::size_t hosts, const TopologyConfig& topo, bool adaptive) {
     NetworkConfig cfg;
     cfg.topology = topo;
-    cfg.routing.adaptive = adaptive;
+    cfg.adaptive_routing = adaptive;
     net = std::make_unique<Network>(eng, hosts, cfg);
     for (std::size_t h = 0; h < hosts; ++h) {
       sinks.push_back(std::make_unique<RecordingEndpoint>(eng));
@@ -108,7 +108,7 @@ TEST(Routing, IncastStormNeverFlipsLinkHealth) {
   // shared counter made this distinction impossible to audit.
   NetworkConfig cfg;
   cfg.topology = TopologyConfig::fat_tree(2);
-  cfg.routing.adaptive = true;
+  cfg.adaptive_routing = true;
   cfg.port_buffer = Bytes::kib(2);  // tiny buffers: guarantee drop-tail
   sim::Engine eng;
   eng.tracer().enable();
@@ -159,9 +159,9 @@ TEST(Routing, ConsecutiveDropsDeclareLinkAndRerouteTraffic) {
   const auto hop = first_interior_hop(*h.net, src, dst);
   h.net->set_interior_link_state(hop.first, hop.second, false);
 
-  // drop_threshold (default 3) consecutive losses at the dark port must
-  // declare the link failed and re-converge; later frames take the
-  // alternate spine and arrive.
+  // Three consecutive losses (the fabric's drop threshold) at the dark
+  // port must declare the link failed and re-converge; later frames take
+  // the alternate spine and arrive.
   const int kFrames = 8;
   for (int i = 0; i < kFrames; ++i) h.net->inject(make_frame(src, dst));
   h.eng.run();
@@ -178,7 +178,7 @@ TEST(Routing, ConsecutiveDropsDeclareLinkAndRerouteTraffic) {
                       (path[i] == hop.second && path[i + 1] == hop.first);
     EXPECT_FALSE(dead) << "live route still crosses the declared-down link";
   }
-  // Exactly drop_threshold frames died during detection; the rest made it.
+  // Exactly three frames died during detection; the rest made it.
   EXPECT_EQ(h.sinks[static_cast<std::size_t>(dst)]->frames.size(),
             static_cast<std::size_t>(kFrames) - 3u);
   EXPECT_EQ(h.net->frames_dropped_link_down(), 3u);
@@ -189,7 +189,7 @@ TEST(Routing, ProbeHysteresisIgnoresShortFlapAndDeclaresLastingFailure) {
   const auto hop = first_interior_hop(*h.net, 0, 7);
   ASSERT_GE(hop.first, 0);
   const auto pristine = h.net->route(0, 7);  // static-table route
-  const Time interval = Time::micros(100.0);  // RoutingConfig default
+  const Time interval = Time::micros(100.0);  // the fabric's probe interval
 
   // Flap: down at t=0, back up one probe interval later — well inside
   // the three-probe detection window.  No declaration may result.
@@ -202,13 +202,13 @@ TEST(Routing, ProbeHysteresisIgnoresShortFlapAndDeclaresLastingFailure) {
   EXPECT_TRUE(h.net->links_declared_down().empty());
 
   // Lasting failure: down and held.  The heartbeat plane alone (no data
-  // frames at all) must declare it after down_probes intervals.
+  // frames at all) must declare it after three probe intervals.
   h.net->set_interior_link_state(hop.first, hop.second, false);
   h.eng.run();
   EXPECT_EQ(h.net->route_epoch(), 1u);
   EXPECT_EQ(h.net->links_declared_down().size(), 1u);
 
-  // Repair: link comes back and holds; after up_probes intervals the
+  // Repair: link comes back and holds; after two probe intervals the
   // plane restores the pristine static tables.
   EXPECT_NE(h.net->route(0, 7), pristine);  // currently on the alternate
   h.net->set_interior_link_state(hop.first, hop.second, true);

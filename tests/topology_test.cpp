@@ -489,10 +489,7 @@ TEST(Fabric, EngineAndOneLpParallelEngineBuildTheSameFabric) {
 
   sim::ParallelEngine peng(1, sim::ParallelConfig{});
   net::TopologyPlan plan = net::build_topology(cfg.topology, 16);
-  net::LpPartition part;
-  part.lp_count = 1;
-  part.lp_of_switch.assign(plan.switches.size(), 0);
-  part.lp_of_host.assign(plan.hosts.size(), 0);
+  const net::LpPartition part = net::single_lp_partition(plan);
   net::Fabric one_lp(peng, part, std::move(plan), cfg);
   const InjectionOutcome b =
       run_seeded_injections(peng.lp(0), one_lp, [&peng] { peng.run(); });
