@@ -400,7 +400,7 @@ class Fabric {
   void reconverge();
   /// Routed-distance BFS: hops from every switch to `dst`'s attach
   /// switch over the interior links the routing plane believes are up
-  /// (-1 where unreachable).  `queue` is scratch.
+  /// (-1 where unreachable).  `queue` is reusable working storage.
   void routed_distances(int dst, std::vector<int>& dist,
                         std::vector<int>& queue) const;
   /// Appends to `ports`, ascending, every interior port of `sw` whose
