@@ -148,36 +148,77 @@ std::string unquoted(const std::string& s) {
   return s.size() >= 2 && s.front() == '"' ? s.substr(1, s.size() - 2) : s;
 }
 
-using CounterList = std::vector<std::pair<std::string, std::string>>;
+using Pairs = std::vector<std::pair<std::string, std::string>>;
+
+/// A point's params as (name, quoted value), in the point's order.
+Pairs golden_params(const RunRecord& r) {
+  Pairs out;
+  for (const auto& [name, value] : r.params) {
+    out.emplace_back(escaped(name), "\"" + escaped(value) + "\"");
+  }
+  return out;
+}
 
 /// A point's counters as (name, rendered value), in the body's order.
-CounterList golden_counters(const RunRecord& r) {
-  CounterList out;
+Pairs golden_counters(const RunRecord& r) {
+  Pairs out;
   for (const auto& [name, value] : r.metrics.counters) {
     out.emplace_back(escaped(name), std::to_string(value));
   }
   return out;
 }
 
-/// The `"counters": {"name": value, ...}` object of one table line
-/// (empty when the point pinned none).  Counter names never contain a
-/// quote, and values are integers.
-CounterList golden_counters(std::string_view line) {
-  CounterList out;
-  constexpr std::string_view kNeedle = "\"counters\": {";
-  const auto at = line.find(kNeedle);
-  if (at == std::string_view::npos) return out;
-  const auto end = line.find('}', at);
-  for (auto pos = line.find('"', at + kNeedle.size()); pos < end;
-       pos = line.find('"', pos)) {
-    const auto name_end = line.find('"', pos + 1);
+/// Index of the quote that closes the string opened at `open`.
+std::size_t closing_quote(std::string_view line, std::size_t open) {
+  std::size_t i = open + 1;
+  while (i < line.size() && line[i] != '"') i += line[i] == '\\' ? 2 : 1;
+  return i;
+}
+
+/// The `"<object>": {"name": value, ...}` object of one table line as
+/// (name, raw value) pairs; a string value keeps its quotes.  Empty when
+/// the line has no such object.
+Pairs golden_object(std::string_view line, std::string_view object) {
+  Pairs out;
+  const std::string needle = "\"" + std::string(object) + "\": {";
+  auto pos = line.find(needle);
+  if (pos == std::string_view::npos) return out;
+  for (pos += needle.size(); pos < line.size() && line[pos] == '"';) {
+    const auto name_end = closing_quote(line, pos);
     const auto value_at = name_end + 3;  // skip `": `
-    const auto value_end = line.find_first_of(",}", value_at);
+    const auto value_end = value_at < line.size() && line[value_at] == '"'
+                               ? closing_quote(line, value_at) + 1
+                               : line.find_first_of(",}", value_at);
+    if (value_end >= line.size()) break;
     out.emplace_back(std::string(line.substr(pos + 1, name_end - pos - 1)),
                      std::string(line.substr(value_at, value_end - value_at)));
-    pos = value_end;
+    pos = line[value_end] == ',' ? value_end + 2 : line.size();
   }
   return out;
+}
+
+/// Reports where the table's `what` list and the run's first differ.
+/// Entries pair up by position, so a moved, renamed, added or dropped
+/// entry is reported at the first place the lists differ.  Returns
+/// whether they differ.
+bool first_difference(std::FILE* err, const std::string& key,
+                      const char* what, const Pairs& want, const Pairs& got) {
+  for (std::size_t i = 0; i < std::max(want.size(), got.size()); ++i) {
+    if (i < want.size() && i < got.size() && want[i] == got[i]) continue;
+    if (i < want.size() && i < got.size() && want[i].first == got[i].first) {
+      std::fprintf(err, "GOLDEN MISMATCH %s: %s %s golden %s, run %s\n",
+                   key.c_str(), what, got[i].first.c_str(),
+                   unquoted(want[i].second).c_str(),
+                   unquoted(got[i].second).c_str());
+    } else {
+      std::fprintf(err, "GOLDEN MISMATCH %s: %s #%zu golden %s, run %s\n",
+                   key.c_str(), what, i,
+                   i < want.size() ? want[i].first.c_str() : "(none)",
+                   i < got.size() ? got[i].first.c_str() : "(none)");
+    }
+    return true;
+  }
+  return false;
 }
 
 }  // namespace
@@ -195,7 +236,7 @@ std::string compiler_id() {
 void write_golden_json(std::ostream& os,
                        const std::vector<RunRecord>& results) {
   os << "{\n";
-  os << "  \"schema\": \"acc-bench-golden/v2\",\n";
+  os << "  \"schema\": \"acc-bench-golden/v3\",\n";
   os << "  \"compiler\": \"" << escaped(compiler_id()) << "\",\n";
   os << "  \"points\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
@@ -204,12 +245,14 @@ void write_golden_json(std::ostream& os,
     for (std::size_t f = 0; f < values.size(); ++f) {
       os << ", \"" << kGoldenFields[f] << "\": " << values[f];
     }
-    const auto counters = golden_counters(results[i]);
-    if (!counters.empty()) {
-      os << ", \"counters\": {";
-      for (std::size_t c = 0; c < counters.size(); ++c) {
-        os << (c ? ", " : "") << "\"" << counters[c].first
-           << "\": " << counters[c].second;
+    for (const auto& [object, pairs] :
+         {std::pair{"counters", golden_counters(results[i])},
+          std::pair{"params", golden_params(results[i])}}) {
+      if (pairs.empty()) continue;
+      os << ", \"" << object << "\": {";
+      for (std::size_t c = 0; c < pairs.size(); ++c) {
+        os << (c ? ", " : "") << "\"" << pairs[c].first
+           << "\": " << pairs[c].second;
       }
       os << "}";
     }
@@ -268,6 +311,11 @@ int check_golden(std::istream& is, const std::vector<RunRecord>& results,
                    key.c_str(), r.error.c_str());
       return fail();
     }
+    if (first_difference(err, key, "param",
+                         golden_object(table[at].second, "params"),
+                         golden_params(r))) {
+      return fail();
+    }
     const auto values = golden_values(r);
     for (std::size_t f = 0; f < values.size(); ++f) {
       const std::string want = golden_field(table[at].second, kGoldenFields[f]);
@@ -278,23 +326,9 @@ int check_golden(std::istream& is, const std::vector<RunRecord>& results,
         return fail();
       }
     }
-    // Counters pair up by position, so a moved, renamed, added or
-    // dropped column is reported at the first place the lists differ.
-    const auto want = golden_counters(table[at].second);
-    const auto got = golden_counters(r);
-    for (std::size_t c = 0; c < std::max(want.size(), got.size()); ++c) {
-      if (c < want.size() && c < got.size() && want[c] == got[c]) continue;
-      if (c < want.size() && c < got.size() && want[c].first == got[c].first) {
-        std::fprintf(err, "GOLDEN MISMATCH %s: counter %s golden %s, run %s\n",
-                     key.c_str(), got[c].first.c_str(), want[c].second.c_str(),
-                     got[c].second.c_str());
-      } else {
-        std::fprintf(err,
-                     "GOLDEN MISMATCH %s: counter #%zu golden %s, run %s\n",
-                     key.c_str(), c,
-                     c < want.size() ? want[c].first.c_str() : "(none)",
-                     c < got.size() ? got[c].first.c_str() : "(none)");
-      }
+    if (first_difference(err, key, "counter",
+                         golden_object(table[at].second, "counters"),
+                         golden_counters(r))) {
       return fail();
     }
   }

@@ -56,19 +56,22 @@
 // fields.
 //
 // The golden point tables (bench/golden.json for the reduced grid,
-// bench/golden_full.json for the full grid; schema acc-bench-golden/v2)
+// bench/golden_full.json for the full grid; schema acc-bench-golden/v3)
 // pin the deterministic fields of every point of one sweep: `digest`,
-// `sim_ms` (exact, from integer nanoseconds), `events`, `trace_records`
-// and the body's `counters` in order (v2; v1 tables had no counters).
-// They hold no wall-clock field, so a checked-in table turns "no digest
-// or table column moved" into a check any build can run:
+// `sim_ms` (exact, from integer nanoseconds), `events`, `trace_records`,
+// the body's `counters` in order (v2; v1 tables had no counters) and
+// the point's `params` in order (v3; gates pair records by params, so a
+// renamed or retyped param must not pass unnoticed).  They hold no
+// wall-clock field, so a checked-in table turns "no digest, table
+// column or param moved" into a check any build can run:
 //
 //   {
-//     "schema": "acc-bench-golden/v2",
+//     "schema": "acc-bench-golden/v3",
 //     "compiler": "gcc 12.2.0",
 //     "points": [
 //       {"point": "<suite>/<name>", "digest": "<hex>", "sim_ms": 1.234567,
-//        "events": 62, "trace_records": 71, "counters": {"comm_ns": 812}},
+//        "events": 62, "trace_records": 71, "counters": {"comm_ns": 812},
+//        "params": {"P": "4"}},
 //       ...
 //     ]
 //   }
@@ -110,10 +113,10 @@ std::string compiler_id();
 void write_golden_json(std::ostream& os, const std::vector<RunRecord>& results);
 
 /// Checks `results` against a golden table read from `is`.  Every run
-/// point must be in the table with identical fields and counters, and
-/// every table point of a suite the run covered must have been run.
-/// Prints the first difference (point, field or counter, both values)
-/// to `err` and returns 1;
+/// point must be in the table with identical params, fields and
+/// counters, and every table point of a suite the run covered must have
+/// been run.  Prints the first difference (point, param, field or
+/// counter, both values) to `err` and returns 1;
 /// returns 0 when everything matches, 2 when the table is unreadable.
 int check_golden(std::istream& is, const std::vector<RunRecord>& results,
                  std::FILE* err);

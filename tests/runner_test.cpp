@@ -426,6 +426,7 @@ TEST(BenchJson, GoldenTablePinsCountersAndNamesTheFirstThatMoved) {
   RunRecord r;
   r.suite = "suite";
   r.name = "point";
+  r.params = {{"plane", "nic"}, {"rate_hz", "20000"}};
   r.ok = true;
   r.metrics.sim_time = Time::nanos(1234567);
   r.metrics.digest = 0xabcdef;
@@ -435,6 +436,10 @@ TEST(BenchJson, GoldenTablePinsCountersAndNamesTheFirstThatMoved) {
   std::ostringstream table;
   runner::write_golden_json(table, {r});
   EXPECT_NE(table.str().find("\"counters\": {\"comm_ns\": 812, \"drops\": 0}"),
+            std::string::npos)
+      << table.str();
+  EXPECT_NE(table.str().find(
+                "\"params\": {\"plane\": \"nic\", \"rate_hz\": \"20000\"}"),
             std::string::npos)
       << table.str();
 
@@ -468,6 +473,20 @@ TEST(BenchJson, GoldenTablePinsCountersAndNamesTheFirstThatMoved) {
   extra.metrics.counters.emplace_back("retransmits", 0);
   EXPECT_EQ(check(extra, &message), 1);
   EXPECT_NE(message.find("counter #2 golden (none), run retransmits"),
+            std::string::npos)
+      << message;
+
+  // A param typo moves no metric but would unpair a gate's twins.
+  RunRecord typo = r;
+  typo.params[1].second = "2000";
+  EXPECT_EQ(check(typo, &message), 1);
+  EXPECT_NE(message.find("param rate_hz golden 20000, run 2000"),
+            std::string::npos)
+      << message;
+  RunRecord renamed = r;
+  renamed.params[0].first = "backend";
+  EXPECT_EQ(check(renamed, &message), 1);
+  EXPECT_NE(message.find("param #0 golden plane, run backend"),
             std::string::npos)
       << message;
 }
