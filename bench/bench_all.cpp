@@ -212,7 +212,8 @@ int main(int argc, char** argv) {
   print_banner("bench_all: " + std::to_string(points.size()) + " points (" +
                std::string(opts.reduced ? "reduced" : "full") + ") on " +
                std::to_string(pool.threads()) + " threads");
-  const auto results = pool.run(points);
+  auto results = pool.run(points);
+  runner::derive_scaling_ratios(results);
 
   // Each suite's records, in submission order (results[i] is points[i]).
   std::vector<std::vector<runner::RunRecord>> by_suite;

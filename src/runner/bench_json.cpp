@@ -46,126 +46,106 @@ std::string number(double v) {
   return buf;
 }
 
-void write_point(std::ostream& os, const RunRecord& r,
-                 const std::string& indent) {
-  os << indent << "\"" << escaped(r.name) << "\": {\n";
-  os << indent << "  \"params\": {";
-  for (std::size_t i = 0; i < r.params.size(); ++i) {
-    if (i) os << ", ";
-    os << "\"" << escaped(r.params[i].first) << "\": \""
-       << escaped(r.params[i].second) << "\"";
+using Pairs = std::vector<std::pair<std::string, std::string>>;
+
+/// `{"name": value, ...}` over values already rendered as JSON.
+std::string object(const Pairs& pairs) {
+  std::string out = "{";
+  for (const auto& [name, value] : pairs) {
+    out += (out.size() > 1 ? ", \"" : "\"") + name + "\": " + value;
   }
-  os << "},\n";
-  if (!r.ok) {
-    os << indent << "  \"error\": \"" << escaped(r.error) << "\",\n";
-    os << indent << "  \"wall_ms\": " << number(r.wall_ms) << ",\n";
-    os << indent << "  \"wall_ns\": " << r.wall_ns << "\n";
-    os << indent << "}";
-    return;
-  }
-  os << indent << "  \"sim_ms\": " << number(r.metrics.sim_time.as_millis())
-     << ",\n";
-  if (r.metrics.speedup != 0.0) {
-    os << indent << "  \"speedup\": " << number(r.metrics.speedup) << ",\n";
-  }
-  os << indent << "  \"digest\": \"" << digest_hex(r.metrics.digest)
-     << "\",\n";
-  os << indent << "  \"wall_ms\": " << number(r.wall_ms) << ",\n";
-  os << indent << "  \"wall_ns\": " << r.wall_ns << ",\n";
-  os << indent << "  \"events\": " << r.metrics.events << ",\n";
-  os << indent << "  \"events_per_sec\": " << number(r.events_per_sec());
-  // Schema v4: parallel-engine scaling fields, emitted only for points
-  // that ran on the window scheduler so v3-era points are byte-stable.
-  if (r.metrics.threads > 1) {
-    os << ",\n" << indent << "  \"threads\": " << r.metrics.threads;
-  }
-  if (r.metrics.scaling_efficiency != 0.0) {
-    os << ",\n"
-       << indent
-       << "  \"scaling_efficiency\": " << number(r.metrics.scaling_efficiency);
-  }
-  if (r.metrics.latency.present) {
-    const LatencySummary& l = r.metrics.latency;
-    os << ",\n" << indent << "  \"latency\": {";
-    os << "\"count\": " << l.count;
-    os << ", \"p50_ns\": " << l.p50_ns;
-    os << ", \"p99_ns\": " << l.p99_ns;
-    os << ", \"p999_ns\": " << l.p999_ns;
-    os << ", \"mean_ns\": " << l.mean_ns;
-    os << ", \"max_ns\": " << l.max_ns;
-    os << ", \"goodput_bytes_per_sec\": " << l.goodput_bytes_per_sec;
-    os << "}";
-  }
-  if (!r.metrics.counters.empty()) {
-    os << ",\n" << indent << "  \"counters\": {";
-    for (std::size_t i = 0; i < r.metrics.counters.size(); ++i) {
-      if (i) os << ", ";
-      os << "\"" << escaped(r.metrics.counters[i].first)
-         << "\": " << r.metrics.counters[i].second;
-    }
-    os << "}";
-  }
-  os << "\n" << indent << "}";
+  return out + "}";
 }
 
-/// The golden table's per-point fields, in check order, rendered exactly
-/// as the table stores them.
-constexpr const char* kGoldenFields[] = {"digest", "sim_ms", "events",
-                                         "trace_records"};
+std::string quoted(const std::string& s) { return "\"" + s + "\""; }
 
-std::vector<std::string> golden_values(const RunRecord& r) {
-  const std::int64_t ns = r.metrics.sim_time.as_nanos();
-  char sim_ms[48];
-  std::snprintf(sim_ms, sizeof sim_ms, "%" PRId64 ".%06" PRId64,
-                ns / 1000000, ns % 1000000);
-  return {"\"" + digest_hex(r.metrics.digest) + "\"", sim_ms,
-          std::to_string(r.metrics.events),
-          std::to_string(r.metrics.trace_records)};
+/// A point's params and counters as JSON objects, in their order.
+std::string params_object(const RunRecord& r) {
+  Pairs params;
+  for (const auto& [name, value] : r.params) {
+    params.emplace_back(escaped(name), quoted(escaped(value)));
+  }
+  return object(params);
+}
+
+std::string counters_object(const RunRecord& r) {
+  Pairs counters;
+  for (const auto& [name, value] : r.metrics.counters) {
+    counters.emplace_back(escaped(name), std::to_string(value));
+  }
+  return object(counters);
+}
+
+void write_point(std::ostream& os, const RunRecord& r,
+                 const std::string& indent) {
+  const RunMetrics& m = r.metrics;
+  Pairs fields = {{"params", params_object(r)}};
+  if (r.ok) {
+    fields.emplace_back("sim_ms", number(m.sim_time.as_millis()));
+    if (m.speedup != 0.0) fields.emplace_back("speedup", number(m.speedup));
+    fields.emplace_back("digest", quoted(digest_hex(m.digest)));
+  } else {
+    fields.emplace_back("error", quoted(escaped(r.error)));
+  }
+  fields.emplace_back("wall_ms", number(r.wall_ms));
+  fields.emplace_back("wall_ns", std::to_string(r.wall_ns));
+  if (r.ok) {
+    fields.emplace_back("events", std::to_string(m.events));
+    fields.emplace_back("events_per_sec", number(r.events_per_sec()));
+    // Schema v4: parallel-engine scaling fields, emitted only for points
+    // that ran on the window scheduler so v3-era points are byte-stable.
+    if (m.threads > 1) {
+      fields.emplace_back("threads", std::to_string(m.threads));
+    }
+    if (m.scaling_efficiency != 0.0) {
+      fields.emplace_back("scaling_efficiency", number(m.scaling_efficiency));
+    }
+    if (m.latency.present) {
+      const LatencySummary& l = m.latency;
+      fields.emplace_back(
+          "latency",
+          object({{"count", std::to_string(l.count)},
+                  {"p50_ns", std::to_string(l.p50_ns)},
+                  {"p99_ns", std::to_string(l.p99_ns)},
+                  {"p999_ns", std::to_string(l.p999_ns)},
+                  {"mean_ns", std::to_string(l.mean_ns)},
+                  {"max_ns", std::to_string(l.max_ns)},
+                  {"goodput_bytes_per_sec",
+                   std::to_string(l.goodput_bytes_per_sec)}}));
+    }
+    if (!m.counters.empty()) {
+      fields.emplace_back("counters", counters_object(r));
+    }
+  }
+  os << indent << quoted(escaped(r.name)) << ": {\n";
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    os << indent << "  " << quoted(fields[i].first) << ": "
+       << fields[i].second << (i + 1 < fields.size() ? ",\n" : "\n");
+  }
+  os << indent << "}";
 }
 
 std::string golden_key(const RunRecord& r) {
   return escaped(r.suite + "/" + r.name);
 }
 
-/// The raw value of `"key": <value>` in one line of the golden table:
-/// a quoted string keeps its quotes; a number runs to the next ',' or
-/// '}'.  Empty when the key is absent.
-std::string golden_field(std::string_view line, std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\": ";
-  const auto at = line.find(needle);
-  if (at == std::string_view::npos) return {};
-  const auto begin = at + needle.size();
-  if (begin < line.size() && line[begin] == '"') {
-    const auto end = line.find('"', begin + 1);
-    if (end == std::string_view::npos) return {};
-    return std::string(line.substr(begin, end - begin + 1));
+/// A point's golden-table entry as (field, rendered value), in table
+/// order; `counters` and `params` are omitted when empty.
+Pairs golden_entry(const RunRecord& r) {
+  const std::int64_t ns = r.metrics.sim_time.as_nanos();
+  char sim_ms[48];
+  std::snprintf(sim_ms, sizeof sim_ms, "%" PRId64 ".%06" PRId64,
+                ns / 1000000, ns % 1000000);
+  Pairs entry = {{"point", quoted(golden_key(r))},
+                 {"digest", quoted(digest_hex(r.metrics.digest))},
+                 {"sim_ms", sim_ms},
+                 {"events", std::to_string(r.metrics.events)},
+                 {"trace_records", std::to_string(r.metrics.trace_records)}};
+  if (!r.metrics.counters.empty()) {
+    entry.emplace_back("counters", counters_object(r));
   }
-  const auto end = line.find_first_of(",}", begin);
-  return std::string(line.substr(begin, end - begin));
-}
-
-std::string unquoted(const std::string& s) {
-  return s.size() >= 2 && s.front() == '"' ? s.substr(1, s.size() - 2) : s;
-}
-
-using Pairs = std::vector<std::pair<std::string, std::string>>;
-
-/// A point's params as (name, quoted value), in the point's order.
-Pairs golden_params(const RunRecord& r) {
-  Pairs out;
-  for (const auto& [name, value] : r.params) {
-    out.emplace_back(escaped(name), "\"" + escaped(value) + "\"");
-  }
-  return out;
-}
-
-/// A point's counters as (name, rendered value), in the body's order.
-Pairs golden_counters(const RunRecord& r) {
-  Pairs out;
-  for (const auto& [name, value] : r.metrics.counters) {
-    out.emplace_back(escaped(name), std::to_string(value));
-  }
-  return out;
+  if (!r.params.empty()) entry.emplace_back("params", params_object(r));
+  return entry;
 }
 
 /// Index of the quote that closes the string opened at `open`.
@@ -175,34 +155,52 @@ std::size_t closing_quote(std::string_view line, std::size_t open) {
   return i;
 }
 
-/// The `"<object>": {"name": value, ...}` object of one table line as
-/// (name, raw value) pairs; a string value keeps its quotes.  Empty when
-/// the line has no such object.
-Pairs golden_object(std::string_view line, std::string_view object) {
+/// The `"name": value` pairs of one table line (or of one object
+/// value), from its first quote on.  Values stay raw: a string keeps its
+/// quotes and an object its braces.
+Pairs parse_pairs(std::string_view line) {
   Pairs out;
-  const std::string needle = "\"" + std::string(object) + "\": {";
-  auto pos = line.find(needle);
-  if (pos == std::string_view::npos) return out;
-  for (pos += needle.size(); pos < line.size() && line[pos] == '"';) {
+  for (auto pos = line.find('"'); pos < line.size() && line[pos] == '"';) {
     const auto name_end = closing_quote(line, pos);
-    const auto value_at = name_end + 3;  // skip `": `
-    const auto value_end = value_at < line.size() && line[value_at] == '"'
-                               ? closing_quote(line, value_at) + 1
-                               : line.find_first_of(",}", value_at);
-    if (value_end >= line.size()) break;
+    const auto at = name_end + 3;  // skip `": `
+    if (at >= line.size()) break;
+    auto end = line[at] == '"' ? closing_quote(line, at) + 1
+                               : line.find_first_of(",}", at);
+    if (line[at] == '{') {
+      end = at + 1;
+      while (end < line.size() && line[end] != '}') {
+        end = (line[end] == '"' ? closing_quote(line, end) : end) + 1;
+      }
+      ++end;
+    }
+    end = std::min(end, line.size());
     out.emplace_back(std::string(line.substr(pos + 1, name_end - pos - 1)),
-                     std::string(line.substr(value_at, value_end - value_at)));
-    pos = line[value_end] == ',' ? value_end + 2 : line.size();
+                     std::string(line.substr(at, end - at)));
+    pos = end + 2;  // skip `, `
   }
   return out;
 }
 
-/// Reports where the table's `what` list and the run's first differ.
+std::string value_of(const Pairs& pairs, std::string_view name) {
+  for (const auto& [key, value] : pairs) {
+    if (key == name) return value;
+  }
+  return "";
+}
+
+std::string unquoted(const std::string& s) {
+  return s.size() >= 2 && s.front() == '"' ? s.substr(1, s.size() - 2) : s;
+}
+
+/// Reports where the table's `what` object and the run's first differ.
 /// Entries pair up by position, so a moved, renamed, added or dropped
 /// entry is reported at the first place the lists differ.  Returns
 /// whether they differ.
 bool first_difference(std::FILE* err, const std::string& key,
-                      const char* what, const Pairs& want, const Pairs& got) {
+                      const char* what, const std::string& want_object,
+                      const std::string& got_object) {
+  const Pairs want = parse_pairs(want_object);
+  const Pairs got = parse_pairs(got_object);
   for (std::size_t i = 0; i < std::max(want.size(), got.size()); ++i) {
     if (i < want.size() && i < got.size() && want[i] == got[i]) continue;
     if (i < want.size() && i < got.size() && want[i].first == got[i].first) {
@@ -240,23 +238,8 @@ void write_golden_json(std::ostream& os,
   os << "  \"compiler\": \"" << escaped(compiler_id()) << "\",\n";
   os << "  \"points\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto values = golden_values(results[i]);
-    os << "    {\"point\": \"" << golden_key(results[i]) << "\"";
-    for (std::size_t f = 0; f < values.size(); ++f) {
-      os << ", \"" << kGoldenFields[f] << "\": " << values[f];
-    }
-    for (const auto& [object, pairs] :
-         {std::pair{"counters", golden_counters(results[i])},
-          std::pair{"params", golden_params(results[i])}}) {
-      if (pairs.empty()) continue;
-      os << ", \"" << object << "\": {";
-      for (std::size_t c = 0; c < pairs.size(); ++c) {
-        os << (c ? ", " : "") << "\"" << pairs[c].first
-           << "\": " << pairs[c].second;
-      }
-      os << "}";
-    }
-    os << "}" << (i + 1 < results.size() ? "," : "") << "\n";
+    os << "    " << object(golden_entry(results[i]))
+       << (i + 1 < results.size() ? "," : "") << "\n";
   }
   os << "  ]\n";
   os << "}\n";
@@ -265,13 +248,14 @@ void write_golden_json(std::ostream& os,
 int check_golden(std::istream& is, const std::vector<RunRecord>& results,
                  std::FILE* err) {
   std::string compiler;
-  std::vector<std::pair<std::string, std::string>> table;  // key, line
+  std::vector<std::pair<std::string, Pairs>> table;  // key, entry
   for (std::string line; std::getline(is, line);) {
-    if (const auto c = golden_field(line, "compiler"); !c.empty()) {
+    Pairs pairs = parse_pairs(line);
+    if (const auto c = value_of(pairs, "compiler"); !c.empty()) {
       compiler = unquoted(c);
     }
-    if (const auto k = golden_field(line, "point"); !k.empty()) {
-      table.emplace_back(unquoted(k), line);
+    if (const auto k = value_of(pairs, "point"); !k.empty()) {
+      table.emplace_back(unquoted(k), std::move(pairs));
     }
   }
   if (table.empty()) {
@@ -311,24 +295,23 @@ int check_golden(std::istream& is, const std::vector<RunRecord>& results,
                    key.c_str(), r.error.c_str());
       return fail();
     }
-    if (first_difference(err, key, "param",
-                         golden_object(table[at].second, "params"),
-                         golden_params(r))) {
+    // Params first: a gate pairs records by them.
+    const Pairs& want = table[at].second;
+    const Pairs got = golden_entry(r);
+    if (first_difference(err, key, "param", value_of(want, "params"),
+                         value_of(got, "params"))) {
       return fail();
     }
-    const auto values = golden_values(r);
-    for (std::size_t f = 0; f < values.size(); ++f) {
-      const std::string want = golden_field(table[at].second, kGoldenFields[f]);
-      if (want != values[f]) {
+    for (const char* field : {"digest", "sim_ms", "events", "trace_records"}) {
+      if (value_of(want, field) != value_of(got, field)) {
         std::fprintf(err, "GOLDEN MISMATCH %s: %s golden %s, run %s\n",
-                     key.c_str(), kGoldenFields[f], want.c_str(),
-                     values[f].c_str());
+                     key.c_str(), field, value_of(want, field).c_str(),
+                     value_of(got, field).c_str());
         return fail();
       }
     }
-    if (first_difference(err, key, "counter",
-                         golden_object(table[at].second, "counters"),
-                         golden_counters(r))) {
+    if (first_difference(err, key, "counter", value_of(want, "counters"),
+                         value_of(got, "counters"))) {
       return fail();
     }
   }
@@ -365,9 +348,10 @@ void write_bench_json(std::ostream& os, const std::vector<RunRecord>& results,
   // points (results are already in submission order).
   std::vector<std::string> suite_order;
   for (const auto& r : results) {
-    bool seen = false;
-    for (const auto& s : suite_order) seen = seen || s == r.suite;
-    if (!seen) suite_order.push_back(r.suite);
+    if (std::find(suite_order.begin(), suite_order.end(), r.suite) ==
+        suite_order.end()) {
+      suite_order.push_back(r.suite);
+    }
   }
   for (std::size_t si = 0; si < suite_order.size(); ++si) {
     const std::string& suite = suite_order[si];

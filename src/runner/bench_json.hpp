@@ -1,69 +1,26 @@
-// Machine-readable benchmark output: BENCH_results.json.
+// Machine-readable benchmark output: BENCH_results.json (schema
+// acc-bench-results/v4; docs/BENCHMARKS.md is the authoritative
+// description).  It groups the points by suite; each point has its
+// params, sim_ms, speedup (omitted when n/a), digest, wall_ms, wall_ns,
+// events and events_per_sec, the parallel-engine fields threads and
+// scaling_efficiency (omitted for serial points), a latency object
+// (serving points only) and its counters (omitted when none).  A failed
+// point carries an "error" instead of metrics.
 //
-// Schema (docs/BENCHMARKS.md is the authoritative description):
-//
-//   {
-//     "schema": "acc-bench-results/v4",
-//     "point_set": "full" | "reduced",
-//     "threads": <pool size>,
-//     "sweep_wall_ms": <whole-sweep wall clock>,
-//     "suites": {
-//       "<suite>": {
-//         "points": {
-//           "<point name>": {
-//             "params":  { "<key>": "<value>", ... },
-//             "sim_ms":  <simulated time, ms>,
-//             "speedup": <vs serial baseline; omitted when n/a>,
-//             "digest":  "<16-hex-digit trace digest>",
-//             "wall_ms": <point wall clock, ms>,
-//             "wall_ns": <same measurement, integer nanoseconds>,
-//             "events":  <engine events executed>,
-//             "events_per_sec": <host dispatch throughput, events/wall>,
-//             "threads": <engine worker threads; omitted when 1>,
-//             "scaling_efficiency": <speedup over the point's 1-thread
-//                                    run ÷ threads; omitted when n/a>,
-//             "latency": {                  // serving points only
-//               "count":   <completed requests>,
-//               "p50_ns":  <nearest-rank percentile, ns>,
-//               "p99_ns":  <...>, "p999_ns": <...>,
-//               "mean_ns": <...>, "max_ns": <...>,
-//               "goodput_bytes_per_sec": <response payload / makespan>
-//             },
-//             "counters": { "<name>": <int64>, ... }   // body-chosen;
-//                                     // omitted when the body set none
-//           }, ...
-//         }
-//       }, ...
-//     }
-//   }
-//
-// v2 added the host-perf fields (wall_ns, events_per_sec) so every sweep
-// leaves a wall-clock trajectory to regress engine throughput against,
-// not just simulated times.  v3 adds the optional per-point `latency`
-// object (tail percentiles + goodput from the deterministic
-// trace::LatencyHistogram of serving-style points) and pins down that
-// non-finite floating-point values serialize as `null`, never inf/nan
-// (which are not JSON).  v4 adds the optional parallel-engine fields
-// `threads` and `scaling_efficiency` (sim/parallel.hpp window scheduler;
-// events_per_sec stays events over the point's own wall_ns at every
-// thread count — see runner::RunRecord::events_per_sec()); points that
-// ran serially emit byte-identical objects to v3.  Digests are hex
-// *strings* because a 64-bit value does not survive a round-trip
-// through JSON numbers.  Suites,
-// points, and params keep the submission order of the sweep, which
-// SweepRunner guarantees is deterministic — so two runs of the same
-// point set produce byte-identical files apart from the wall-clock
-// fields.
+// docs/BENCHMARKS.md gives the version history (v2 the host-perf
+// fields, v3 the latency object and `null` for non-finite numbers, v4
+// the parallel-engine fields).  Digests are hex *strings* because a
+// 64-bit value does not survive a round-trip through JSON numbers.
+// Suites, points and params keep the sweep's submission order, so two
+// runs of one point set give byte-identical files apart from the
+// wall-clock fields.
 //
 // The golden point tables (bench/golden.json for the reduced grid,
-// bench/golden_full.json for the full grid; schema acc-bench-golden/v3)
-// pin the deterministic fields of every point of one sweep: `digest`,
-// `sim_ms` (exact, from integer nanoseconds), `events`, `trace_records`,
-// the body's `counters` in order (v2; v1 tables had no counters) and
-// the point's `params` in order (v3; gates pair records by params, so a
-// renamed or retyped param must not pass unnoticed).  They hold no
-// wall-clock field, so a checked-in table turns "no digest, table
-// column or param moved" into a check any build can run:
+// bench/golden_full.json for the full grid) pin every point's
+// deterministic fields, each object's entries in order, and no
+// wall-clock field, so "no digest, table column or param moved" is a
+// check any build can run.  One point per line, in sweep order, so a
+// re-pin is a readable diff:
 //
 //   {
 //     "schema": "acc-bench-golden/v3",
@@ -75,8 +32,6 @@
 //       ...
 //     ]
 //   }
-//
-// One point per line, in sweep order, so a re-pin is a readable diff.
 #pragma once
 
 #include <cstdio>

@@ -11,7 +11,9 @@
 //
 // A Suite is data: its points, the counters its table shows beside the
 // common columns, and an optional gate the driver runs over the suite's
-// results.  The registry, in sweep order:
+// results.  The suites are built in src/runner/suites/, one file per
+// driver family (suites.hpp), and every SimCluster a point runs is a
+// runner::Scenario (runner/scenario.hpp).  The registry, in sweep order:
 //   fig8a_fft_sim          FFT speedup, 3 interconnects × 2 sizes × P,
 //                          beside the Fig. 4(a) analytic INIC speedup
 //   fig8b_sort_sim         sort speedup, 3 interconnects × P, beside the
@@ -61,7 +63,8 @@ struct Column {
 /// A suite's acceptance check over its own (submission-ordered) results.
 /// Prints one line per violation and a pass line when there are none;
 /// returns the violation count.  Failed points are skipped — the driver
-/// already counts them.
+/// already counts them — but a gate that checked nothing although every
+/// point ran reports one violation.
 using Gate = int (*)(const std::vector<RunRecord>& records);
 
 struct Suite {
@@ -79,9 +82,9 @@ struct Suite {
 std::vector<Suite> bench_suites(bool reduced);
 
 /// The parallel engine's CI speedup floor: the full engine_scaling
-/// grid's 1024-host fat-tree shapes (the synthetic LP workload, then the
-/// SimCluster with full device models) re-measured back-to-back at 1 and
-/// 4 threads; each must reach 1.6x within three attempts.  Prints
+/// grid's 1024-host fat-tree points (the synthetic LP workload, then the
+/// SimCluster with full device models) re-run back-to-back at 1 and 4
+/// threads and timed here; each must reach 1.6x within three attempts.  Prints
 /// SKIPPED and returns 0 on hosts with fewer than 4 cores.  Returns the
 /// number of floors missed, or 1 at once if the runs' digests diverge
 /// (a determinism bug, not a perf issue).

@@ -9,11 +9,6 @@ namespace acc::runner {
 
 namespace {
 
-double wall_ms_since(std::chrono::steady_clock::time_point start) {
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  return std::chrono::duration<double, std::milli>(elapsed).count();
-}
-
 std::uint64_t wall_ns_since(std::chrono::steady_clock::time_point start) {
   const auto elapsed = std::chrono::steady_clock::now() - start;
   return static_cast<std::uint64_t>(
@@ -41,6 +36,28 @@ RunRecord execute(const RunPoint& point) {
 
 }  // namespace
 
+void derive_scaling_ratios(std::vector<RunRecord>& records) {
+  const auto shape = [](const RunRecord& r) {
+    auto params = r.params;
+    std::erase_if(params, [](const auto& kv) { return kv.first == "threads"; });
+    return params;
+  };
+  for (RunRecord& r : records) {
+    if (!r.ok || r.metrics.threads <= 1 || r.wall_ns == 0) continue;
+    for (const RunRecord& base : records) {
+      if (!base.ok || base.metrics.threads != 1 || base.wall_ns == 0 ||
+          base.suite != r.suite || shape(base) != shape(r)) {
+        continue;
+      }
+      r.metrics.speedup = static_cast<double>(base.wall_ns) /
+                          static_cast<double>(r.wall_ns);
+      r.metrics.scaling_efficiency =
+          r.metrics.speedup / static_cast<double>(r.metrics.threads);
+      break;
+    }
+  }
+}
+
 SweepRunner::SweepRunner(std::size_t threads) : threads_(threads) {
   if (threads_ == 0) {
     threads_ = std::thread::hardware_concurrency();
@@ -58,7 +75,7 @@ std::vector<RunRecord> SweepRunner::run(
     for (std::size_t i = 0; i < points.size(); ++i) {
       results[i] = execute(points[i]);
     }
-    last_wall_ms_ = wall_ms_since(sweep_start);
+    last_wall_ms_ = static_cast<double>(wall_ns_since(sweep_start)) / 1e6;
     return results;
   }
 
@@ -77,7 +94,7 @@ std::vector<RunRecord> SweepRunner::run(
   pool.reserve(workers);
   for (std::size_t t = 0; t < workers; ++t) pool.emplace_back(worker);
   for (auto& th : pool) th.join();
-  last_wall_ms_ = wall_ms_since(sweep_start);
+  last_wall_ms_ = static_cast<double>(wall_ns_since(sweep_start)) / 1e6;
   return results;
 }
 

@@ -70,7 +70,8 @@ struct RunMetrics {
   std::size_t threads = 1;
   /// Parallel scaling quality: speedup over the same point's 1-thread
   /// run divided by `threads` (1.0 = perfect linear scaling; 0 = not a
-  /// scaling point).  Emitted into BENCH_results.json v4 when set.
+  /// scaling point).  Set by derive_scaling_ratios(), not the body;
+  /// emitted into BENCH_results.json v4 when set.
   double scaling_efficiency = 0.0;
   /// Per-LP-shard stats when the point ran on the parallel engine
   /// (empty for serial runs).  Telemetry only: emitted into the JSON,
@@ -130,6 +131,13 @@ struct RunRecord {
            static_cast<double>(wall_ns);
   }
 };
+
+/// Gives every ok record that ran on more than one engine thread its
+/// wall-clock `speedup` over its shape's one-thread record (same suite,
+/// same params apart from "threads") and the derived
+/// `scaling_efficiency`.  Called on a finished sweep, so a pooled sweep
+/// never lacks a baseline; records without a one-thread twin keep 0.
+void derive_scaling_ratios(std::vector<RunRecord>& records);
 
 class SweepRunner {
  public:

@@ -278,6 +278,11 @@ TEST(BenchSuites, HostCostGateNeedsNicStrictlyCheaper) {
   EXPECT_EQ(gate(records), 1);
   records[1].ok = false;  // failed points are the driver's to count
   EXPECT_EQ(gate(records), 0);
+
+  // Every point ran but none has a twin: the gate checked nothing, and
+  // that must not pass (a param typo would otherwise unpair the grid).
+  const std::vector<RunRecord> unpaired = {records[0], records[2]};
+  EXPECT_EQ(gate(unpaired), 1);
 }
 
 TEST(BenchSuites, TailGateHoldsTheNicPlaneToABetterP99) {
@@ -307,6 +312,11 @@ TEST(BenchSuites, TailGateHoldsTheNicPlaneToABetterP99) {
   EXPECT_EQ(gate(records), 1);
   records[2].metrics.latency.p99_ns = 1001;  // worse on a clean fabric
   EXPECT_EQ(gate(records), 2);
+
+  // Every point ran but no NIC point has a host twin: nothing was
+  // compared, which is one violation rather than a pass.
+  const std::vector<RunRecord> unpaired = {records[0], records[4]};
+  EXPECT_EQ(gate(unpaired), 1);
 }
 
 TEST(BenchSuites, RecoveryGateNeedsAnEpochPerCutAndLiveGoodput) {
@@ -329,6 +339,32 @@ TEST(BenchSuites, RecoveryGateNeedsAnEpochPerCutAndLiveGoodput) {
 // ---------------------------------------------------------------------
 // Runner mechanics
 // ---------------------------------------------------------------------
+
+TEST(SweepRunner, ScalingRatiosPairEachThreadedRecordWithItsOneThreadShape) {
+  auto scaled = [](const std::string& shape, std::size_t threads,
+                   std::uint64_t wall_ns) {
+    RunRecord r = record(shape + "/threads=" + std::to_string(threads),
+                         {{"topology", shape},
+                          {"threads", std::to_string(threads)}},
+                         {});
+    r.suite = "engine_scaling";
+    r.metrics.threads = threads;
+    r.wall_ns = wall_ns;
+    return r;
+  };
+  // The one-thread baseline may come after its threaded points, as it
+  // can finish after them in a pooled sweep.
+  std::vector<RunRecord> records = {
+      scaled("fattree2", 4, 250), scaled("fattree2", 1, 1000),
+      scaled("fattree2", 2, 500), scaled("torus2", 4, 100)};
+  runner::derive_scaling_ratios(records);
+  EXPECT_DOUBLE_EQ(records[0].metrics.speedup, 4.0);
+  EXPECT_DOUBLE_EQ(records[0].metrics.scaling_efficiency, 1.0);
+  EXPECT_EQ(records[1].metrics.speedup, 0.0);  // the baseline itself
+  EXPECT_DOUBLE_EQ(records[2].metrics.speedup, 2.0);
+  EXPECT_EQ(records[3].metrics.speedup, 0.0);  // no one-thread twin
+  EXPECT_EQ(records[3].metrics.scaling_efficiency, 0.0);
+}
 
 TEST(SweepRunner, ResultsKeepSubmissionOrder) {
   std::vector<RunPoint> points;
