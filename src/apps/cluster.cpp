@@ -134,12 +134,22 @@ SimCluster::SimCluster(std::size_t n, Interconnect ic,
   // The partition decides how the cluster runs (ClusterOptions::
   // engine_threads): one LP per switch, hosts on their edge switch's LP,
   // when threads >= 2 on a multi-switch fabric with no cross-LP-mutating
-  // feature; otherwise one LP holding every switch and host.
+  // feature; otherwise one LP holding every switch and host.  The first
+  // rule that forces one LP names the choice.
   net::TopologyPlan plan = net::build_topology(net_cfg.topology, n);
-  const bool per_switch = opts_.engine_threads >= 2 &&
-                          plan.switches.size() > 1 &&
-                          !opts_.adaptive_routing &&
-                          !(is_inic(ic) && opts_.degraded_fallback);
+  bool per_switch = false;
+  if (opts_.engine_threads <= 1) {
+    partition_reason_ = "one LP: engine_threads <= 1";
+  } else if (plan.switches.size() <= 1) {
+    partition_reason_ = "one LP: single switch";
+  } else if (opts_.adaptive_routing) {
+    partition_reason_ = "one LP: adaptive routing";
+  } else if (is_inic(ic) && opts_.degraded_fallback) {
+    partition_reason_ = "one LP: degraded fallback";
+  } else {
+    partition_reason_ = "per-switch";
+    per_switch = true;
+  }
   if (per_switch) {
     // Per-link latency: the delay a frame needs to become visible at
     // the peer switch — link propagation plus the peer's forwarding

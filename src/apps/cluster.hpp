@@ -134,6 +134,11 @@ class SimCluster {
   sim::Engine& node_engine(std::size_t i) { return parallel_->lp(node_lp(i)); }
   /// The LP partition the cluster runs on (lookahead, cross-links).
   const net::LpPartition& partition() const { return partition_; }
+  /// Why the cluster runs on that partition: "per-switch", or the first
+  /// rule that forced one LP ("one LP: engine_threads <= 1", "one LP:
+  /// single switch", "one LP: adaptive routing", "one LP: degraded
+  /// fallback").  A fixed string, valid for the program's lifetime.
+  const char* partition_reason() const { return partition_reason_; }
 
   /// Runs the simulation to completion in conservative windows over the
   /// cluster's partition (one unbounded window on one LP).  Returns the
@@ -221,6 +226,7 @@ class SimCluster {
   // scheduler owning one engine per LP.  Declared before network_/nodes_
   // (which bind to the LP engines) so those are destroyed first.
   net::LpPartition partition_;
+  const char* partition_reason_ = nullptr;  // see partition_reason()
   std::unique_ptr<sim::ParallelEngine> parallel_;
   std::unique_ptr<net::Network> network_;
   std::vector<std::unique_ptr<hw::Node>> nodes_;

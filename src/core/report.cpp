@@ -43,6 +43,8 @@ void ClusterReport::print(std::ostream& os) const {
   os << "fabric: " << frames_forwarded << " frames / "
      << to_string(bytes_forwarded) << " forwarded, " << frames_dropped
      << " dropped, peak port buffer " << to_string(peak_port_buffer) << "\n";
+  os << "partition: " << lp_count << (lp_count == 1 ? " LP, " : " LPs, ")
+     << partition_reason << "\n";
   if (trace_records > 0) {
     char digest_hex[17];
     std::snprintf(digest_hex, sizeof digest_hex, "%016llx",
@@ -78,6 +80,8 @@ ClusterReport collect_report(apps::SimCluster& cluster) {
   report.frames_dropped = cluster.network().frames_dropped();
   report.bytes_forwarded = cluster.network().bytes_forwarded();
   report.peak_port_buffer = cluster.network().peak_buffer_occupancy();
+  report.lp_count = cluster.partition().lp_count;
+  report.partition_reason = cluster.partition_reason();
   // Cluster-level accessors: merged across LP lanes (on one LP, the
   // historical single-engine values).
   report.counters = cluster.counters_snapshot();

@@ -38,6 +38,9 @@ struct ClusterReport {
   std::uint64_t frames_dropped = 0;
   Bytes bytes_forwarded = Bytes::zero();
   Bytes peak_port_buffer = Bytes::zero();
+  /// The engine partition: LP count and SimCluster::partition_reason().
+  std::size_t lp_count = 0;
+  const char* partition_reason = "";
 
   /// Full counter snapshot (deterministic order) from the engine's
   /// CounterRegistry — the same instrumentation the per-node columns are

@@ -117,8 +117,11 @@ TEST(Report, PrintsOneRowPerNodePlusFabricLine) {
   const std::string out = os.str();
   EXPECT_NE(out.find("node"), std::string::npos);
   EXPECT_NE(out.find("fabric:"), std::string::npos);
-  // Header + 3 node rows + rule + fabric line.
-  EXPECT_EQ(static_cast<int>(std::count(out.begin(), out.end(), '\n')), 6);
+  EXPECT_NE(out.find("partition: 1 LP, one LP: engine_threads <= 1"),
+            std::string::npos)
+      << out;
+  // Header + 3 node rows + rule + fabric line + partition line.
+  EXPECT_EQ(static_cast<int>(std::count(out.begin(), out.end(), '\n')), 7);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -280,6 +281,44 @@ TEST(ParallelScaling, OneLpFeaturesIndependentOfThreadCount) {
     EXPECT_EQ(ref.lp_count, 1u) << label;
     EXPECT_EQ(run.lp_count, 1u) << label;
     expect_same_run(run, ref, label, 4);
+  }
+}
+
+TEST(ParallelScaling, ClusterNamesThePartitionItTookAndWhy) {
+  struct Case {
+    const char* reason;
+    net::TopologyConfig topology;
+    apps::Interconnect ic;
+    std::size_t threads;
+    bool adaptive_routing;
+    bool degraded_fallback;
+  };
+  const auto fattree2 = net::TopologyConfig::fat_tree(2);
+  const auto inic = apps::Interconnect::kInicIdeal;
+  const Case cases[] = {
+      {"one LP: engine_threads <= 1", fattree2, inic, 1, false, false},
+      {"one LP: single switch", net::TopologyConfig::star(), inic, 2, false,
+       false},
+      {"one LP: adaptive routing", fattree2, inic, 2, true, false},
+      {"one LP: degraded fallback", fattree2, inic, 2, false, true},
+      {"per-switch", fattree2, inic, 2, false, false},
+      // Degraded fallback only exists on INIC clusters.
+      {"per-switch", fattree2, apps::Interconnect::kGigabitTcp, 2, false,
+       true},
+  };
+  for (const Case& c : cases) {
+    apps::ClusterOptions copts;
+    copts.topology = c.topology;
+    copts.engine_threads = c.threads;
+    copts.adaptive_routing = c.adaptive_routing;
+    copts.degraded_fallback = c.degraded_fallback;
+    apps::SimCluster cluster(8, c.ic, model::default_calibration(), copts);
+    EXPECT_STREQ(cluster.partition_reason(), c.reason);
+    const bool per_switch = std::string(c.reason) == "per-switch";
+    EXPECT_EQ(cluster.partition().lp_count,
+              per_switch ? cluster.network().switch_count() : 1u)
+        << c.reason;
+    EXPECT_GT(cluster.network().switch_count(), per_switch ? 1u : 0u);
   }
 }
 
