@@ -25,15 +25,17 @@
 //   --check-floor     after the sweep, re-measure the parallel engine's
 //                     1024-host shapes at 1 vs 4 threads and fail unless
 //                     both reach 1.6x (runner::check_speedup_floor)
-//   --check-golden=FILE  fail (exit 1) on the first point whose digest,
-//                     sim_ms, events, trace_records or counters differ
-//                     from the golden table (bench/golden.json for the
-//                     reduced grid, bench/golden_full.json for the
-//                     full one), printing both values
+//   --check-golden=FILE  fail (exit 1) on the first point whose params,
+//                     digest, sim_ms, events, trace_records or counters
+//                     differ from the golden table (bench/golden.json
+//                     for the reduced grid, bench/golden_full.json for
+//                     the full one), printing both values
 //   --write-golden=FILE  re-pin the golden table from this sweep
 //
 // The gates registered with the swept suites (host cost, NIC p99,
 // failover recovery) always run; a violation fails the run (exit 1).
+// Engine-scaling speedups are derived from the points' wall clocks once
+// the sweep is done (runner::derive_scaling_ratios).
 // Every point is digest-deterministic, so the JSON (wall-clock fields
 // aside) is byte-identical across runs and thread counts.
 #include <charconv>

@@ -348,10 +348,9 @@ void write_bench_json(std::ostream& os, const std::vector<RunRecord>& results,
   // points (results are already in submission order).
   std::vector<std::string> suite_order;
   for (const auto& r : results) {
-    if (std::find(suite_order.begin(), suite_order.end(), r.suite) ==
-        suite_order.end()) {
-      suite_order.push_back(r.suite);
-    }
+    bool seen = false;
+    for (const auto& s : suite_order) seen = seen || s == r.suite;
+    if (!seen) suite_order.push_back(r.suite);
   }
   for (std::size_t si = 0; si < suite_order.size(); ++si) {
     const std::string& suite = suite_order[si];

@@ -63,14 +63,16 @@ int check_speedup_floor() {
       {"speedup floor", "floor", "FLOOR", "fattree3/P=1024", 1},
       {"SimCluster speedup floor", "cluster floor", "CLUSTER FLOOR",
        "cluster_fattree3/P=1024", 2}};
-  const Suite engine = bench_suites(/*reduced=*/false).back();
+  const std::vector<Suite> grid = bench_suites(/*reduced=*/false);
   int floor_failures = 0;
   for (const FloorShape& shape : shapes) {
     const auto run = [&](std::size_t threads) {
       const std::string name =
           std::string(shape.point) + "/threads=" + std::to_string(threads);
-      for (const RunPoint& p : engine.points) {
-        if (p.name == name) return p.body();
+      for (const Suite& suite : grid) {
+        for (const RunPoint& p : suite.points) {
+          if (p.suite == "engine_scaling" && p.name == name) return p.body();
+        }
       }
       throw std::logic_error("no engine_scaling point " + name);
     };

@@ -13,6 +13,18 @@ namespace acc::runner::suites {
 
 namespace {
 
+/// Machine-friendly interconnect names for point names / JSON params
+/// (to_string() is the human form, with spaces and parentheses).
+const char* slug(apps::Interconnect ic) {
+  switch (ic) {
+    case apps::Interconnect::kFastEthernetTcp: return "fast_ethernet";
+    case apps::Interconnect::kGigabitTcp: return "gige";
+    case apps::Interconnect::kInicIdeal: return "inic_ideal";
+    case apps::Interconnect::kInicPrototype: return "inic_prototype";
+  }
+  return "?";
+}
+
 // The app drivers.  `fill(cluster, result, m)` reads the finished run
 // into the point's metrics while its cluster is still alive; sim_time
 // is already the run's total.

@@ -166,8 +166,7 @@ int recovery_gate(const std::vector<RunRecord>& records) {
 const Scenario kChaosCluster{.hosts = 4,
                              .options = {.inic_hw_retransmit = true,
                                          .inic_max_retries = 16,
-                                         .degraded_fallback = true},
-                             .time_budget = Time::seconds(30)};
+                                         .degraded_fallback = true}};
 constexpr std::size_t kChaosFftN = 256;
 constexpr std::size_t kChaosSortKeys = std::size_t{1} << 16;
 
@@ -240,6 +239,7 @@ fault::FaultPlan storm_plan(const Storm& storm, Time clean) {
 RunMetrics chaos_recovery_metrics(bool fft, const Storm& storm) {
   const Time clean = chaos_clean_total(fft);
   Scenario s = kChaosCluster;
+  s.time_budget = Time::seconds(30);
   s.faults = storm_plan(storm, clean);
   return run_scenario(s, [&](apps::SimCluster& cluster,
                              fault::FaultInjector* injector, RunMetrics& m) {

@@ -24,18 +24,6 @@
 
 namespace acc::runner::suites {
 
-/// Machine-friendly interconnect names for point names / JSON params
-/// (to_string() is the human form, with spaces and parentheses).
-inline const char* slug(apps::Interconnect ic) {
-  switch (ic) {
-    case apps::Interconnect::kFastEthernetTcp: return "fast_ethernet";
-    case apps::Interconnect::kGigabitTcp: return "gige";
-    case apps::Interconnect::kInicIdeal: return "inic_ideal";
-    case apps::Interconnect::kInicPrototype: return "inic_prototype";
-  }
-  return "?";
-}
-
 inline std::string num(std::size_t v) { return std::to_string(v); }
 
 /// A counter value (RunMetrics counters are signed 64-bit).

@@ -9,6 +9,11 @@ namespace acc::runner {
 
 namespace {
 
+double wall_ms_since(std::chrono::steady_clock::time_point start) {
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  return std::chrono::duration<double, std::milli>(elapsed).count();
+}
+
 std::uint64_t wall_ns_since(std::chrono::steady_clock::time_point start) {
   const auto elapsed = std::chrono::steady_clock::now() - start;
   return static_cast<std::uint64_t>(
@@ -75,7 +80,7 @@ std::vector<RunRecord> SweepRunner::run(
     for (std::size_t i = 0; i < points.size(); ++i) {
       results[i] = execute(points[i]);
     }
-    last_wall_ms_ = static_cast<double>(wall_ns_since(sweep_start)) / 1e6;
+    last_wall_ms_ = wall_ms_since(sweep_start);
     return results;
   }
 
@@ -94,7 +99,7 @@ std::vector<RunRecord> SweepRunner::run(
   pool.reserve(workers);
   for (std::size_t t = 0; t < workers; ++t) pool.emplace_back(worker);
   for (auto& th : pool) th.join();
-  last_wall_ms_ = static_cast<double>(wall_ns_since(sweep_start)) / 1e6;
+  last_wall_ms_ = wall_ms_since(sweep_start);
   return results;
 }
 
