@@ -1,5 +1,6 @@
 #include "runner/bench_points.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <optional>

@@ -5,7 +5,7 @@
 //   fabric.cpp     multi-hop topologies and the collective backends
 //   faults.cpp     failover, chaos and the serving tail
 //   engine.cpp     parallel-engine scaling (the speedup floor's shapes)
-// This header holds their builders and what they share.
+// This header declares them and holds what they share.
 #pragma once
 
 #include <algorithm>
@@ -18,7 +18,6 @@
 #include <utility>
 #include <vector>
 
-#include "apps/cluster.hpp"
 #include "runner/bench_points.hpp"
 #include "runner/scenario.hpp"
 
