@@ -252,15 +252,17 @@ void BM_ParallelEngine_LpFabric(benchmark::State& state) {
                           static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_ParallelEngine_LpFabric)->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// Barrier overhead in isolation: many near-empty windows (one event per
 /// LP per window, negligible per-event work, each posting one cross-LP
-/// no-op to the next LP), so the cost measured is almost purely wakeup +
-/// claim + drain per window.  320 LPs is fat_tree(3)/1024's partition:
-/// a barrier whose cost grows with LPs² shows there, not at 8.  Setup
-/// and teardown are untimed; items/sec is windows per second.  Watch
-/// this one when touching the worker-pool synchronization or the drain.
+/// no-op to the next LP), so the cost measured is almost purely the two
+/// barriers + the per-worker drain and minimum per window.  320 LPs is
+/// fat_tree(3)/1024's partition: a barrier whose cost grows with LPs²
+/// shows there, not at 8.  Setup and teardown are untimed; items/sec is
+/// windows per second of real time (the calling thread runs LPs too, so
+/// its CPU time is no denominator).  Watch this one when touching the
+/// worker-pool synchronization or the drain.
 void BM_ParallelEngine_WindowBarrier(benchmark::State& state) {
   const auto threads = static_cast<std::size_t>(state.range(0));
   const auto lps = static_cast<std::size_t>(state.range(1));
@@ -293,7 +295,8 @@ void BM_ParallelEngine_WindowBarrier(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelEngine_WindowBarrier)
     ->ArgsProduct({{1, 2, 4}, {8, 320}})
-    ->ArgNames({"threads", "lps"});
+    ->ArgNames({"threads", "lps"})
+    ->UseRealTime();
 
 }  // namespace
 

@@ -17,10 +17,32 @@ std::uint64_t wall_now_ns() {
           .count());
 }
 
+std::size_t worker_count(std::size_t lps, std::size_t requested) {
+  const std::size_t want =
+      requested != 0
+          ? requested
+          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  return std::min(want, lps);  // more workers than LPs would only idle
+}
+
+// How long a barrier waiter polls before it blocks.  A window's work is
+// spread unevenly over the workers, and waking a blocked thread can take
+// hundreds of microseconds on a virtual machine, so a barrier met within
+// this span never sleeps.
+constexpr std::chrono::microseconds kBarrierSpin{200};
+
+void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();  // yields the core to a hyper-thread sibling
+#endif
+}
+
 }  // namespace
 
 ParallelEngine::ParallelEngine(std::size_t lps, const ParallelConfig& cfg)
-    : lookahead_(cfg.lookahead) {
+    : lookahead_(cfg.lookahead),
+      threads_(worker_count(lps, cfg.threads)),
+      barrier_(threads_) {
   if (lps == 0) {
     throw std::invalid_argument("ParallelEngine: need at least one LP");
   }
@@ -33,18 +55,49 @@ ParallelEngine::ParallelEngine(std::size_t lps, const ParallelConfig& cfg)
   for (std::size_t i = 0; i < lps; ++i) {
     shards_.push_back(std::make_unique<Engine>());
   }
-  threads_ = cfg.threads == 0
-                 ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
-                 : cfg.threads;
-  // More workers than LPs just idle at every barrier.
-  threads_ = std::min(threads_, lps);
-  outboxes_.resize(lps);
+  outboxes_.resize(lps * threads_);
+  slots_.resize(threads_);
   stats_.assign(lps, ShardStats{});
   window_failures_.assign(lps, nullptr);
-  if (threads_ > 1) start_workers();
+  for (std::size_t w = 1; w < threads_; ++w) {
+    workers_.emplace_back([this, w] {
+      for (;;) {
+        barrier_.arrive_and_wait();  // a run() starts, or the destructor
+        if (shutdown_) return;
+        run_worker(w);
+        barrier_.arrive_and_wait();  // that run() ends
+      }
+    });
+  }
 }
 
-ParallelEngine::~ParallelEngine() { stop_workers(); }
+ParallelEngine::~ParallelEngine() {
+  if (workers_.empty()) return;
+  shutdown_ = true;
+  barrier_.arrive_and_wait();
+  for (std::thread& t : workers_) t.join();
+}
+
+void ParallelEngine::Barrier::arrive_and_wait() {
+  if (parties_ == 1) return;
+  const std::uint32_t gen = generation_.load(std::memory_order_acquire);
+  if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == parties_) {
+    arrived_.store(0, std::memory_order_relaxed);
+    generation_.store(gen + 1, std::memory_order_release);
+    generation_.notify_all();
+    return;
+  }
+  const auto give_up = std::chrono::steady_clock::now() + kBarrierSpin;
+  do {
+    for (int i = 0; i < 32; ++i) {
+      if (generation_.load(std::memory_order_acquire) != gen) return;
+      cpu_relax();
+    }
+  } while (std::chrono::steady_clock::now() < give_up);
+  while (generation_.load(std::memory_order_acquire) == gen) {
+    generation_.wait(gen, std::memory_order_acquire);
+  }
+}
 
 void ParallelEngine::post(std::size_t src, std::size_t dst, Time delay,
                           Engine::Callback fn) {
@@ -61,15 +114,8 @@ void ParallelEngine::post(std::size_t src, std::size_t dst, Time delay,
         std::to_string(lookahead_.as_nanos()) +
         " ns — the conservative window discipline would be violated");
   }
-  outboxes_[src].push_back(Posted{from.now() + delay, dst, std::move(fn)});
-}
-
-Time ParallelEngine::earliest() const {
-  Time t = Time::max();
-  for (const auto& s : shards_) {
-    if (s->pending() > 0) t = std::min(t, s->next_event_time());
-  }
-  return t;
+  outboxes_[src * threads_ + dst % threads_].push_back(
+      Posted{from.now() + delay, dst, std::move(fn)});
 }
 
 void ParallelEngine::run_shard_window(std::size_t i, Time end) {
@@ -87,142 +133,93 @@ void ParallelEngine::run_shard_window(std::size_t i, Time end) {
   stats_[i].events += eng.events_executed() - before;
 }
 
-void ParallelEngine::drain_mailboxes() {
-  // Canonical merge (dst, src, post order): outboxes gathered in source
-  // order, then stable-sorted by dst.  Destination sequence numbers are
-  // assigned in this sweep, so simultaneous cross-LP arrivals tie-break
-  // by (time, src LP, post order) on every run, at every worker count.
-  drain_order_.clear();
-  for (std::vector<Posted>& out : outboxes_) {
-    for (Posted& p : out) drain_order_.push_back(&p);
-  }
-  std::stable_sort(
-      drain_order_.begin(), drain_order_.end(),
-      [](const Posted* a, const Posted* b) { return a->dst < b->dst; });
-  for (Posted* p : drain_order_) {
-    ++cross_posts_;
-    shards_[p->dst]->schedule_at(p->when, std::move(p->fn));
-  }
-  for (std::vector<Posted>& out : outboxes_) out.clear();
-}
-
-void ParallelEngine::execute_window(Time end) {
-  if (threads_ <= 1) {
-    // Reference ordering: every shard inline, ascending LP.
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      run_shard_window(i, end);
-    }
-    return;
-  }
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    window_end_ = end;
-    workers_done_ = 0;
-    next_shard_.store(0, std::memory_order_relaxed);
-    ++generation_;
-    work_cv_.notify_all();
-    // Wait for every WORKER (not merely every shard) to pass its claim
-    // loop: a straggler that has not yet observed the exhausted index
-    // counter must never see it reset for the next window, or it would
-    // claim a fresh shard against the stale window edge.
-    done_cv_.wait(lock, [this] { return workers_done_ == workers_.size(); });
-  }
-}
-
-void ParallelEngine::worker_loop() {
-  std::uint64_t seen = 0;
+Time ParallelEngine::run_worker(std::size_t w) {
+  const std::size_t lps = shards_.size();
+  WorkerSlot& slot = slots_[w];
   for (;;) {
-    Time end;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [&] { return shutdown_ || generation_ != seen; });
-      if (shutdown_) return;
-      seen = generation_;
-      end = window_end_;
+    // Drain this worker's outboxes in (src LP, post order).  Mailboxes
+    // count as pending work — post() before the first window (or an
+    // event chain living entirely in cross-LP flight) leaves every heap
+    // empty while entries wait here — so drain BEFORE the emptiness
+    // check or run() would return with work silently dropped.
+    std::uint64_t drained = 0;
+    for (std::size_t src = 0; src < lps; ++src) {
+      std::vector<Posted>& box = outboxes_[src * threads_ + w];
+      for (Posted& p : box) {
+        shards_[p.dst]->schedule_at(p.when, std::move(p.fn));
+      }
+      drained += box.size();
+      box.clear();
     }
-    // Claim shards by atomic index: which worker runs a shard is
-    // wall-clock dependent, but the shard's own execution is
-    // single-threaded and deterministic either way.
-    for (;;) {
-      const std::size_t i = next_shard_.fetch_add(1, std::memory_order_relaxed);
-      if (i >= shards_.size()) break;
-      run_shard_window(i, end);
+    Time earliest = Time::max();
+    for (std::size_t i = w; i < lps; i += threads_) {
+      const Engine& s = *shards_[i];
+      if (s.pending() > 0) earliest = std::min(earliest, s.next_event_time());
     }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++workers_done_;
-      if (workers_done_ == workers_.size()) done_cv_.notify_all();
+    slot.drained += drained;
+    slot.earliest = earliest;
+    barrier_.arrive_and_wait();
+    Time t_min = Time::max();
+    for (const WorkerSlot& other : slots_) {
+      t_min = std::min(t_min, other.earliest);
+    }
+    if (t_min == Time::max()) return t_min;  // heaps and mailboxes empty
+    // Barrier-side watchdog: every worker sees the same t_min, so all
+    // stop together and run() reports it.
+    if (budget_ != Time::zero() && t_min > budget_) return t_min;
+    // One LP: no cross-LP input can ever arrive, so the whole
+    // remaining simulation is one safe window.  Multi-LP: the half-open
+    // conservative window [t_min, t_min + lookahead).
+    const Time end = lps == 1 ? Time::max() : t_min + lookahead_;
+    for (std::size_t i = w; i < lps; i += threads_) run_shard_window(i, end);
+    barrier_.arrive_and_wait();
+    if (w == 0) ++windows_;
+    for (const std::exception_ptr& e : window_failures_) {
+      if (e) return Time::max();
     }
   }
-}
-
-void ParallelEngine::start_workers() {
-  workers_.reserve(threads_);
-  for (std::size_t i = 0; i < threads_; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-void ParallelEngine::stop_workers() {
-  if (workers_.empty()) return;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shutdown_ = true;
-    work_cv_.notify_all();
-  }
-  for (std::thread& t : workers_) t.join();
-  workers_.clear();
 }
 
 Time ParallelEngine::run() {
   // Watchdog seeding: a budget set on any shard (callers usually reach
   // only LP 0, through SimCluster::engine()) arms every shard that has
   // none of its own, so a runaway loop trips no matter which LP hosts it.
-  Time budget = Time::zero();
-  for (const auto& s : shards_) budget = std::max(budget, s->time_budget());
-  if (budget != Time::zero()) {
+  budget_ = Time::zero();
+  for (const auto& s : shards_) budget_ = std::max(budget_, s->time_budget());
+  if (budget_ != Time::zero()) {
     for (auto& s : shards_) {
-      if (s->time_budget() == Time::zero()) s->set_time_budget(budget);
+      if (s->time_budget() == Time::zero()) s->set_time_budget(budget_);
     }
   }
-  for (;;) {
-    // Mailboxes count as pending work: post() before the first window (or
-    // an event chain living entirely in cross-LP flight) leaves every heap
-    // empty while entries wait here, so drain BEFORE the emptiness check
-    // or run() would return with work silently dropped.
-    drain_mailboxes();
-    const Time t_min = earliest();
-    if (t_min == Time::max()) break;  // all heaps empty, mailboxes drained
-    if (budget != Time::zero() && t_min > budget) {
-      // Barrier-side watchdog: an event chain that hops LPs every step
-      // spends its life in mailboxes, so the per-step check inside
-      // run_window() (which requires a non-empty local heap) can never
-      // fire.  The window open time is the authoritative global clock —
-      // judge the budget here.
-      std::uint64_t pending = 0;
-      for (const auto& s : shards_) pending += s->pending();
-      throw WatchdogTimeout(
-          "ParallelEngine watchdog: sim-time budget of " +
-          std::to_string(budget.as_millis()) +
-          " ms exceeded — the next window would open at t=" +
-          std::to_string(t_min.as_millis()) + " ms with " +
-          std::to_string(pending) + " event(s) still pending across " +
-          std::to_string(shards_.size()) +
-          " LP(s) — the run is not converging");
-    }
-    // One LP: no cross-LP input can ever arrive, so the whole
-    // remaining simulation is one safe window.  Multi-LP: the half-open
-    // conservative window [t_min, t_min + lookahead).
-    const Time end =
-        shards_.size() == 1 ? Time::max() : t_min + lookahead_;
-    execute_window(end);
-    ++windows_;
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      if (window_failures_[i]) {
-        std::exception_ptr e = std::exchange(window_failures_[i], nullptr);
-        std::rethrow_exception(e);
-      }
-    }
+  barrier_.arrive_and_wait();  // releases the helpers into this run
+  const Time refused = run_worker(0);
+  // Closing barrier: no helper may still read this run's worker slots
+  // or failures once run() returns and its caller posts again.
+  barrier_.arrive_and_wait();
+  // The lowest LP's exception stands for the failed window; the rest of
+  // that window's failures are dropped with it.
+  std::exception_ptr failure;
+  for (std::exception_ptr& e : window_failures_) {
+    if (!failure) failure = e;
+    e = nullptr;
+  }
+  if (failure) std::rethrow_exception(failure);
+  if (refused != Time::max()) {
+    // Barrier-side watchdog: an event chain that hops LPs every step
+    // spends its life in mailboxes, so the per-step check inside
+    // run_window() (which requires a non-empty local heap) can never
+    // fire.  The window open time is the authoritative global clock —
+    // judge the budget here.
+    std::uint64_t pending = 0;
+    for (const auto& s : shards_) pending += s->pending();
+    throw WatchdogTimeout(
+        "ParallelEngine watchdog: sim-time budget of " +
+        std::to_string(budget_.as_millis()) +
+        " ms exceeded — the next window would open at t=" +
+        std::to_string(refused.as_millis()) + " ms with " +
+        std::to_string(pending) + " event(s) still pending across " +
+        std::to_string(shards_.size()) +
+        " LP(s) — the run is not converging");
   }
   Time t = Time::zero();
   for (const auto& s : shards_) t = std::max(t, s->now());
@@ -254,6 +251,12 @@ std::uint64_t ParallelEngine::combined_digest() const {
     mix_u64(shards_[i]->tracer().records_emitted());
   }
   return h;
+}
+
+std::uint64_t ParallelEngine::cross_posts() const {
+  std::uint64_t total = 0;
+  for (const WorkerSlot& s : slots_) total += s.drained;
+  return total;
 }
 
 std::vector<ParallelEngine::ShardStats> ParallelEngine::shard_stats() const {

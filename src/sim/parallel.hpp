@@ -21,14 +21,17 @@
 //
 //   * Mailboxes.  A cross-LP event is never pushed into the destination
 //     heap mid-window (the destination is running on another thread).
-//     post() appends it, tagged with its dst LP, to the source LP's
-//     outbox — written only by the worker executing src.  The barrier
-//     gathers the outboxes in source order, stable-sorts the entries by
-//     dst and schedules them in that fixed (dst LP, src LP, post order)
-//     sweep.  Destination sequence numbers are assigned during that
-//     deterministic drain, so simultaneous arrivals tie-break by
-//     (time, src LP, post order) — never by which worker finished first.
-//     A barrier costs O(posts · log posts + LPs), never O(LPs²).
+//     post() appends it, tagged with its dst LP, to one of the source
+//     LP's outboxes — one per destination worker, written only by the
+//     worker executing src.  Each LP stays on one worker for the whole
+//     run (LP i on worker i % threads), and after each window every
+//     worker drains its own outboxes, walking sources in LP order and
+//     scheduling each entry into its destination.  Each destination
+//     thus receives its posts in (src LP, post order), and draws their
+//     sequence numbers in that order, so simultaneous arrivals
+//     tie-break by (time, src LP, post order) — never by which worker
+//     finished first.  A barrier costs each worker O(its posts + LPs),
+//     never O(LPs²).
 //
 // Determinism contract (docs/TRACING.md): the window structure depends
 // only on event content (t_min is a min over heaps, L is a constant), LP
@@ -43,10 +46,9 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -56,9 +58,10 @@
 namespace acc::sim {
 
 struct ParallelConfig {
-  /// Worker threads executing LP windows.  1 runs every window inline on
-  /// the calling thread (the reference ordering the pool must reproduce);
-  /// 0 picks std::thread::hardware_concurrency().
+  /// Workers executing LP windows, the calling thread included.  1 runs
+  /// every window inline on the calling thread (the reference ordering
+  /// the pool must reproduce); 0 picks
+  /// std::thread::hardware_concurrency().
   std::size_t threads = 1;
   /// Conservative lookahead: the minimum cross-LP delay post() accepts.
   /// Must be positive when more than one LP exists (a zero-lookahead
@@ -102,9 +105,10 @@ class ParallelEngine {
   /// Runs every shard to global completion (all heaps and mailboxes
   /// empty).  Work post()ed before run() counts: mailboxes are drained
   /// ahead of the emptiness check, so a simulation may start entirely
-  /// from cross-LP posts.  Returns the maximum shard time.  The first
-  /// exception that escapes any window is rethrown after the barrier,
-  /// lowest LP first (deterministic given a deterministic failure).
+  /// from cross-LP posts.  Returns the maximum shard time.  When shards
+  /// throw, run() stops after that window and rethrows the lowest LP's
+  /// exception (deterministic given a deterministic failure); the
+  /// window's other failures are dropped.
   /// A sim-time budget (Engine::set_time_budget) set on ANY shard is
   /// propagated to every shard without one and additionally enforced at
   /// each window barrier, so the watchdog fires even when the runaway
@@ -116,7 +120,7 @@ class ParallelEngine {
 
   /// Window barriers crossed and cross-LP events carried (telemetry).
   std::uint64_t windows() const { return windows_; }
-  std::uint64_t cross_posts() const { return cross_posts_; }
+  std::uint64_t cross_posts() const;
 
   /// Canonical digest over the per-LP tracer lanes: with one LP it *is*
   /// that engine's tracer digest (so a one-LP run preserves every
@@ -142,45 +146,50 @@ class ParallelEngine {
     Engine::Callback fn;
   };
 
-  /// Earliest pending event across all shard heaps; Time::max() if idle.
-  Time earliest() const;
+  /// Generation-counted barrier over the run's workers: a short spin
+  /// (most windows end sooner than a sleeping thread wakes), then a
+  /// block in std::atomic::wait.
+  class Barrier {
+   public:
+    explicit Barrier(std::size_t parties) : parties_(parties) {}
+    void arrive_and_wait();
+
+   private:
+    const std::size_t parties_;
+    std::atomic<std::size_t> arrived_{0};
+    std::atomic<std::uint32_t> generation_{0};
+  };
+
+  /// One worker's barrier-side state, written once per window.
+  struct WorkerSlot {
+    Time earliest = Time::max();  // earliest pending event over its LPs
+    std::uint64_t drained = 0;    // cross-LP posts it has scheduled
+  };
+
   /// Executes shard `i`'s window [*, end) and accumulates its stats.
   void run_shard_window(std::size_t i, Time end);
-  /// Drains every outbox into the destination heaps in the canonical
-  /// (dst, src, post order) sweep.  Barrier-side only.
-  void drain_mailboxes();
-  void start_workers();
-  void stop_workers();
-  void worker_loop();
-  /// Runs one window over every shard on the pool (or inline when
-  /// threads_ == 1) and waits for completion.
-  void execute_window(Time end);
+  /// Worker `w`'s part of run(), over LPs w, w + threads_, ...  Returns
+  /// the open time of the window the barrier watchdog refused, else
+  /// Time::max() (all work done, or a shard failed).
+  Time run_worker(std::size_t w);
 
   std::vector<std::unique_ptr<Engine>> shards_;
-  /// One outbox per source LP: only the worker executing src appends,
-  /// only the barrier drains.
+  /// outboxes_[src * threads_ + dst % threads_]: appended to only by the
+  /// worker executing src, drained only by the worker owning dst.
   std::vector<std::vector<Posted>> outboxes_;
-  /// Barrier scratch: the drained entries in canonical order.
-  std::vector<Posted*> drain_order_;
+  std::vector<WorkerSlot> slots_;
   std::vector<ShardStats> stats_;
   std::vector<std::exception_ptr> window_failures_;
   Time lookahead_ = Time::zero();
+  Time budget_ = Time::zero();
   std::size_t threads_ = 1;
   std::uint64_t windows_ = 0;
-  std::uint64_t cross_posts_ = 0;
 
-  // Worker pool: generation-counted window barrier.  The coordinator
-  // publishes (window_end_, generation_); workers claim shard indices
-  // from next_shard_ and count themselves done on workers_done_.
-  std::vector<std::thread> workers_;
-  std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  Time window_end_ = Time::zero();
-  std::uint64_t generation_ = 0;
-  std::size_t workers_done_ = 0;
-  std::atomic<std::size_t> next_shard_{0};
+  // Helper threads run workers 1..threads_-1; the caller of run() is
+  // worker 0.  Between runs the helpers wait at barrier_.
+  Barrier barrier_;
   bool shutdown_ = false;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace acc::sim

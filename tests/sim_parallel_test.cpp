@@ -83,17 +83,31 @@ TEST(ParallelEngine, CrossLpPostBelowLookaheadThrows) {
 }
 
 TEST(ParallelEngine, ShardExceptionPropagatesOutOfRun) {
-  for (std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-    ParallelEngine peng(2, config(threads, Time::micros(1)));
-    peng.lp(1).schedule_at(Time::nanos(10), [] {
-      throw std::runtime_error("lp exploded");
-    });
-    peng.lp(0).schedule_at(Time::nanos(10), [] {});
-    try {
-      peng.run();
-      FAIL() << "expected the shard exception to escape run()";
-    } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(), "lp exploded");
+  // LPs 1 and 2 throw in the same window.  At 2 threads they run on
+  // different workers (LP i on worker i % threads), the lower LP on a
+  // helper and the higher on the caller; at 4 each has its own worker.
+  // Whichever finishes first, run() must rethrow LP 1's exception, and
+  // the engine (helpers parked between runs) must be destroyed cleanly.
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2},
+                              std::size_t{4}}) {
+    for (int rep = 0; rep < 8; ++rep) {
+      ParallelEngine peng(4, config(threads, Time::micros(1)));
+      peng.lp(1).schedule_at(Time::nanos(10), [] {
+        throw std::runtime_error("lp1 exploded");
+      });
+      peng.lp(2).schedule_at(Time::nanos(10), [] {
+        throw std::runtime_error("lp2 exploded");
+      });
+      peng.lp(0).schedule_at(Time::nanos(10), [] {});
+      peng.lp(3).schedule_at(Time::nanos(10), [] {});
+      try {
+        peng.run();
+        FAIL() << "expected the shard exception to escape run()";
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "lp1 exploded") << "threads=" << threads;
+      }
+      // The failed window's other exception is not replayed later.
+      EXPECT_NO_THROW(peng.run()) << "threads=" << threads;
     }
   }
 }
@@ -323,11 +337,11 @@ void ring_hop(RingCtx* c, std::uint32_t lp, std::uint32_t remaining,
                 });
 }
 
-/// Runs `tokens` tokens 96 hops around an 8-LP ring and returns the
+/// Runs `tokens` tokens 96 hops around an `lps`-LP ring and returns the
 /// run's (combined digest, events, per-LP token fold).
 std::tuple<std::uint64_t, std::uint64_t, std::uint64_t> ring_run(
-    std::size_t threads, std::size_t tokens) {
-  ParallelEngine peng(8, config(threads, Time::nanos(50)));
+    std::size_t threads, std::size_t tokens, std::size_t lps = 8) {
+  ParallelEngine peng(lps, config(threads, Time::nanos(50)));
   RingCtx ctx;
   ctx.peng = &peng;
   ctx.token_sum.assign(peng.lp_count(), 0);
@@ -353,17 +367,22 @@ std::tuple<std::uint64_t, std::uint64_t, std::uint64_t> ring_run(
 }
 
 TEST(ParallelEngine, RingDigestIndependentOfWorkerCount) {
-  const auto reference = ring_run(/*threads=*/1, /*tokens=*/24);
-  EXPECT_GT(std::get<1>(reference), 24u * 96u);
-  for (std::size_t threads : {std::size_t{2}, std::size_t{4},
-                              std::size_t{8}}) {
-    const auto run = ring_run(threads, 24);
-    EXPECT_EQ(std::get<0>(run), std::get<0>(reference))
-        << "digest diverged at threads=" << threads;
-    EXPECT_EQ(std::get<1>(run), std::get<1>(reference))
-        << "event count diverged at threads=" << threads;
-    EXPECT_EQ(std::get<2>(run), std::get<2>(reference))
-        << "token fold diverged at threads=" << threads;
+  // LP i runs on worker i % threads, so 3 workers on 8 LPs and 4 on 5
+  // give the workers unequal shares; 8 on 8 gives each worker one LP.
+  const std::vector<std::pair<std::size_t, std::vector<std::size_t>>> cases =
+      {{8, {2, 3, 4, 8}}, {5, {4}}};
+  for (const auto& [lps, thread_counts] : cases) {
+    const auto reference = ring_run(/*threads=*/1, /*tokens=*/24, lps);
+    EXPECT_GT(std::get<1>(reference), 24u * 96u);
+    for (std::size_t threads : thread_counts) {
+      const auto run = ring_run(threads, 24, lps);
+      EXPECT_EQ(std::get<0>(run), std::get<0>(reference))
+          << "digest diverged at lps=" << lps << " threads=" << threads;
+      EXPECT_EQ(std::get<1>(run), std::get<1>(reference))
+          << "event count diverged at lps=" << lps << " threads=" << threads;
+      EXPECT_EQ(std::get<2>(run), std::get<2>(reference))
+          << "token fold diverged at lps=" << lps << " threads=" << threads;
+    }
   }
 }
 
@@ -473,6 +492,47 @@ TEST(ParallelEngine, PreRunPostsChainAndKeepCanonicalOrder) {
   ASSERT_EQ(logs_by_threads.size(), 3u);
   EXPECT_EQ(logs_by_threads[1], logs_by_threads[0]);
   EXPECT_EQ(logs_by_threads[2], logs_by_threads[0]);
+}
+
+TEST(ParallelEngine, BackToBackRunsKeepEveryPostAndItsOrder) {
+  // Three run() calls on one engine, with cross-LP posts made by the
+  // caller between them.  At 4 threads the helpers park between runs;
+  // none may still be reading the last run's barrier state while the
+  // caller posts and starts the next run (TSan checks this in CI).
+  // Every post must run, in the order the 1-thread engine runs them.
+  constexpr std::size_t kLps = 6;
+  auto three_runs = [](std::size_t threads) {
+    ParallelEngine peng(kLps, config(threads, Time::nanos(20)));
+    // logs[lp] is written only by lp's callbacks (LP-confined).
+    std::vector<std::vector<int>> logs(kLps);
+    ParallelEngine* pp = &peng;
+    auto* out = &logs;
+    for (int round = 0; round < 3; ++round) {
+      for (std::size_t src = 0; src < kLps; ++src) {
+        for (std::size_t k = 0; k < 4; ++k) {
+          const std::size_t dst = (src + 1 + k) % kLps;
+          const int tag = round * 100 + static_cast<int>(src * 10 + k);
+          peng.post(src, dst, Time::nanos(20 + static_cast<int>(k)),
+                    [pp, out, src, dst, tag] {
+                      (*out)[dst].push_back(tag);
+                      // Chain one hop back, inside this run.
+                      pp->post(dst, src, Time::nanos(20), [out, src, tag] {
+                        (*out)[src].push_back(1000 + tag);
+                      });
+                    });
+        }
+      }
+      peng.run();
+    }
+    EXPECT_EQ(peng.cross_posts(), 3u * kLps * 4u * 2u)
+        << "threads=" << threads;
+    return logs;
+  };
+  const auto reference = three_runs(1);
+  std::size_t ran = 0;
+  for (const auto& log : reference) ran += log.size();
+  EXPECT_EQ(ran, 3u * kLps * 4u * 2u);
+  EXPECT_EQ(three_runs(4), reference);
 }
 
 // ---------------------------------------------------------------------
