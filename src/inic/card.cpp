@@ -9,6 +9,18 @@ namespace acc::inic {
 
 namespace {
 
+// Go-back-N retry tunables (docs/FAULTS.md).  Each fruitless round to a
+// destination multiplies its retransmit timeout by kRetransmitBackoff, up
+// to kRetransmitTimeoutCap; credit progress resets it.
+constexpr double kRetransmitBackoff = 2.0;
+constexpr Time kRetransmitTimeoutCap = Time::nanos(32'000'000);  // 32 ms
+// When the retry budget runs dry the card first asks the fabric for an
+// alternate route (Fabric::request_reroute) and, if one exists, resets
+// the retry round and re-arms instead of declaring the peer unreachable —
+// up to this many grants per destination (credit progress resets the
+// grant count).  Inert unless the fabric runs adaptive routing.
+constexpr std::uint32_t kMaxReroutes = 8;
+
 std::uint64_t stream_key(int src, std::uint32_t msg_id) {
   return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32) |
          msg_id;
@@ -238,11 +250,11 @@ Time InicCard::effective_retransmit_timeout(int dst) const {
   Time timeout = std::max(cfg_.retransmit_timeout, rtt * 2.0);
   // A floor above the configured cap would otherwise make backoff
   // non-monotonic; the cap rises with it.
-  const Time cap = std::max(cfg_.retransmit_timeout_cap, timeout);
+  const Time cap = std::max(kRetransmitTimeoutCap, timeout);
   const auto it = retry_rounds_.find(dst);
   const std::uint32_t rounds = it == retry_rounds_.end() ? 0 : it->second;
   for (std::uint32_t i = 0; i < rounds; ++i) {
-    timeout = timeout * cfg_.retransmit_backoff;
+    timeout = timeout * kRetransmitBackoff;
     if (timeout >= cap) {
       return cap;
     }
@@ -315,7 +327,7 @@ void InicCard::check_retransmit(int dst, std::uint64_t generation) {
     // budget.  Only when no alternate exists (or the grants are spent)
     // does the failure surface as PeerUnreachableError.
     std::uint32_t& grants = reroute_grants_[dst];
-    if (grants < cfg_.max_reroutes &&
+    if (grants < kMaxReroutes &&
         network_.request_reroute(node_.id(), dst)) {
       ++grants;
       rounds = 0;

@@ -58,20 +58,10 @@ struct InicConfig {
   /// retransmission rounds with no credit progress the card declares the
   /// peer unreachable (surfaced to the application as
   /// PeerUnreachableError).  0 keeps the historical retry-forever
-  /// behaviour.
+  /// behaviour.  Consecutive rounds back off and a dry budget first asks
+  /// the fabric for a reroute (constants in inic/card.cpp,
+  /// docs/FAULTS.md).
   std::size_t max_retries = 0;
-  /// Backoff between consecutive retransmission rounds to the same
-  /// destination: each round multiplies the timeout by this factor, up to
-  /// the cap; credit progress resets it.  1.0 disables backoff.
-  double retransmit_backoff = 2.0;
-  Time retransmit_timeout_cap = Time::millis(32.0);
-  /// When the go-back-N retry budget runs dry the card first asks the
-  /// fabric for an alternate route (Fabric::request_reroute) and, if one
-  /// exists, resets the retry round and re-arms instead of declaring the
-  /// peer unreachable — up to this many grants per destination (credit
-  /// progress resets the grant count).  Inert unless the fabric runs
-  /// adaptive routing; 0 disables the escalation entirely.
-  std::size_t max_reroutes = 8;
 
   static InicConfig ideal() { return InicConfig{}; }
 

@@ -1,17 +1,15 @@
 // Typed message channels between simulation processes.
 //
-// Channel<T> is an unbounded (or optionally bounded) FIFO.  Receivers
-// suspend when the channel is empty; with a capacity set, senders suspend
-// when it is full.  Wakeups are delivered through the engine's event queue
-// at zero delay, which keeps resume order deterministic and avoids
-// re-entrant resumption inside send().
+// Channel<T> is an unbounded FIFO.  Senders never wait; receivers
+// suspend when the channel is empty.  Wakeups are delivered through the
+// engine's event queue at zero delay, which keeps resume order
+// deterministic and avoids re-entrant resumption inside send_now().
 #pragma once
 
 #include <cassert>
 #include <coroutine>
 #include <cstddef>
 #include <deque>
-#include <limits>
 #include <optional>
 #include <utility>
 
@@ -22,38 +20,15 @@ namespace acc::sim {
 template <typename T>
 class Channel {
  public:
-  explicit Channel(Engine& eng,
-                   std::size_t capacity = std::numeric_limits<std::size_t>::max())
-      : eng_(eng), capacity_(capacity) {
-    assert(capacity_ > 0);
-  }
+  explicit Channel(Engine& eng) : eng_(eng) {}
 
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
 
-  /// Non-suspending send.  Asserts the channel has room; use only on
-  /// unbounded channels or when the caller has ensured capacity.
+  /// Appends `value` and hands it to the longest-waiting receiver, if any.
   void send_now(T value) {
-    assert(items_.size() < capacity_);
     items_.push_back(std::move(value));
     wake_one_receiver();
-  }
-
-  /// Awaitable send honouring capacity: `co_await ch.send(v);`
-  auto send(T value) {
-    struct Awaiter {
-      Channel& ch;
-      T value;
-      bool await_ready() { return ch.items_.size() < ch.capacity_; }
-      void await_suspend(std::coroutine_handle<> h) {
-        ch.senders_.push_back(Waiting{h, this});
-      }
-      void await_resume() {
-        ch.items_.push_back(std::move(value));
-        ch.wake_one_receiver();
-      }
-    };
-    return Awaiter{*this, std::move(value)};
   }
 
   /// Awaitable receive: `T v = co_await ch.recv();`  FIFO among waiters.
@@ -87,13 +62,8 @@ class Channel {
 
   std::size_t size() const { return items_.size(); }
   bool empty() const { return items_.empty(); }
-  std::size_t capacity() const { return capacity_; }
 
  private:
-  struct Waiting {
-    std::coroutine_handle<> h;
-    void* awaiter;  // sender Awaiter*, resolved at wake time
-  };
   struct RecvWaiting {
     std::coroutine_handle<> h;
     void* awaiter;  // receiver Awaiter*
@@ -102,7 +72,6 @@ class Channel {
   T take_front() {
     T v = std::move(items_.front());
     items_.pop_front();
-    wake_one_sender();
     return v;
   }
 
@@ -117,19 +86,9 @@ class Channel {
     eng_.schedule(Time::zero(), [h = w.h] { h.resume(); });
   }
 
-  void wake_one_sender() {
-    if (senders_.empty() || items_.size() >= capacity_) return;
-    Waiting w = senders_.front();
-    senders_.pop_front();
-    // The sender's await_resume pushes its value; resume via the queue.
-    eng_.schedule(Time::zero(), [h = w.h] { h.resume(); });
-  }
-
   Engine& eng_;
-  std::size_t capacity_;
   std::deque<T> items_;
   std::deque<RecvWaiting> receivers_;
-  std::deque<Waiting> senders_;
 };
 
 }  // namespace acc::sim

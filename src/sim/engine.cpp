@@ -39,30 +39,6 @@ bool Engine::step() {
   return true;
 }
 
-Time Engine::run() {
-  while (step()) {
-    rethrow_if_failed();
-    check_time_budget();
-  }
-  rethrow_if_failed();
-  return now_;
-}
-
-Time Engine::run_until(Time deadline) {
-  while (!queue_.empty() && queue_.top().when <= deadline) {
-    step();
-    rethrow_if_failed();
-    check_time_budget();
-  }
-  rethrow_if_failed();
-  if (now_ < deadline) {
-    // Idle-advance: whether the queue drained or only later events
-    // remain, the caller observes the requested time on return.
-    now_ = deadline;
-  }
-  return now_;
-}
-
 Time Engine::run_window(Time end) {
   while (!queue_.empty() && queue_.top().when < end) {
     step();

@@ -33,7 +33,7 @@ namespace acc::sim {
 
 class Engine;
 
-/// Thrown by Engine::run()/run_until() when a watchdog sim-time budget is
+/// Thrown by Engine::run()/run_window() when a watchdog sim-time budget is
 /// exceeded: the run made "progress" in simulated time without ever
 /// terminating (livelock — e.g. a retransmit timer rearming forever
 /// against a dead peer).  The message carries the engine diagnostics;
@@ -103,23 +103,20 @@ class Engine {
   /// Runs one event.  Returns false when the queue is empty.
   bool step();
 
-  /// Runs until no events remain.  Returns the final simulated time.
-  /// Rethrows the first exception that escaped a root process.
-  Time run();
+  /// Runs until no events remain: run_window(Time::max()).  Returns the
+  /// final simulated time.  Rethrows the first exception that escaped a
+  /// root process.
+  Time run() { return run_window(Time::max()); }
 
-  /// Runs until the queue is empty or simulated time would exceed
-  /// `deadline`; events at exactly `deadline` still run.
-  Time run_until(Time deadline);
-
-  /// Window execution for the parallel engine (sim/parallel.hpp): runs
-  /// every event strictly *before* `end` and stops, leaving now() at the
-  /// last executed event (no idle-advance — later windows must still be
+  /// The one dispatch loop.  Runs every event strictly *before* `end` and
+  /// stops, leaving now() at the last executed event (no idle-advance —
+  /// the parallel engine's next window, sim/parallel.hpp, must still be
   /// able to schedule at any time >= the window edge).  Events at exactly
   /// `end` belong to the next window, where they merge with cross-LP
   /// mailbox arrivals under the deterministic (time, seq) order.
   Time run_window(Time end);
 
-  /// Watchdog: makes run()/run_until() throw WatchdogTimeout once
+  /// Watchdog: makes run()/run_window() throw WatchdogTimeout once
   /// simulated time passes `budget` with events still pending — a
   /// no-progress guard for runs that would otherwise spin forever (e.g.
   /// unbounded retransmission against a dead peer).  Time::zero()

@@ -17,13 +17,13 @@ std::uint64_t wall_now_ns() {
           .count());
 }
 
-std::size_t worker_count(std::size_t lps, std::size_t requested) {
-  const std::size_t want =
-      requested != 0
-          ? requested
-          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  return std::min(want, lps);  // more workers than LPs would only idle
-}
+// The engine and LP the calling thread is executing a window of, or
+// {nullptr, 0} outside every ParallelEngine::run().  post() checks it.
+struct Executing {
+  const ParallelEngine* engine = nullptr;
+  std::size_t lp = 0;
+};
+thread_local Executing tl_executing;
 
 // How long a barrier waiter polls before it blocks.  A window's work is
 // spread unevenly over the workers, and waking a blocked thread can take
@@ -41,10 +41,14 @@ void cpu_relax() {
 
 ParallelEngine::ParallelEngine(std::size_t lps, const ParallelConfig& cfg)
     : lookahead_(cfg.lookahead),
-      threads_(worker_count(lps, cfg.threads)),
+      // More workers than LPs would only idle.
+      threads_(std::min(lps, cfg.threads)),
       barrier_(threads_) {
   if (lps == 0) {
     throw std::invalid_argument("ParallelEngine: need at least one LP");
+  }
+  if (cfg.threads == 0) {
+    throw std::invalid_argument("ParallelEngine: need at least one thread");
   }
   if (lps > 1 && lookahead_ <= Time::zero()) {
     throw std::invalid_argument(
@@ -102,6 +106,12 @@ void ParallelEngine::Barrier::arrive_and_wait() {
 void ParallelEngine::post(std::size_t src, std::size_t dst, Time delay,
                           Engine::Callback fn) {
   Engine& from = lp(src);
+  if (tl_executing.engine == this && tl_executing.lp != src) {
+    throw std::logic_error(
+        "ParallelEngine::post: LP " + std::to_string(tl_executing.lp) +
+        " posted as LP " + std::to_string(src) +
+        " — inside run() only the executing LP may post");
+  }
   if (src == dst) {
     // LP-local: the ordinary schedule path, any delay.
     from.schedule(delay, std::move(fn));
@@ -124,11 +134,13 @@ void ParallelEngine::run_shard_window(std::size_t i, Time end) {
   if (eng.next_event_time() >= end) return;
   const std::uint64_t before = eng.events_executed();
   const std::uint64_t t0 = wall_now_ns();
+  const Executing outer = std::exchange(tl_executing, Executing{this, i});
   try {
     eng.run_window(end);
   } catch (...) {
     window_failures_[i] = std::current_exception();
   }
+  tl_executing = outer;
   stats_[i].wall_ns += wall_now_ns() - t0;
   stats_[i].events += eng.events_executed() - before;
 }
@@ -146,7 +158,18 @@ Time ParallelEngine::run_worker(std::size_t w) {
     for (std::size_t src = 0; src < lps; ++src) {
       std::vector<Posted>& box = outboxes_[src * threads_ + w];
       for (Posted& p : box) {
-        shards_[p.dst]->schedule_at(p.when, std::move(p.fn));
+        Engine& to = *shards_[p.dst];
+        if (p.when < to.now()) {
+          if (!slot.failure) {
+            slot.failure = std::make_exception_ptr(std::logic_error(
+                "ParallelEngine: a post from LP " + std::to_string(src) +
+                " lands at t=" + std::to_string(p.when.as_nanos()) +
+                " ns, before LP " + std::to_string(p.dst) + "'s clock (" +
+                std::to_string(to.now().as_nanos()) + " ns)"));
+          }
+          continue;
+        }
+        to.schedule_at(p.when, std::move(p.fn));
       }
       drained += box.size();
       box.clear();
@@ -160,10 +183,13 @@ Time ParallelEngine::run_worker(std::size_t w) {
     slot.earliest = earliest;
     barrier_.arrive_and_wait();
     Time t_min = Time::max();
+    bool drain_failed = false;
     for (const WorkerSlot& other : slots_) {
       t_min = std::min(t_min, other.earliest);
+      drain_failed = drain_failed || other.failure;
     }
-    if (t_min == Time::max()) return t_min;  // heaps and mailboxes empty
+    // Heaps and mailboxes empty, or a post was refused: the run is over.
+    if (drain_failed || t_min == Time::max()) return Time::max();
     // Barrier-side watchdog: every worker sees the same t_min, so all
     // stop together and run() reports it.
     if (budget_ != Time::zero() && t_min > budget_) return t_min;
@@ -196,9 +222,14 @@ Time ParallelEngine::run() {
   // Closing barrier: no helper may still read this run's worker slots
   // or failures once run() returns and its caller posts again.
   barrier_.arrive_and_wait();
-  // The lowest LP's exception stands for the failed window; the rest of
-  // that window's failures are dropped with it.
+  // A drain failure (lowest worker first) ends the run before its window
+  // opens.  Otherwise the lowest LP's exception stands for the failed
+  // window; the rest of that window's failures are dropped with it.
   std::exception_ptr failure;
+  for (WorkerSlot& s : slots_) {
+    if (!failure) failure = s.failure;
+    s.failure = nullptr;
+  }
   for (std::exception_ptr& e : window_failures_) {
     if (!failure) failure = e;
     e = nullptr;

@@ -58,10 +58,9 @@
 namespace acc::sim {
 
 struct ParallelConfig {
-  /// Workers executing LP windows, the calling thread included.  1 runs
-  /// every window inline on the calling thread (the reference ordering
-  /// the pool must reproduce); 0 picks
-  /// std::thread::hardware_concurrency().
+  /// Workers executing LP windows, the calling thread included; at least
+  /// 1, clamped to the LP count.  1 runs every window inline on the
+  /// calling thread (the reference ordering the pool must reproduce).
   std::size_t threads = 1;
   /// Conservative lookahead: the minimum cross-LP delay post() accepts.
   /// Must be positive when more than one LP exists (a zero-lookahead
@@ -95,17 +94,22 @@ class ParallelEngine {
   const Engine& lp(std::size_t i) const { return *shards_.at(i); }
 
   /// Posts a cross-LP event: `fn` runs on `dst` at the source shard's
-  /// now() + delay.  Must be called from code executing on shard `src`
-  /// (each source's outbox is single-writer).  `delay` must be >=
-  /// lookahead when src != dst (throws std::logic_error otherwise — a
-  /// conservative-discipline violation, not a recoverable condition);
-  /// same-LP posts take the direct schedule path with any delay.
+  /// now() + delay.  Inside run() it must be called from code executing
+  /// on shard `src` (each source's outbox is single-writer, and the
+  /// lookahead is measured from src's clock); outside run() the caller
+  /// may post for any source.  `delay` must be >= lookahead when
+  /// src != dst.  Either violation throws std::logic_error — a
+  /// conservative-discipline violation, not a recoverable condition.
+  /// Same-LP posts take the direct schedule path with any delay.
   void post(std::size_t src, std::size_t dst, Time delay, Engine::Callback fn);
 
   /// Runs every shard to global completion (all heaps and mailboxes
   /// empty).  Work post()ed before run() counts: mailboxes are drained
   /// ahead of the emptiness check, so a simulation may start entirely
-  /// from cross-LP posts.  Returns the maximum shard time.  When shards
+  /// from cross-LP posts.  A post that would land before its
+  /// destination's clock (possible only for a post made before run(),
+  /// from a source whose clock is behind) makes run() throw
+  /// std::logic_error.  Returns the maximum shard time.  When shards
   /// throw, run() stops after that window and rethrows the lowest LP's
   /// exception (deterministic given a deterministic failure); the
   /// window's other failures are dropped.
@@ -164,6 +168,7 @@ class ParallelEngine {
   struct WorkerSlot {
     Time earliest = Time::max();  // earliest pending event over its LPs
     std::uint64_t drained = 0;    // cross-LP posts it has scheduled
+    std::exception_ptr failure;   // a drained post into its LP's past
   };
 
   /// Executes shard `i`'s window [*, end) and accumulates its stats.

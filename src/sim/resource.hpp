@@ -73,12 +73,8 @@ class FifoResource {
   }
 
   /// Changes the service rate (fault injection: a renegotiated or
-  /// degraded link).  Already-booked requests keep their finish times —
-  /// the new rate applies from the next enqueue.
-  void set_rate(Bandwidth rate) { rate_ = rate; }
-
-  /// Changes the service rate and re-times the *unserved backlog* at the
-  /// new rate, so work queued behind the rate change drains at the speed
+  /// degraded link) and re-times the *unserved backlog* at the new rate,
+  /// so work queued behind the rate change drains at the speed
   /// the link actually has now.  Completion times callers already
   /// captured from enqueue() are not recalled — those events still fire
   /// when originally booked; only requests submitted after this call

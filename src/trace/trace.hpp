@@ -23,8 +23,7 @@
 //     can be compared for byte-exact determinism in O(1).
 //
 // Cost when disabled: every recording call is an inline branch on one
-// bool (and compiles out entirely under -DACC_TRACE_DISABLED, see the
-// ACC_TRACE CMake option).  The tracer starts disabled.
+// bool.  The tracer starts disabled.
 #pragma once
 
 #include <cstddef>
@@ -83,17 +82,7 @@ class Tracer {
   /// full stream regardless of eviction.
   void enable(std::size_t ring_capacity = 0);
 
-  /// Stops recording.  Retained records and the digest survive until
-  /// clear() or the next enable().
-  void disable() { enabled_ = false; }
-
-  bool enabled() const {
-#ifdef ACC_TRACE_DISABLED
-    return false;
-#else
-    return enabled_;
-#endif
-  }
+  bool enabled() const { return enabled_; }
 
   /// Drops retained records and resets the digest (keeps enabled state).
   void clear();

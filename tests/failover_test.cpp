@@ -222,11 +222,9 @@ TEST(Failover, FaultedRunReplaysDigestIdentically) {
   // identical, not merely close: determinism covers the recovery path.
   EXPECT_EQ(a.ar_data, b.ar_data);
   EXPECT_EQ(a.bc_data, b.bc_data);
-#ifndef ACC_TRACE_DISABLED
   ASSERT_GT(a.records, 0u);
   EXPECT_EQ(a.records, b.records);
   EXPECT_EQ(a.digest, b.digest);
-#endif
 }
 
 TEST(Failover, BulkTransfersCompleteBitCorrectThroughACut) {
@@ -267,7 +265,6 @@ TEST(Failover, BulkTransfersCompleteBitCorrectThroughACut) {
   EXPECT_GT(cut.first.as_seconds(), clean.first.as_seconds());
 }
 
-#ifndef ACC_TRACE_DISABLED
 TEST(Failover, GoldenReconvergenceDigestIsPinned) {
   // Deterministic re-convergence, pinned: the canonical failover run
   // (fat tree, one permanent cut mid-allreduce, NIC backend) collapsed
@@ -286,7 +283,6 @@ TEST(Failover, GoldenReconvergenceDigestIsPinned) {
       << "actual digest: 0x" << actual
       << " — see the re-pin instructions in integration_test.cpp";
 }
-#endif  // ACC_TRACE_DISABLED
 
 // ---------------------------------------------------------------------
 // Tree repair in isolation: drive the collective engine directly with a
@@ -311,10 +307,8 @@ inic::TreeRole binomial_role(int l, int np) {
   return role;
 }
 
-#ifndef ACC_TRACE_DISABLED
 /// Trace records named `name`.  Tree-repair steps are traced, not
-/// counted one by one, so a trace-off build checks only the
-/// coll/tree_repairs counter.
+/// counted one by one.
 std::uint64_t count_records(apps::SimCluster& cluster, const char* name) {
   std::uint64_t n = 0;
   for (const auto& r : cluster.tracer().records()) {
@@ -322,7 +316,6 @@ std::uint64_t count_records(apps::SimCluster& cluster, const char* name) {
   }
   return n;
 }
-#endif
 
 TEST(TreeRepair, OrphanReparentsOntoGrandparentAndBarrierCompletes) {
   // 8-rank binomial tree: 6's only child is 7, 6's parent is 4.  Node
@@ -362,10 +355,8 @@ TEST(TreeRepair, OrphanReparentsOntoGrandparentAndBarrierCompletes) {
                 .get(trace::Category::kCollective, 7, "coll/tree_repairs")
                 .value(),
             1u);
-#ifndef ACC_TRACE_DISABLED
   EXPECT_EQ(count_records(cluster, "coll/repair_reparent"), 1u);
   EXPECT_EQ(count_records(cluster, "coll/adopt"), 1u);
-#endif
   // 7 gave up on 6 (that is what triggered the repair); 4 gives up on 6
   // too when its release token dies — a down-phase send has no relays,
   // so it surfaces only as a peer-unreachable count, never an exception.
@@ -424,10 +415,8 @@ TEST(TreeRepair, OrphanReparentsOntoGrandparentAndAllreduceCompletes) {
                 .get(trace::Category::kCollective, 7, "coll/tree_repairs")
                 .value(),
             1u);
-#ifndef ACC_TRACE_DISABLED
   EXPECT_EQ(count_records(cluster, "coll/repair_reparent"), 1u);
   EXPECT_EQ(count_records(cluster, "coll/adopt"), 1u);
-#endif
   for (std::size_t i = 0; i < cluster.size(); ++i) {
     if (i == 6) continue;
     EXPECT_EQ(cluster.card(i).armed_triggers(), 0u) << "node " << i;
@@ -461,9 +450,7 @@ TEST(TreeRepair, RepairFailsGracefullyWhenNoAncestorSurvives) {
   cluster.engine().run();
 
   EXPECT_FALSE(p->done());  // no release can ever arrive — op stalls
-#ifndef ACC_TRACE_DISABLED
   EXPECT_EQ(count_records(cluster, "coll/repair_failed"), 1u);
-#endif
   // The relay chain was walked to the end: 6, then 4, then 0.
   EXPECT_EQ(cluster.engine()
                 .counters()

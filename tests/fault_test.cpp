@@ -312,29 +312,26 @@ TEST(InicFaults, RetryBudgetSurfacesPeerUnreachable) {
 }
 
 TEST(InicFaults, RetransmitBackoffSlowsRetryRounds) {
-  // With backoff 2.0 and a cap, N fruitless rounds take ~timeout * (2^N -
-  // 1), much longer than N * timeout.  Compare against a no-backoff run.
-  auto rounds_time = [](double backoff) {
-    inic::InicConfig cfg = inic::InicConfig::ideal();
-    cfg.hw_retransmit = true;
-    cfg.retransmit_timeout = Time::millis(1);
-    cfg.retransmit_backoff = backoff;
-    cfg.retransmit_timeout_cap = Time::millis(64);
-    cfg.max_retries = 5;
-    InicPairRig rig(cfg);
-    rig.network->set_link_state(1, false);
-    sim::ProcessGroup group(rig.eng);
-    // 4 bursts against 2 credits: the sender blocks on flow control, so
-    // the budget-exhaustion verdict has someone to wake and fail.
-    group.spawn([](inic::InicCard& c) -> sim::Process {
-      co_await c.send_stream(1, Bytes::kib(64), 0, std::any{});
-    }(*rig.card_a));
-    EXPECT_THROW(group.join(), inic::PeerUnreachableError);
-    return rig.eng.now();
-  };
-  const Time flat = rounds_time(1.0);
-  const Time backed_off = rounds_time(2.0);
-  EXPECT_GT(backed_off.as_seconds(), flat.as_seconds() * 2.0);
+  // Each fruitless round doubles the retransmit timeout (below the 32 ms
+  // cap), so N rounds against a dead peer take at least
+  // timeout * (2^N - 1) before the card gives up; without backoff they
+  // would take N * timeout.
+  constexpr std::size_t kRounds = 5;
+  const Time timeout = Time::millis(1);
+  inic::InicConfig cfg = inic::InicConfig::ideal();
+  cfg.hw_retransmit = true;
+  cfg.retransmit_timeout = timeout;
+  cfg.max_retries = kRounds;
+  InicPairRig rig(cfg);
+  rig.network->set_link_state(1, false);
+  sim::ProcessGroup group(rig.eng);
+  // 4 bursts against 2 credits: the sender blocks on flow control, so
+  // the budget-exhaustion verdict has someone to wake and fail.
+  group.spawn([](inic::InicCard& c) -> sim::Process {
+    co_await c.send_stream(1, Bytes::kib(64), 0, std::any{});
+  }(*rig.card_a));
+  EXPECT_THROW(group.join(), inic::PeerUnreachableError);
+  EXPECT_GE(rig.eng.now(), timeout * static_cast<double>((1u << kRounds) - 1));
 }
 
 // ---------------------------------------------------------------------

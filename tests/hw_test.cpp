@@ -138,7 +138,7 @@ TEST(Interrupts, CountThresholdFiresImmediately) {
   InterruptCoalescer ic(eng, cpu, cfg,
                         [&](std::size_t n) { batches.push_back(n); });
   for (int i = 0; i < 4; ++i) ic.notify_frame();
-  eng.run_until(Time::millis(1));
+  eng.run_window(Time::millis(1));
   ASSERT_EQ(batches.size(), 1u);
   EXPECT_EQ(batches[0], 4u);
   EXPECT_EQ(ic.interrupts_fired(), 1u);

@@ -95,7 +95,6 @@ TEST(Integration, AnalyticAndSimulatedFigure4aAgreeInShape) {
   }
 }
 
-#ifndef ACC_TRACE_DISABLED
 TEST(Integration, GoldenTraceDigestForSmallFft) {
   // Golden-trace regression check: the complete event stream of a small
   // canonical run, collapsed to its 64-bit digest.  This pin catches
@@ -225,7 +224,6 @@ TEST(Integration, ReportCarriesTraceDigestAndCounters) {
     }
   }
 }
-#endif  // ACC_TRACE_DISABLED
 
 TEST(Integration, SpeedupOrderingAcrossInterconnects) {
   // Paper-wide invariant at every P: FastE <= GigE <= prototype <= ideal

@@ -138,15 +138,12 @@ TEST(KvApp, SameSeedSameDigestUnderFaultInjection) {
   const auto r = run_kv_serving(cluster, reseeded);
   EXPECT_TRUE(r.verified);
   EXPECT_NE(r.latency.percentile_ns(0.99), p99[0]);
-#ifndef ACC_TRACE_DISABLED
   EXPECT_NE(cluster.tracer().digest(), digest[0]);
-#endif
 }
 
 TEST(KvApp, ArrivalProcessesDiffer) {
   auto opts = small_opts();
-  // (makespan, p99, trace digest) of one run; the digest is 0 in a
-  // trace-off build, so the timings carry the comparison there.
+  // (makespan, p99, trace digest) of one run.
   auto run = [&opts](apps::ArrivalProcess arrivals) {
     apps::SimCluster cluster(4, apps::Interconnect::kInicIdeal);
     cluster.tracer().enable(/*ring_capacity=*/256);
@@ -162,9 +159,7 @@ TEST(KvApp, ArrivalProcessesDiffer) {
   const auto fixed = run(apps::ArrivalProcess::kDeterministic);
   EXPECT_NE(std::get<0>(poisson), std::get<0>(fixed));
   EXPECT_NE(std::get<1>(poisson), std::get<1>(fixed));
-#ifndef ACC_TRACE_DISABLED
   EXPECT_NE(std::get<2>(poisson), std::get<2>(fixed));
-#endif
 }
 
 TEST(KvApp, ZipfSkewConcentratesShardLoad) {

@@ -122,9 +122,7 @@ TEST(SweepRunner, BenchSuitePointsReproduceSeriallyWhenPooled) {
   const auto pooled = SweepRunner(/*threads=*/4).run(points);
   const auto serial = SweepRunner(/*threads=*/1).run(points);
   for (std::size_t i = 0; i < points.size(); ++i) {
-#ifndef ACC_TRACE_DISABLED
     ASSERT_GT(serial[i].metrics.trace_records, 0u) << serial[i].name;
-#endif
     expect_identical(pooled[i], serial[i]);
     // RunMetrics::counter reads a missing name as 0, so a misspelled
     // column would print a plausible zero: every column must be recorded.

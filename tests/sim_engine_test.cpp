@@ -1,5 +1,5 @@
-// Unit tests for the discrete-event engine: ordering, time advance,
-// run_until semantics, and failure propagation.
+// Unit tests for the discrete-event engine: ordering, time advance and
+// failure propagation.
 #include "sim/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -71,33 +71,6 @@ TEST(Engine, StepReturnsFalseWhenEmpty) {
   EXPECT_FALSE(eng.step());
 }
 
-TEST(Engine, RunUntilStopsAtDeadline) {
-  Engine eng;
-  int ran = 0;
-  eng.schedule(Time::millis(1), [&] { ++ran; });
-  eng.schedule(Time::millis(5), [&] { ++ran; });
-  eng.run_until(Time::millis(2));
-  EXPECT_EQ(ran, 1);
-  EXPECT_EQ(eng.now(), Time::millis(2));
-  EXPECT_EQ(eng.pending(), 1u);
-  eng.run();
-  EXPECT_EQ(ran, 2);
-}
-
-TEST(Engine, RunUntilIncludesEventsAtDeadline) {
-  Engine eng;
-  bool ran = false;
-  eng.schedule(Time::millis(2), [&] { ran = true; });
-  eng.run_until(Time::millis(2));
-  EXPECT_TRUE(ran);
-}
-
-TEST(Engine, RunUntilAdvancesIdleClock) {
-  Engine eng;
-  eng.run_until(Time::seconds(1));
-  EXPECT_EQ(eng.now(), Time::seconds(1));
-}
-
 TEST(Engine, ReportedFailureRethrownByRun) {
   Engine eng;
   eng.schedule(Time::micros(1), [&] {
@@ -167,7 +140,6 @@ TEST(EngineProperty, RandomScheduleDispatchesInTimeFifoOrder) {
   }
 }
 
-#ifndef ACC_TRACE_DISABLED
 TEST(EngineProperty, TracingDoesNotChangeDispatchOrder) {
   // The dispatch hook must be a pure observer: enabling tracing (with a
   // small ring, to also exercise eviction) must leave the dispatch
@@ -197,7 +169,6 @@ TEST(EngineProperty, SameSeedSameTraceDigest) {
   EXPECT_EQ(digest_of(5), digest_of(5));
   EXPECT_NE(digest_of(5), digest_of(6));
 }
-#endif  // ACC_TRACE_DISABLED
 
 }  // namespace
 }  // namespace acc::sim

@@ -334,7 +334,6 @@ TEST(EventHeapProperty, MatchesStdPriorityQueueWithoutCancels) {
 // Engine-level: reserve() determinism and TimerHandle semantics
 // ---------------------------------------------------------------------
 
-#ifndef ACC_TRACE_DISABLED
 TEST(EngineReserve, DigestIdenticalWithAndWithoutReserve) {
   // reserve() is pure capacity: the traced digest of a workload must be
   // bit-identical whether or not (and however much) the caller reserved.
@@ -356,7 +355,6 @@ TEST(EngineReserve, DigestIdenticalWithAndWithoutReserve) {
   EXPECT_EQ(digest_of(64), unreserved);
   EXPECT_EQ(digest_of(4096), unreserved);
 }
-#endif  // ACC_TRACE_DISABLED
 
 TEST(EngineTimer, CancelableTimerNeverFiresOnceCanceled) {
   Engine eng;

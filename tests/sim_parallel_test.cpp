@@ -65,6 +65,8 @@ TEST(ParallelEngine, MultiLpRequiresPositiveLookahead) {
                std::invalid_argument);
   EXPECT_THROW(ParallelEngine(0, config(1, Time::nanos(1))),
                std::invalid_argument);
+  EXPECT_THROW(ParallelEngine(2, config(0, Time::nanos(1))),
+               std::invalid_argument);
   // Single LP: zero lookahead is valid — the one-LP cluster partition.
   ParallelEngine single(1, config(4, Time::zero()));
   EXPECT_EQ(single.lp_count(), 1u);
@@ -80,6 +82,45 @@ TEST(ParallelEngine, CrossLpPostBelowLookaheadThrows) {
   peng.post(0, 1, Time::micros(1), [] {});  // exactly lookahead: legal
   peng.run();
   EXPECT_EQ(peng.events_executed(), 2u);
+}
+
+TEST(ParallelEngine, PostNamingAnotherLpThrows) {
+  // Inside run() only the executing LP may post: a callback on LP 2 that
+  // names LP 1 as the sender would measure the lookahead from LP 1's
+  // clock and, at 4 threads, append to LP 1's worker's outbox.
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ParallelEngine peng(4, config(threads, Time::nanos(100)));
+    ParallelEngine* pp = &peng;
+    bool ran = false;
+    peng.lp(2).schedule_at(Time::nanos(100), [pp, &ran] {
+      pp->post(1, 3, Time::nanos(100), [&ran] { ran = true; });
+    });
+    try {
+      peng.run();
+      FAIL() << "expected the misattributed post to throw";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("LP 2 posted as LP 1"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_FALSE(ran) << "threads=" << threads;
+    // Outside run() the caller posts for any source.
+    peng.post(1, 3, Time::nanos(100), [&ran] { ran = true; });
+    peng.run();
+    EXPECT_TRUE(ran) << "threads=" << threads;
+  }
+}
+
+TEST(ParallelEngine, PreRunPostIntoTheDestinationsPastThrows) {
+  // A caller post is timed from its source's clock, which may trail the
+  // destination's after a run: the drain refuses to schedule it.
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ParallelEngine peng(4, config(threads, Time::nanos(100)));
+    peng.lp(1).schedule_at(Time::micros(1), [] {});
+    peng.run();
+    peng.post(0, 1, Time::nanos(100), [] {});
+    EXPECT_THROW(peng.run(), std::logic_error) << "threads=" << threads;
+  }
 }
 
 TEST(ParallelEngine, ShardExceptionPropagatesOutOfRun) {
@@ -458,9 +499,10 @@ TEST(ParallelEngine, PreRunPostIsNotDroppedWhenQueuesStartEmpty) {
 }
 
 TEST(ParallelEngine, PreRunPostsChainAndKeepCanonicalOrder) {
-  // Property shape: N pre-run posts fanned across LPs, each chaining one
-  // more cross-LP hop at execution time.  Every hop must run, and the
-  // destination-side order must match the serial reference exactly.
+  // Property shape: N pre-run posts fanned out from LP0 across the LPs,
+  // each chaining one more cross-LP hop back to LP0 from the LP it runs
+  // on (0 -> src -> 0).  Every hop must run, and the destination-side
+  // order must match the serial reference exactly.
   std::vector<std::vector<int>> logs_by_threads;
   for (std::size_t threads : {std::size_t{1}, std::size_t{2},
                               std::size_t{4}}) {
@@ -478,8 +520,9 @@ TEST(ParallelEngine, PreRunPostsChainAndKeepCanonicalOrder) {
         });
         continue;
       }
-      peng.post(src, 0, Time::nanos(100 + k), [pp, out, src, k] {
-        // The hop itself was boxed pre-run; it chains one more.
+      peng.post(0, src, Time::nanos(100 + k), [pp, out, src, k] {
+        // The hop itself was boxed pre-run; running on `src`, it chains
+        // one more back to LP0.
         pp->post(src, 0, Time::nanos(100), [out, k] {
           out->push_back(1000 + k);
         });

@@ -175,33 +175,6 @@ TEST(Channel, TryRecvReturnsEmptyWhenIdle) {
   EXPECT_EQ(*v, 9);
 }
 
-TEST(Channel, BoundedSendBlocksUntilSpace) {
-  Engine eng;
-  Channel<int> ch(eng, 2);
-  std::vector<Time> send_done;
-  ProcessGroup group(eng);
-  group.spawn([](Channel<int>& c, Engine& e, std::vector<Time>& log) -> Process {
-    for (int i = 0; i < 4; ++i) {
-      co_await c.send(i);
-      log.push_back(e.now());
-    }
-  }(ch, eng, send_done));
-  group.spawn([](Channel<int>& c, Engine& e) -> Process {
-    co_await Delay{e, Time::millis(10)};
-    for (int i = 0; i < 4; ++i) {
-      (void)co_await c.recv();
-      co_await Delay{e, Time::millis(1)};
-    }
-  }(ch, eng));
-  group.join();
-  ASSERT_EQ(send_done.size(), 4u);
-  // First two sends fit the buffer immediately; the rest wait for drains.
-  EXPECT_EQ(send_done[0], Time::zero());
-  EXPECT_EQ(send_done[1], Time::zero());
-  EXPECT_GE(send_done[2], Time::millis(10));
-  EXPECT_GE(send_done[3], send_done[2]);
-}
-
 TEST(Sync, EventBroadcastsToAllWaiters) {
   Engine eng;
   Event ev(eng);

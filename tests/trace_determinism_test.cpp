@@ -23,14 +23,6 @@
 namespace acc {
 namespace {
 
-#ifdef ACC_TRACE_DISABLED
-// Digest comparison needs recording; with tracing compiled out
-// (-DACC_TRACE=OFF) there is nothing to replay-check.
-TEST(TraceDeterminism, SkippedWhenTracingCompiledOut) {
-  GTEST_SKIP() << "built with ACC_TRACE=OFF";
-}
-#else
-
 struct RunSummary {
   std::uint64_t digest = 0;
   std::uint64_t records = 0;
@@ -320,8 +312,6 @@ TEST(TraceDeterminism, TracingDoesNotPerturbSimulatedTime) {
       traced_fft_run(apps::Interconnect::kGigabitTcp, 4, 64, /*seed=*/42);
   EXPECT_EQ(plain.total, traced.total);
 }
-
-#endif  // ACC_TRACE_DISABLED
 
 }  // namespace
 }  // namespace acc

@@ -126,18 +126,6 @@ class JsonChecker {
 // Recording basics
 // ---------------------------------------------------------------------
 
-#ifdef ACC_TRACE_DISABLED
-// -DACC_TRACE=OFF compiles recording out entirely; the only property
-// left to check is that the hooks really are inert.
-TEST(Tracer, CompiledOutHooksAreInert) {
-  Tracer t;
-  t.enable();
-  EXPECT_FALSE(t.enabled());
-  t.instant(Category::kNet, 0, "x", Time::micros(1));
-  EXPECT_EQ(t.records_emitted(), 0u);
-}
-#else
-
 TEST(Tracer, StartsDisabledAndRecordsNothing) {
   Tracer t;
   EXPECT_FALSE(t.enabled());
@@ -392,8 +380,6 @@ TEST(ChromeJson, EmptyTraceIsStillValidJson) {
   JsonChecker checker(os.str());
   EXPECT_TRUE(checker.valid()) << os.str();
 }
-
-#endif  // ACC_TRACE_DISABLED
 
 }  // namespace
 }  // namespace acc::trace
