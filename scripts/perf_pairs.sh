@@ -15,7 +15,10 @@
 # checked out or registered in this repository.  Each tree builds its
 # own build-perf/.  Pair i runs the base first when i is even and the
 # head first when i is odd.  Every run's results JSON is kept in
-# build-perf/pairs/<base>-seed<S>/ of this checkout.
+# build-perf/pairs/<base>-seed<S>[-<W>]/ of this checkout, one directory
+# per base, seed and workload (no suffix for all four), so a --workload
+# run never erases the files of an all-workload run or of another
+# workload; only a rerun of the same set replaces its own directory.
 #
 # Exit status is compare.py's verdict, 1 when a metric is worse or
 # changed; with --workload, on that workload alone.
@@ -43,6 +46,7 @@ trap 'rm -rf "$work"' EXIT
 git -C "$repo_root" archive "$base_hash" | tar -x -C "$work"
 
 out="$repo_root/build-perf/pairs/$base_hash-seed$seed"
+if [[ ${#workload[@]} -gt 0 ]]; then out+="-${workload[1]}"; fi
 rm -rf "$out"
 mkdir -p "$out"
 

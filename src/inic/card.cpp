@@ -443,7 +443,12 @@ void InicCard::deliver(const net::Frame& frame) {
       stream.assembling.id = header->msg_id;
       stream.assembling.tag = header->tag;
       stream.assembling.size = Bytes(header->total_bytes);
-      stream.assembling.payload = header->payload;
+      // Take the payload, do not copy it: each header is consumed here
+      // exactly once.  A stream starts once and stays in inbound_ until it
+      // completes, after which completed_streams_ swallows retransmits;
+      // a duplicate header arrives with the stream already started and
+      // seq < next_seq, so no path reads its payload again.
+      stream.assembling.payload = std::move(header->payload);
       stream.assembling.sent_at = header->sent_at;
     }
 

@@ -8,6 +8,11 @@ namespace acc::inic {
 namespace {
 
 using DoubleVec = std::vector<double>;
+// The payload of every data-carrying tree message: one read-only buffer,
+// shared by all the sends that carry it.  It is never written after
+// creation, so ranks on different LPs may read it concurrently (the
+// refcount is atomic).
+using SharedVec = std::shared_ptr<const DoubleVec>;
 
 Bytes vec_bytes(std::size_t elements) {
   return Bytes(elements * sizeof(double));
@@ -30,7 +35,11 @@ std::uint64_t down_tag(std::uint64_t op_id) {
 struct CollectiveEngine::OpState {
   explicit OpState(sim::Engine& eng) : done(eng) {}
   sim::Event done;
-  DoubleVec acc;            // local contribution, then combined/received
+  DoubleVec acc;            // local contribution, combined in place
+  // What this card sends: its up-report or its result (acc moved in,
+  // no copy), then, on a down phase, the buffer received from the
+  // parent, forwarded as is.  Null until the first data send.
+  SharedVec out;
   Bytes size = Bytes::zero();
   // Orphans re-parented under this card mid-collective (tree repair):
   // their up-phase message arrived from a source outside `children`, so
@@ -51,17 +60,23 @@ void CollectiveEngine::post_send(int dst, Bytes size, std::uint64_t tag,
 
 sim::Process CollectiveEngine::guarded_send(int dst, Bytes size,
                                             std::uint64_t tag,
-                                            std::any payload,
+                                            std::any payload_arg,
                                             std::vector<int> relays) {
+  // A parameter lives as long as the coroutine frame, which stays parked
+  // in firmware_ until the next run() prunes it; a local dies at
+  // co_return, so a finished send no longer pins its payload.
+  std::any payload = std::move(payload_arg);
   sim::Engine& eng = card_.node().engine();
   const int self = card_.node().id();
   int target = dst;
   std::size_t next_relay = 0;
   for (;;) {
-    std::any copy = payload;  // keep the original for a relay retry
+    // Keep the original for a relay retry only while a relay is left.
+    std::any attempt =
+        next_relay < relays.size() ? payload : std::move(payload);
     bool unreachable = false;
     try {
-      co_await send_(target, size, tag, std::move(copy));
+      co_await send_(target, size, tag, std::move(attempt));
       // A completed send only means the bursts left the MAC; for sends
       // that carry repair relays, wait for the credits to confirm the
       // path is actually alive (flush throws when the retry budget runs
@@ -131,9 +146,14 @@ sim::Process CollectiveEngine::run(TreeOp op, TreeRole role,
   const std::uint64_t down = down_tag(op_id);
   st->acc = std::move(data);
   st->size = carries_data ? vec_bytes(st->acc.size()) : Bytes(8);
-  // Barrier tokens carry nothing; data ops carry the current vector.
+  // Barrier tokens carry nothing; data ops carry the shared buffer, built
+  // from acc by the first send.
   auto payload = [st, carries_data] {
-    return carries_data ? std::any{st->acc} : std::any{};
+    if (!carries_data) return std::any{};
+    if (!st->out) {
+      st->out = std::make_shared<const DoubleVec>(std::move(st->acc));
+    }
+    return std::any{st->out};
   };
   // Tree repair: if the parent dies, report to its ancestors in order.
   std::vector<int> relays;
@@ -154,7 +174,7 @@ sim::Process CollectiveEngine::run(TreeOp op, TreeRole role,
     card_.arm_trigger(down, 1, [st, fan_out, carries_data](
                                    proto::Message&& msg, bool) {
       if (carries_data) {
-        st->acc = std::any_cast<DoubleVec>(std::move(msg.payload));
+        st->out = std::any_cast<SharedVec>(std::move(msg.payload));
         st->size = msg.size;
       }
       // Cut-through: forward down the tree before the host copy.
@@ -185,11 +205,11 @@ sim::Process CollectiveEngine::run(TreeOp op, TreeRole role,
             if (has_down) note_adopted(*st, children, msg.src);
             if (carries_data) {
               const auto partial =
-                  std::any_cast<DoubleVec>(std::move(msg.payload));
+                  std::any_cast<SharedVec>(std::move(msg.payload));
               // On-card combine, in arrival order (like the host
               // backend's any-child receive loop); charges no CPU time.
               for (std::size_t i = 0; i < st->acc.size(); ++i) {
-                st->acc[i] += partial[i];
+                st->acc[i] += (*partial)[i];
               }
             }
             if (last) up_complete();
@@ -202,10 +222,14 @@ sim::Process CollectiveEngine::run(TreeOp op, TreeRole role,
   if (carries_data && (root ? has_up : has_down)) {
     co_await card_.dma_to_host(st->size);
   }
-  if (root || has_down) {
-    data = std::move(st->acc);
-  } else {
+  // The one copy of a rank's result into its own buffer: a sent or
+  // received result is shared with other ranks and stays read-only.
+  if (!(root || has_down)) {
     data.clear();
+  } else if (st->out) {
+    data = *st->out;
+  } else {
+    data = std::move(st->acc);
   }
 }
 

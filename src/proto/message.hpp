@@ -4,9 +4,12 @@
 // carry byte counts through the timed models, while the actual
 // application payload (a block of matrix elements, a bucket of keys)
 // rides the Message as a type-erased handle and is handed to the receiver
-// when the protocol declares the message complete.  Correctness tests
-// check these payloads end-to-end, so any mis-wiring of the data flow
-// (wrong block to wrong node, missing transform) is caught functionally.
+// when the protocol declares the message complete.  The handle moves
+// from sender to receiver: the first burst's header carries it, and the
+// receiving stack takes it out of that header exactly once.  Correctness
+// tests check these payloads end-to-end, so any mis-wiring of the data
+// flow (wrong block to wrong node, missing transform) is caught
+// functionally.
 #pragma once
 
 #include <any>
@@ -22,7 +25,9 @@ struct Message {
   std::uint64_t id = 0;   // unique per (src, dst) stream
   std::uint64_t tag = 0;  // application tag (e.g. transpose round, bucket)
   Bytes size = Bytes::zero();
-  std::any payload;       // functional data; empty for timing-only runs
+  // Functional data; empty for timing-only runs.  Moved, never copied,
+  // from the sender through the protocol stack to the receiver's inbox.
+  std::any payload;
   Time sent_at = Time::zero();
   Time delivered_at = Time::zero();
 };

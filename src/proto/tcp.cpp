@@ -228,7 +228,11 @@ void TcpStack::on_data(const net::Frame& frame) {
       c.rcv_current.id = header->msg_id;
       c.rcv_current.tag = header->tag;
       c.rcv_current.size = Bytes(header->total_bytes);
-      c.rcv_current.payload = header->payload;
+      // Take the payload, do not copy it: each header is consumed here
+      // exactly once.  A message starts only at seq == rcv_next with no
+      // message in progress, and a retransmitted first burst arrives with
+      // seq < rcv_next, so the duplicate path below never reads it.
+      c.rcv_current.payload = std::move(header->payload);
       c.rcv_current.sent_at = header->sent_at;
       c.rcv_msg_remaining = header->total_bytes;
     }

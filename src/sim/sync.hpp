@@ -6,7 +6,6 @@
 #include <cassert>
 #include <coroutine>
 #include <cstddef>
-#include <deque>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -70,6 +69,14 @@ class Latch {
 };
 
 /// Counting semaphore with FIFO grant order.
+///
+/// Waiters queue in a vector read from `head_`, not a deque: a semaphore
+/// nobody has waited on owns no heap block (libstdc++'s deque allocates
+/// ~600 B even when empty), and a cluster holds one per TCP connection
+/// and one per INIC credit peer.  The queue is cleared, keeping its
+/// capacity, when it drains, and its consumed prefix is compacted away
+/// once it passes half the vector, so a semaphore that never drains
+/// stays bounded.
 class Semaphore {
  public:
   Semaphore(Engine& eng, std::size_t initial) : eng_(eng), count_(initial) {}
@@ -80,7 +87,7 @@ class Semaphore {
     struct Awaiter {
       Semaphore& sem;
       bool await_ready() {
-        if (sem.count_ > 0 && sem.waiters_.empty()) {
+        if (sem.count_ > 0 && sem.waiting() == 0) {
           --sem.count_;
           return true;
         }
@@ -95,23 +102,31 @@ class Semaphore {
   }
 
   void release() {
-    if (!waiters_.empty()) {
-      auto h = waiters_.front();
-      waiters_.pop_front();
-      // The released permit passes directly to the first waiter.
-      eng_.schedule(Time::zero(), [h] { h.resume(); });
-    } else {
+    if (waiting() == 0) {
       ++count_;
+      return;
     }
+    auto h = waiters_[head_++];
+    if (head_ == waiters_.size()) {
+      waiters_.clear();
+      head_ = 0;
+    } else if (2 * head_ > waiters_.size()) {
+      waiters_.erase(waiters_.begin(),
+                     waiters_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+    // The released permit passes directly to the first waiter.
+    eng_.schedule(Time::zero(), [h] { h.resume(); });
   }
 
   std::size_t available() const { return count_; }
-  std::size_t waiting() const { return waiters_.size(); }
+  std::size_t waiting() const { return waiters_.size() - head_; }
 
  private:
   Engine& eng_;
   std::size_t count_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  std::vector<std::coroutine_handle<>> waiters_;  // FIFO from head_
+  std::size_t head_ = 0;
 };
 
 }  // namespace acc::sim

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -246,6 +247,65 @@ TEST(Sync, SemaphoreLimitsConcurrency) {
   group.join();
   EXPECT_EQ(peak, 2);
   EXPECT_EQ(sem.available(), 2u);
+}
+
+TEST(Sync, SemaphoreGrantsFifoAcrossDrainAndCompaction) {
+  // Waiters arrive in id order, in batches, between interleaved releases;
+  // grants must follow arrival order whether the queue drains (and is
+  // cleared) or its consumed prefix is compacted away.
+  Engine eng;
+  Semaphore sem(eng, 0);
+  std::vector<int> granted;
+  std::vector<std::unique_ptr<Process>> waiters;
+  int arrived = 0;
+  auto waiter = [](Semaphore& s, std::vector<int>& log, int id) -> Process {
+    co_await s.acquire();
+    log.push_back(id);
+  };
+  auto arrive = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      waiters.push_back(
+          std::make_unique<Process>(waiter(sem, granted, arrived++)));
+      waiters.back()->start(eng);
+    }
+    eng.run();
+  };
+  auto release = [&](int n) {
+    for (int i = 0; i < n; ++i) sem.release();
+    eng.run();
+  };
+  auto expect_state = [&](std::size_t grants, std::size_t waiting,
+                          std::size_t available) {
+    ASSERT_EQ(granted.size(), grants);
+    for (std::size_t i = 0; i < grants; ++i) {
+      ASSERT_EQ(granted[i], static_cast<int>(i)) << "grant " << i;
+    }
+    EXPECT_EQ(sem.waiting(), waiting);
+    EXPECT_EQ(sem.available(), available);
+  };
+
+  arrive(40);
+  expect_state(0, 40, 0);
+  release(5);
+  expect_state(5, 35, 0);
+  arrive(10);
+  expect_state(5, 45, 0);
+  release(25);  // past half the queue: the consumed prefix is compacted
+  expect_state(30, 20, 0);
+  for (int round = 0; round < 30; ++round) {  // interleaved trickle
+    arrive(3);
+    release(round % 2 == 0 ? 1 : 4);
+  }
+  expect_state(105, 35, 0);
+  release(35);  // drains
+  expect_state(140, 0, 0);
+  release(2);  // nobody waits: the permits bank
+  expect_state(140, 0, 2);
+  arrive(3);   // two take banked permits at once, the third queues
+  expect_state(142, 1, 0);
+  release(1);
+  expect_state(143, 0, 0);
+  for (const auto& w : waiters) EXPECT_TRUE(w->done());
 }
 
 TEST(Resource, SerializesTransfersFcfs) {
