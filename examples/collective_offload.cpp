@@ -52,6 +52,7 @@ int main(int argc, char** argv) {
       {"alltoall", &coll::alltoall},
   };
 
+  bool all_verified = true;
   // Barrier first (different signature).
   {
     apps::SimCluster tcp(nodes, apps::Interconnect::kGigabitTcp);
@@ -60,14 +61,15 @@ int main(int argc, char** argv) {
     const auto r_inic = coll::barrier(inic);
     apps::SimCluster engine = nic_engine_cluster(nodes);
     const auto r_eng = coll::barrier(engine);
+    const bool verified = r_tcp.verified && r_inic.verified && r_eng.verified;
+    all_verified = all_verified && verified;
     table.row()
         .add("barrier")
         .add(to_string(r_tcp.total))
         .add(to_string(r_inic.total))
         .add(to_string(r_eng.total))
         .add(r_tcp.total / std::min(r_inic.total, r_eng.total), 2)
-        .add(r_tcp.verified && r_inic.verified && r_eng.verified ? "yes"
-                                                                 : "NO");
+        .add(verified ? "yes" : "NO");
   }
   for (const Op& op : ops) {
     apps::SimCluster tcp(nodes, apps::Interconnect::kGigabitTcp);
@@ -76,14 +78,15 @@ int main(int argc, char** argv) {
     const auto r_inic = op.run(inic, elements, 1);
     apps::SimCluster engine = nic_engine_cluster(nodes);
     const auto r_eng = op.run(engine, elements, 1);
+    const bool verified = r_tcp.verified && r_inic.verified && r_eng.verified;
+    all_verified = all_verified && verified;
     table.row()
         .add(op.name)
         .add(to_string(r_tcp.total))
         .add(to_string(r_inic.total))
         .add(to_string(r_eng.total))
         .add(r_tcp.total / std::min(r_inic.total, r_eng.total), 2)
-        .add(r_tcp.verified && r_inic.verified && r_eng.verified ? "yes"
-                                                                 : "NO");
+        .add(verified ? "yes" : "NO");
   }
   table.print();
 
@@ -94,5 +97,5 @@ int main(int argc, char** argv) {
   apps::SimCluster engine = nic_engine_cluster(nodes);
   coll::topology_allreduce(engine, elements, 1);
   core::collect_report(engine).print(std::cout);
-  return 0;
+  return all_verified ? 0 : 1;
 }

@@ -24,6 +24,7 @@ int main(int argc, char** argv) {
   // Part 1: verified runs — the distributed pipeline moves real data and
   // must match the serial FFT oracle bit-for-bit (within fp tolerance).
   std::puts("verified 64x64 runs (real data through the simulated cluster):");
+  bool all_verified = true;
   for (auto ic :
        {apps::Interconnect::kFastEthernetTcp, apps::Interconnect::kGigabitTcp,
         apps::Interconnect::kInicIdeal, apps::Interconnect::kInicPrototype}) {
@@ -31,6 +32,7 @@ int main(int argc, char** argv) {
     apps::FftRunOptions opts;
     opts.verify = true;
     const auto r = run_parallel_fft(cluster, 64, opts);
+    all_verified = all_verified && r.verified;
     std::printf("  %-24s %s\n", to_string(ic),
                 r.verified ? "OK" : "MISMATCH");
   }
@@ -62,5 +64,5 @@ int main(int argc, char** argv) {
     }
   }
   table.print();
-  return 0;
+  return all_verified ? 0 : 1;
 }

@@ -20,10 +20,12 @@ int main() {
   apps::FftRunOptions opts;
   opts.verify = true;  // move the real matrix and check the result
 
+  bool all_verified = true;
   for (auto ic : {apps::Interconnect::kGigabitTcp,
                   apps::Interconnect::kInicIdeal}) {
     apps::SimCluster cluster(kNodes, ic);
     const apps::FftRunResult r = run_parallel_fft(cluster, kMatrix, opts);
+    all_verified = all_verified && r.verified;
     std::printf("%-24s total %8.2f ms (compute %6.2f ms, transpose %7.2f ms)"
                 "  result %s\n",
                 to_string(ic), r.total.as_millis(), r.compute.as_millis(),
@@ -38,5 +40,5 @@ int main() {
       "\nThe INIC run wins because the transpose's data manipulation and\n"
       "protocol processing happen on the NIC's FPGAs, in the data stream,\n"
       "with no host interrupts and no TCP slow start.\n");
-  return 0;
+  return all_verified ? 0 : 1;
 }

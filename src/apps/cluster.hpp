@@ -1,6 +1,7 @@
 // Simulated-cluster assembly used by the application drivers: N nodes
-// around one switch, equipped either with standard NICs + TCP (the
-// baseline) or with INICs (the proposed architecture).
+// on the fabric ClusterOptions::topology describes (one switch by
+// default), equipped either with standard NICs + TCP (the baseline) or
+// with INICs (the proposed architecture).
 #pragma once
 
 #include <any>

@@ -1,7 +1,7 @@
 // Umbrella header for the ACC / Intelligent-NIC reproduction library.
 //
 // Layering (bottom up):
-//   common/  units, RNG, statistics, table printing
+//   common/  units, RNG, table printing
 //   sim/     discrete-event engine, coroutine processes, channels,
 //            FIFO bandwidth resources, synchronization
 //   hw/      host models: CPU, memory hierarchy, PCI bus, DMA,
@@ -27,7 +27,6 @@
 #include "apps/kv_app.hpp"
 #include "apps/sort_app.hpp"
 #include "common/rng.hpp"
-#include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
 #include "core/report.hpp"

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace acc::inic {
 
@@ -97,12 +98,9 @@ void InicCard::begin_reset(Time duration) {
                    eng.now(), duration.as_nanos());
 }
 
-sim::Semaphore& InicCard::credits_for(int dst) {
-  auto& slot = credits_[dst];
-  if (!slot) {
-    slot = std::make_unique<sim::Semaphore>(node_.engine(), cfg_.credit_bursts);
-  }
-  return *slot;
+InicCard::Peer& InicCard::peer(int dst) {
+  return peers_.try_emplace(dst, node_.engine(), dst, cfg_.credit_bursts)
+      .first->second;
 }
 
 sim::Process InicCard::send_stream(int dst, Bytes size, std::uint64_t tag,
@@ -124,10 +122,17 @@ sim::Process InicCard::send_stream(int dst, Bytes size, std::uint64_t tag,
       send_transform_ ? send_transform_(std::move(payload)) : std::move(payload);
 
   const std::uint32_t msg_id = static_cast<std::uint32_t>(next_msg_id_++);
-  auto header = std::make_shared<MsgHeader>(MsgHeader{
-      msg_id, tag, size.count(), std::move(transformed), eng.now()});
+  // The first burst carries the Message itself; the receiver takes it.
+  auto header = std::make_shared<proto::Message>(
+      proto::Message{.src = node_.id(),
+                     .dst = dst,
+                     .id = msg_id,
+                     .tag = tag,
+                     .size = size,
+                     .payload = std::move(transformed),
+                     .sent_at = eng.now()});
 
-  sim::Semaphore& credits = credits_for(dst);
+  Peer& p = peer(dst);
   std::uint64_t remaining = size.count();
   std::uint64_t seq = 0;
   Time last_tx_done = eng.now();
@@ -143,11 +148,11 @@ sim::Process InicCard::send_stream(int dst, Bytes size, std::uint64_t tag,
                   static_cast<std::int64_t>(burst));
 
     // Flow control: one credit per burst in flight to this destination.
-    co_await credits.acquire();
-    if (peer_unreachable(dst)) {
+    co_await p.credits.acquire();
+    if (p.unreachable) {
       // The retry budget ran out while we were blocked on a credit (the
       // credits were force-released to wake us); surface the failure.
-      credits.release();
+      p.credits.release();
       throw PeerUnreachableError(node_.id(), dst);
     }
 
@@ -169,7 +174,7 @@ sim::Process InicCard::send_stream(int dst, Bytes size, std::uint64_t tag,
     // Stage 2: card memory -> MAC, not before the data is on the card.
     const Time tx_done = transmit_burst(frame, in_card + cfg_.card_latency);
     bursts_sent_.add(eng.now(), 1);
-    track_outstanding(dst, frame);
+    track_outstanding(p, frame);
 
     seq += burst;
     remaining -= burst;
@@ -211,28 +216,20 @@ Time InicCard::transmit_burst(const net::Frame& frame, Time not_before) {
   return tx_done;
 }
 
-void InicCard::track_outstanding(int dst, const net::Frame& frame) {
-  auto& queue = outstanding_[dst];
-  queue.push_back(OutstandingBurst{frame, node_.engine().now()});
-  if (cfg_.hw_retransmit && queue.size() == 1) {
-    arm_retransmit_timer(dst);
+void InicCard::track_outstanding(Peer& p, const net::Frame& frame) {
+  p.outstanding.push_back(OutstandingBurst{frame, node_.engine().now()});
+  if (cfg_.hw_retransmit && p.outstanding.size() == 1) {
+    arm_retransmit_timer(p);
   }
 }
 
-void InicCard::arm_retransmit_timer(int dst) {
-  cancel_retransmit_timer(dst);  // at most one armed timer per peer
-  const std::uint64_t generation = ++retransmit_generation_[dst];
-  retransmit_timers_[dst] = node_.engine().schedule_cancelable(
-      effective_retransmit_timeout(dst),
-      [this, dst, generation] { check_retransmit(dst, generation); });
+void InicCard::arm_retransmit_timer(Peer& p) {
+  p.retransmit_timer.cancel();
+  p.retransmit_timer = node_.engine().schedule_cancelable(
+      effective_retransmit_timeout(p), [this, &p] { check_retransmit(p); });
 }
 
-void InicCard::cancel_retransmit_timer(int dst) {
-  auto it = retransmit_timers_.find(dst);
-  if (it != retransmit_timers_.end()) it->second.cancel();
-}
-
-Time InicCard::effective_retransmit_timeout(int dst) const {
+Time InicCard::effective_retransmit_timeout(const Peer& p) const {
   // Path-aware floor: a credit cannot possibly return before a full
   // burst reaches the peer and the credit frame crosses back, so the
   // go-back-N timer must never undercut two such round trips over the
@@ -245,15 +242,13 @@ Time InicCard::effective_retransmit_timeout(int dst) const {
   const Bytes burst_wire =
       net::burst_wire_size(cfg_.burst, packets, cfg_.per_packet_overhead);
   const Time rtt =
-      network_.path_latency(node_.id(), dst, burst_wire) +
-      network_.path_latency(dst, node_.id(), Bytes(84));  // credit frame
+      network_.path_latency(node_.id(), p.dst, burst_wire) +
+      network_.path_latency(p.dst, node_.id(), Bytes(84));  // credit frame
   Time timeout = std::max(cfg_.retransmit_timeout, rtt * 2.0);
   // A floor above the configured cap would otherwise make backoff
   // non-monotonic; the cap rises with it.
   const Time cap = std::max(kRetransmitTimeoutCap, timeout);
-  const auto it = retry_rounds_.find(dst);
-  const std::uint32_t rounds = it == retry_rounds_.end() ? 0 : it->second;
-  for (std::uint32_t i = 0; i < rounds; ++i) {
+  for (std::uint32_t i = 0; i < p.retry_rounds; ++i) {
     timeout = timeout * kRetransmitBackoff;
     if (timeout >= cap) {
       return cap;
@@ -262,32 +257,27 @@ Time InicCard::effective_retransmit_timeout(int dst) const {
   return timeout;
 }
 
-void InicCard::declare_peer_unreachable(int dst) {
+void InicCard::declare_peer_unreachable(Peer& p) {
   sim::Engine& eng = node_.engine();
-  auto it = outstanding_.find(dst);
-  const std::size_t abandoned =
-      it == outstanding_.end() ? 0 : it->second.size();
-  if (it != outstanding_.end()) it->second.clear();
-  cancel_retransmit_timer(dst);
-  unreachable_peers_.insert(dst);
+  const std::size_t abandoned = p.outstanding.size();
+  p.outstanding.clear();
+  p.retransmit_timer.cancel();
+  p.unreachable = true;
   peer_unreachable_.add(eng.now(), 1);
   tracer().instant(trace::Category::kInic, node_.id(),
-                   "inic/peer_unreachable", eng.now(), dst);
+                   "inic/peer_unreachable", eng.now(), p.dst);
   // Each abandoned burst held one credit; return them so senders blocked
   // in credits.acquire() wake up and observe the failure.
-  sim::Semaphore& credits = credits_for(dst);
   for (std::size_t i = 0; i < abandoned; ++i) {
-    credits.release();
+    p.credits.release();
   }
-  wake_flush_waiters(dst);
+  wake_flush_waiters(p);
 }
 
-void InicCard::wake_flush_waiters(int dst) {
-  auto it = flush_waiters_.find(dst);
-  if (it == flush_waiters_.end()) return;
-  // Swap out first: a resumed waiter may re-park itself under this key.
-  std::vector<std::shared_ptr<sim::Event>> waiters = std::move(it->second);
-  flush_waiters_.erase(it);
+void InicCard::wake_flush_waiters(Peer& p) {
+  // Swap out first: a resumed waiter may re-park itself.
+  std::vector<std::shared_ptr<sim::Event>> waiters =
+      std::exchange(p.flush_waiters, {});
   for (const auto& ev : waiters) ev->trigger();
 }
 
@@ -299,58 +289,54 @@ sim::Process InicCard::flush(int dst) {
     if (peer_unreachable(dst)) {
       throw PeerUnreachableError(node_.id(), dst);
     }
-    const auto it = outstanding_.find(dst);
-    if (it == outstanding_.end() || it->second.empty()) co_return;
+    const auto it = peers_.find(dst);
+    if (it == peers_.end() || it->second.outstanding.empty()) co_return;
     auto ev = std::make_shared<sim::Event>(node_.engine());
-    flush_waiters_[dst].push_back(ev);
+    it->second.flush_waiters.push_back(ev);
     co_await ev->wait();
   }
 }
 
-void InicCard::check_retransmit(int dst, std::uint64_t generation) {
-  if (generation != retransmit_generation_[dst]) return;  // superseded
-  auto it = outstanding_.find(dst);
-  if (it == outstanding_.end() || it->second.empty()) return;
+void InicCard::check_retransmit(Peer& p) {
+  if (p.outstanding.empty()) return;
   sim::Engine& eng = node_.engine();
-  const OutstandingBurst& front = it->second.front();
-  if (eng.now() - front.sent_at < effective_retransmit_timeout(dst)) {
+  if (eng.now() - p.outstanding.front().sent_at <
+      effective_retransmit_timeout(p)) {
     // Credit progress happened since the timer was armed; re-check later.
-    arm_retransmit_timer(dst);
+    arm_retransmit_timer(p);
     return;
   }
-  std::uint32_t& rounds = retry_rounds_[dst];
-  if (cfg_.max_retries > 0 && rounds >= cfg_.max_retries) {
+  if (cfg_.max_retries > 0 && p.retry_rounds >= cfg_.max_retries) {
     // Escalation before surrender: a dry retry budget is end-to-end
     // evidence the current path is dead.  If the fabric can re-converge
     // onto an alternate, reset the round counter and fall through to
     // retransmit over the new path; credit progress resets the grant
     // budget.  Only when no alternate exists (or the grants are spent)
     // does the failure surface as PeerUnreachableError.
-    std::uint32_t& grants = reroute_grants_[dst];
-    if (grants < kMaxReroutes &&
-        network_.request_reroute(node_.id(), dst)) {
-      ++grants;
-      rounds = 0;
+    if (p.reroute_grants < kMaxReroutes &&
+        network_.request_reroute(node_.id(), p.dst)) {
+      ++p.reroute_grants;
+      p.retry_rounds = 0;
       reroutes_.add(eng.now(), 1);
       tracer().instant(trace::Category::kInic, node_.id(), "inic/reroute",
-                       eng.now(), dst);
+                       eng.now(), p.dst);
     } else {
-      declare_peer_unreachable(dst);
+      declare_peer_unreachable(p);
       return;
     }
   }
-  ++rounds;
+  ++p.retry_rounds;
   // Go-back-N: resend every outstanding burst to this destination in
   // order, refreshing their timestamps.  Consecutive fruitless rounds
   // back the timer off exponentially (credit progress resets it).
-  for (OutstandingBurst& burst : it->second) {
+  for (OutstandingBurst& burst : p.outstanding) {
     transmit_burst(burst.frame, eng.now() + cfg_.card_latency);
     burst.sent_at = eng.now();
     retransmits_.add(eng.now(), 1);
     tracer().instant(trace::Category::kInic, node_.id(), "inic/retransmit",
                      eng.now(), static_cast<std::int64_t>(burst.frame.seq));
   }
-  arm_retransmit_timer(dst);
+  arm_retransmit_timer(p);
 }
 
 void InicCard::deliver(const net::Frame& frame) {
@@ -382,32 +368,32 @@ void InicCard::deliver(const net::Frame& frame) {
     // go-back-N and deadlocking the receiver.  Credits for bursts no
     // longer outstanding (duplicate re-credits) are ignored so the window
     // cannot inflate.
-    auto it = outstanding_.find(frame.src);
-    if (it == outstanding_.end() || it->second.empty()) return;
-    auto& queue = it->second;
-    auto burst = std::find_if(queue.begin(), queue.end(),
+    auto it = peers_.find(frame.src);
+    if (it == peers_.end()) return;
+    Peer& p = it->second;
+    auto burst = std::find_if(p.outstanding.begin(), p.outstanding.end(),
                               [&frame](const OutstandingBurst& b) {
                                 return b.frame.flow == frame.flow &&
                                        b.frame.seq == frame.seq;
                               });
-    if (burst == queue.end()) return;
-    queue.erase(burst);
+    if (burst == p.outstanding.end()) return;
+    p.outstanding.erase(burst);
     credits_received_.add(eng.now(), 1);
     // Credit progress: the path to this peer is alive, so the
     // retransmission backoff and the reroute-grant budget reset.
-    retry_rounds_[frame.src] = 0;
-    reroute_grants_[frame.src] = 0;
-    credits_for(frame.src).release();
-    if (it->second.empty()) wake_flush_waiters(frame.src);
+    p.retry_rounds = 0;
+    p.reroute_grants = 0;
+    p.credits.release();
+    if (p.outstanding.empty()) wake_flush_waiters(p);
     if (cfg_.hw_retransmit) {
       // Cancel-on-ack: the credit invalidates the armed timer.  While
       // bursts remain outstanding a fresh timer is armed; once the queue
       // drains the heap holds nothing for this peer — an idle card
       // schedules zero defensive events.
-      if (it->second.empty()) {
-        cancel_retransmit_timer(frame.src);
+      if (p.outstanding.empty()) {
+        p.retransmit_timer.cancel();
       } else {
-        arm_retransmit_timer(frame.src);
+        arm_retransmit_timer(p);
       }
     }
     return;
@@ -433,23 +419,16 @@ void InicCard::deliver(const net::Frame& frame) {
     InboundStream& stream = inbound_[key];
 
     if (frame.context && !stream.started) {
-      auto header = std::static_pointer_cast<MsgHeader>(frame.context);
-      stream.started = true;
-      stream.remaining = header->total_bytes;
-      stream.next_seq = 0;
-      stream.assembling = proto::Message{};
-      stream.assembling.src = frame.src;
-      stream.assembling.dst = node_.id();
-      stream.assembling.id = header->msg_id;
-      stream.assembling.tag = header->tag;
-      stream.assembling.size = Bytes(header->total_bytes);
-      // Take the payload, do not copy it: each header is consumed here
+      // Take the Message, do not copy it: each header is consumed here
       // exactly once.  A stream starts once and stays in inbound_ until it
       // completes, after which completed_streams_ swallows retransmits;
       // a duplicate header arrives with the stream already started and
       // seq < next_seq, so no path reads its payload again.
-      stream.assembling.payload = std::move(header->payload);
-      stream.assembling.sent_at = header->sent_at;
+      stream.started = true;
+      stream.assembling =
+          std::move(*std::static_pointer_cast<proto::Message>(frame.context));
+      stream.remaining = stream.assembling.size.count();
+      stream.next_seq = 0;
     }
 
     if (!stream.started || frame.seq > stream.next_seq) {
@@ -496,23 +475,22 @@ void InicCard::arm_trigger(std::uint64_t tag, std::size_t expected,
   if (expected == 0) {
     throw std::invalid_argument("arm_trigger: expected count must be > 0");
   }
-  if (triggers_.count(tag) != 0 || retired_triggers_.count(tag) != 0) {
+  Trigger& trig = triggers_[tag];
+  if (trig.state != Trigger::State::kStashed) {
     throw std::logic_error("arm_trigger: tag already armed or retired");
   }
   sim::Engine& eng = node_.engine();
-  triggers_.emplace(tag, Trigger{expected, std::move(action), {}});
+  std::vector<proto::Message> pending = std::exchange(trig.stash, {});
+  trig.state = Trigger::State::kArmed;
+  trig.remaining = expected;
+  trig.action = std::move(action);
   triggers_armed_.add(eng.now(), 1);
   tracer().instant(trace::Category::kCollective, node_.id(),
                    "coll/trigger_arm", eng.now(),
                    static_cast<std::int64_t>(expected));
   // Replay messages that beat the arm (a fast subtree finishing before
   // this rank entered the collective).
-  auto sit = trigger_stash_.find(tag);
-  if (sit != trigger_stash_.end()) {
-    std::deque<proto::Message> pending = std::move(sit->second);
-    trigger_stash_.erase(sit);
-    for (auto& m : pending) accept_message(std::move(m));
-  }
+  for (auto& m : pending) accept_message(std::move(m));
 }
 
 void InicCard::accept_message(proto::Message msg) {
@@ -520,30 +498,29 @@ void InicCard::accept_message(proto::Message msg) {
     card_inbox_.send_now(std::move(msg));
     return;
   }
-  const std::uint64_t tag = msg.tag;
-  if (triggers_.count(tag) != 0) {
-    fire_trigger(tag, std::move(msg));
-    return;
-  }
   sim::Engine& eng = node_.engine();
-  if (retired_triggers_.count(tag) != 0) {
-    // Late duplicate of an already-completed trigger (e.g. a fallback
-    // re-carry of a message whose original also landed): swallow it.
-    trigger_dups_.add(eng.now(), 1);
-    tracer().instant(trace::Category::kCollective, node_.id(),
-                     "coll/trigger_late_drop", eng.now());
-    return;
+  Trigger& trig = triggers_[msg.tag];
+  switch (trig.state) {
+    case Trigger::State::kArmed:
+      fire_trigger(trig, std::move(msg));
+      return;
+    case Trigger::State::kRetired:
+      // Late duplicate of an already-completed trigger (e.g. a fallback
+      // re-carry of a message whose original also landed): swallow it.
+      trigger_dups_.add(eng.now(), 1);
+      tracer().instant(trace::Category::kCollective, node_.id(),
+                       "coll/trigger_late_drop", eng.now());
+      return;
+    case Trigger::State::kStashed:
+      trig.stash.push_back(std::move(msg));
+      tracer().instant(trace::Category::kCollective, node_.id(),
+                       "coll/trigger_stash", eng.now());
+      return;
   }
-  trigger_stash_[tag].push_back(std::move(msg));
-  tracer().instant(trace::Category::kCollective, node_.id(),
-                   "coll/trigger_stash", eng.now());
 }
 
-void InicCard::fire_trigger(std::uint64_t tag, proto::Message msg) {
+void InicCard::fire_trigger(Trigger& trig, proto::Message msg) {
   sim::Engine& eng = node_.engine();
-  auto it = triggers_.find(tag);
-  assert(it != triggers_.end());
-  Trigger& trig = it->second;
   if (!trig.seen_srcs.insert(msg.src).second) {
     // Second arrival from the same source (fallback duplicate after an
     // at-least-once re-carry): the combine must run exactly once.
@@ -563,15 +540,23 @@ void InicCard::fire_trigger(std::uint64_t tag, proto::Message msg) {
   // and a retired entry must already swallow this tag's late duplicates.
   TriggerAction action = last ? std::move(trig.action) : trig.action;
   if (last) {
-    triggers_.erase(it);
-    retired_triggers_.insert(tag);
+    trig = Trigger{};
+    trig.state = Trigger::State::kRetired;
   }
   action(std::move(msg), last);
 }
 
+std::size_t InicCard::armed_triggers() const {
+  std::size_t n = 0;
+  for (const auto& [tag, trig] : triggers_) {
+    n += trig.state == Trigger::State::kArmed;
+  }
+  return n;
+}
+
 std::size_t InicCard::stashed_trigger_messages() const {
   std::size_t n = 0;
-  for (const auto& [tag, q] : trigger_stash_) n += q.size();
+  for (const auto& [tag, trig] : triggers_) n += trig.stash.size();
   return n;
 }
 

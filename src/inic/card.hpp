@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -169,7 +168,7 @@ class InicCard : public net::Endpoint {
   void accept_message(proto::Message msg);
 
   /// Trigger-table introspection (leak checks in tests).
-  std::size_t armed_triggers() const { return triggers_.size(); }
+  std::size_t armed_triggers() const;
   std::size_t stashed_trigger_messages() const;
   std::uint64_t trigger_fires() const { return trigger_fires_.value(); }
   std::uint64_t trigger_duplicates() const { return trigger_dups_.value(); }
@@ -191,7 +190,8 @@ class InicCard : public net::Endpoint {
   /// True once the retry budget to `dst` was exhausted; subsequent
   /// send_stream() calls to it fail fast with PeerUnreachableError.
   bool peer_unreachable(int dst) const {
-    return unreachable_peers_.count(dst) != 0;
+    const auto it = peers_.find(dst);
+    return it != peers_.end() && it->second.unreachable;
   }
 
   /// Delivery confirmation: completes when every outstanding burst to
@@ -226,13 +226,6 @@ class InicCard : public net::Endpoint {
   net::Network& network() { return network_; }
 
  private:
-  struct MsgHeader {
-    std::uint64_t msg_id;
-    std::uint64_t tag;
-    std::uint64_t total_bytes;
-    std::any payload;
-    Time sent_at;
-  };
   struct InboundStream {
     bool started = false;
     std::uint64_t remaining = 0;
@@ -243,10 +236,36 @@ class InicCard : public net::Endpoint {
     net::Frame frame;
     Time sent_at;
   };
+  /// Everything the card keeps per destination: the credit window, the
+  /// bursts holding its credits, and the go-back-N state guarding them.
+  struct Peer {
+    Peer(sim::Engine& eng, int dst, std::size_t credit_bursts)
+        : dst(dst), credits(eng, credit_bursts) {}
+    const int dst;
+    sim::Semaphore credits;  // one per burst in flight
+    // Bursts awaiting their credit, oldest first.  A burst is tracked only
+    // once it holds a credit, so this never exceeds credit_bursts.
+    std::vector<OutstandingBurst> outstanding;
+    sim::TimerHandle retransmit_timer;  // at most one armed per peer
+    std::uint32_t retry_rounds = 0;     // consecutive fruitless rounds
+    std::uint32_t reroute_grants = 0;   // reroutes since the last credit
+    bool unreachable = false;           // retry budget exhausted
+    // flush() waiters; each entry is one coroutine's private event
+    // (single waiter each, shared_ptr so a waker outlives it).
+    std::vector<std::shared_ptr<sim::Event>> flush_waiters;
+  };
+  /// One trigger-table entry per tag.  Messages that beat the arm are
+  /// stashed in arrival order; arming replays them; the arrival that
+  /// exhausts the count retires the tag, and a retired entry keeps
+  /// nothing but its state, so late duplicates are swallowed rather than
+  /// stashed forever.
   struct Trigger {
-    std::size_t remaining = 0;
-    TriggerAction action;
-    std::set<int> seen_srcs;  // exactly-once per source
+    enum class State { kStashed, kArmed, kRetired };
+    State state = State::kStashed;
+    std::vector<proto::Message> stash;  // kStashed
+    std::size_t remaining = 0;          // kArmed: arrivals still expected
+    TriggerAction action;               // kArmed
+    std::set<int> seen_srcs;            // kArmed: exactly-once per source
   };
 
   /// Books `size` on a stage resource, plus the shared card bus when the
@@ -257,11 +276,12 @@ class InicCard : public net::Endpoint {
   trace::Counter& trigger_counter(const char* name);
   trace::Tracer& tracer();
 
-  /// Runs `msg` through the armed trigger at `tag` (dedup, countdown,
+  /// Runs `msg` through an armed trigger (dedup, countdown,
   /// retire-on-exhaustion, action invocation).
-  void fire_trigger(std::uint64_t tag, proto::Message msg);
+  void fire_trigger(Trigger& trig, proto::Message msg);
 
-  sim::Semaphore& credits_for(int dst);
+  /// The record for `dst`, created on first use.
+  Peer& peer(int dst);
   /// Returns a credit that acknowledges one specific burst: (flow, seq)
   /// identify it so the sender retires exactly that burst from its
   /// outstanding queue (an anonymous credit could retire a still-lost
@@ -273,23 +293,22 @@ class InicCard : public net::Endpoint {
   Time transmit_burst(const net::Frame& frame, Time not_before);
   /// Registers a transmitted burst for credit matching and (optionally)
   /// retransmission.
-  void track_outstanding(int dst, const net::Frame& frame);
-  void arm_retransmit_timer(int dst);
-  /// Cancel-on-ack: removes the pending go-back-N timer to `dst` from
-  /// the event heap (credit progress or giving up on the peer both
-  /// invalidate it).
-  void cancel_retransmit_timer(int dst);
-  void check_retransmit(int dst, std::uint64_t generation);
-  /// Current go-back-N timeout to `dst`, including consecutive-round
+  void track_outstanding(Peer& p, const net::Frame& frame);
+  /// Replaces the peer's go-back-N timer.  Every path that arms a timer
+  /// cancels the pending one first (or runs from it), so the timer that
+  /// fires is always the current one.
+  void arm_retransmit_timer(Peer& p);
+  void check_retransmit(Peer& p);
+  /// Current go-back-N timeout to `p`, including consecutive-round
   /// backoff.
-  Time effective_retransmit_timeout(int dst) const;
-  /// Abandons all outstanding bursts to `dst`, returns their credits (so
+  Time effective_retransmit_timeout(const Peer& p) const;
+  /// Abandons all outstanding bursts to `p`, returns their credits (so
   /// blocked senders wake and observe the failure), and records the
   /// peer-unreachable event.
-  void declare_peer_unreachable(int dst);
-  /// Resumes flush() waiters parked on `dst` (outstanding queue drained
+  void declare_peer_unreachable(Peer& p);
+  /// Resumes flush() waiters parked on `p` (outstanding queue drained
   /// or peer declared unreachable; the waiter re-checks which).
-  void wake_flush_waiters(int dst);
+  void wake_flush_waiters(Peer& p);
 
   hw::Node& node_;
   net::Network& network_;
@@ -307,7 +326,7 @@ class InicCard : public net::Endpoint {
   Transform recv_transform_;
 
   sim::Channel<proto::Message> card_inbox_;
-  std::map<int, std::unique_ptr<sim::Semaphore>> credits_;
+  std::map<int, Peer> peers_;  // keyed by destination node
   std::map<std::uint64_t, InboundStream> inbound_;  // keyed by (src<<32|msg)
   // Streams already delivered to the inbox, so a retransmitted burst whose
   // credit was lost is re-credited instead of re-assembled into a
@@ -315,30 +334,11 @@ class InicCard : public net::Endpoint {
   std::set<std::uint64_t> completed_streams_;
   std::uint64_t next_msg_id_ = 1;
 
-  // Collective trigger table: armed entries, messages that arrived before
-  // their trigger was armed (keyed by tag, FIFO), and retired tags whose
-  // late duplicates must be swallowed rather than stashed forever.
-  std::map<std::uint64_t, Trigger> triggers_;
-  std::map<std::uint64_t, std::deque<proto::Message>> trigger_stash_;
-  std::set<std::uint64_t> retired_triggers_;
+  std::map<std::uint64_t, Trigger> triggers_;  // the collective trigger table
 
   // Threshold-batched host delivery state.
   std::map<std::size_t, Bytes> bucket_accumulated_;
   Time last_host_delivery_ = Time::zero();
-
-  // Reliability state (hw_retransmit): per-destination outstanding
-  // bursts awaiting credits, FIFO, plus a timer generation counter, the
-  // consecutive-retry-round count (drives backoff and the retry budget),
-  // and peers given up on.
-  std::map<int, std::deque<OutstandingBurst>> outstanding_;
-  std::map<int, std::uint64_t> retransmit_generation_;
-  std::map<int, sim::TimerHandle> retransmit_timers_;
-  std::map<int, std::uint32_t> retry_rounds_;
-  std::map<int, std::uint32_t> reroute_grants_;  // per-dst reroute budget used
-  std::set<int> unreachable_peers_;
-  // flush() waiters parked per destination; each entry is one coroutine's
-  // private event (single waiter each, shared_ptr so a waker outlives it).
-  std::map<int, std::vector<std::shared_ptr<sim::Event>>> flush_waiters_;
 
   // Fault/reset window: the card is offline until this instant.
   Time paused_until_ = Time::zero();

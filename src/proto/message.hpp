@@ -4,9 +4,9 @@
 // carry byte counts through the timed models, while the actual
 // application payload (a block of matrix elements, a bucket of keys)
 // rides the Message as a type-erased handle and is handed to the receiver
-// when the protocol declares the message complete.  The handle moves
-// from sender to receiver: the first burst's header carries it, and the
-// receiving stack takes it out of that header exactly once.  Correctness
+// when the protocol declares the message complete.  The Message itself
+// moves from sender to receiver: the first burst carries it, and the
+// receiving stack takes it out of that burst exactly once.  Correctness
 // tests check these payloads end-to-end, so any mis-wiring of the data
 // flow (wrong block to wrong node, missing transform) is caught
 // functionally.

@@ -7,15 +7,6 @@ namespace acc::proto {
 
 namespace {
 
-/// Message header carried on the first burst of each message.
-struct MsgHeader {
-  std::uint64_t msg_id;
-  std::uint64_t tag;
-  std::uint64_t total_bytes;
-  std::any payload;
-  Time sent_at;
-};
-
 std::uint32_t flow_id(int src, int dst) {
   return (static_cast<std::uint32_t>(src) << 16) |
          static_cast<std::uint32_t>(dst & 0xFFFF);
@@ -107,8 +98,14 @@ sim::Process TcpStack::send_message(int dst, Bytes size, std::uint64_t tag,
   const std::uint64_t msg_start = c.snd_una;
   c.snd_next = msg_start;
   const std::uint64_t msg_end = msg_start + size.count();
-  auto header = std::make_shared<MsgHeader>(
-      MsgHeader{msg_id, tag, size.count(), std::move(payload), eng.now()});
+  // The first burst carries the Message itself; the receiver takes it.
+  auto header = std::make_shared<Message>(Message{.src = node_.id(),
+                                                  .dst = dst,
+                                                  .id = msg_id,
+                                                  .tag = tag,
+                                                  .size = size,
+                                                  .payload = std::move(payload),
+                                                  .sent_at = eng.now()});
 
   bool retransmission = false;
   while (c.snd_una < msg_end) {
@@ -146,12 +143,11 @@ sim::Process TcpStack::send_message(int dst, Bytes size, std::uint64_t tag,
     c.ack_event = std::make_unique<sim::Event>(eng);
     // The timer is cancelable: a clean ACK removes it from the heap in
     // on_ack() instead of leaving a stale no-op to fire after the
-    // transfer is done.  The generation check stays as the correctness
-    // backstop for a timeout and an ACK landing at the same instant.
-    const std::uint64_t generation = ++c.rto_generation;
-    c.rto_timer = eng.schedule_cancelable(current_rto(c), [this, &c,
-                                                          generation] {
-      if (generation == c.rto_generation && c.snd_una < c.snd_next) {
+    // transfer is done.  The previous burst's timer has either fired or
+    // been canceled by the ACK that woke this loop, so the timer that
+    // fires is always this burst's.
+    c.rto_timer = eng.schedule_cancelable(current_rto(c), [this, &c] {
+      if (c.snd_una < c.snd_next) {
         sim::Engine& e = node_.engine();
         timeouts_.add(e.now(), 1);
         e.tracer().instant(trace::Category::kTcp, node_.id(), "tcp/timeout",
@@ -213,8 +209,8 @@ void TcpStack::on_data(const net::Frame& frame) {
   Connection& c = connection_from(frame.src);
   if (frame.seq == c.rcv_next) {
     if (c.rcv_msg_remaining == 0) {
-      // First burst of a new message: its header sets up assembly.
-      auto header = std::static_pointer_cast<MsgHeader>(frame.context);
+      // First burst of a new message: it carries the Message itself.
+      auto header = std::static_pointer_cast<Message>(frame.context);
       assert(header && "data burst without message header at message start");
       if (!header) {
         // Defensive (release builds): protocol desync — drop the burst
@@ -222,19 +218,12 @@ void TcpStack::on_data(const net::Frame& frame) {
         send_ack(frame.src, frame.flow, c.rcv_next);
         return;
       }
-      c.rcv_current = Message{};
-      c.rcv_current.src = frame.src;
-      c.rcv_current.dst = node_.id();
-      c.rcv_current.id = header->msg_id;
-      c.rcv_current.tag = header->tag;
-      c.rcv_current.size = Bytes(header->total_bytes);
-      // Take the payload, do not copy it: each header is consumed here
+      // Take the Message, do not copy it: each header is consumed here
       // exactly once.  A message starts only at seq == rcv_next with no
       // message in progress, and a retransmitted first burst arrives with
       // seq < rcv_next, so the duplicate path below never reads it.
-      c.rcv_current.payload = std::move(header->payload);
-      c.rcv_current.sent_at = header->sent_at;
-      c.rcv_msg_remaining = header->total_bytes;
+      c.rcv_current = std::move(*header);
+      c.rcv_msg_remaining = c.rcv_current.size.count();
     }
     assert(frame.payload.count() <= c.rcv_msg_remaining);
     c.rcv_next += frame.payload.count();
@@ -246,7 +235,6 @@ void TcpStack::on_data(const net::Frame& frame) {
           node_.engine().now(),
           static_cast<std::int64_t>(c.rcv_current.size.count()));
       inbox_.send_now(std::move(c.rcv_current));
-      c.rcv_current = Message{};
     }
   }
   // Duplicate (seq < rcv_next, e.g. a lost ACK) or defensive gap: either
@@ -271,7 +259,6 @@ void TcpStack::on_ack(const net::Frame& frame) {
     // the ACK is ambiguous between transmissions), and grow the window
     // (double in slow start, +MSS in congestion avoidance), capped by
     // the socket buffer.
-    ++c.rto_generation;
     c.rto_timer.cancel();
     if (!c.burst_retransmitted) {
       update_rtt(c, node_.engine().now() - c.burst_sent_at);

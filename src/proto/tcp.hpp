@@ -97,7 +97,6 @@ class TcpStack {
     std::uint64_t snd_next = 0;      // next sequence byte to send
     std::uint64_t snd_una = 0;       // oldest unacknowledged byte
     std::uint64_t next_msg_id = 1;
-    std::uint64_t rto_generation = 0;
     int backoff_shift = 0;           // consecutive-timeout RTO doublings
     bool burst_retransmitted = false;  // Karn: taint the burst's RTT sample
     Time srtt = Time::zero();        // smoothed RTT (zero = unmeasured)

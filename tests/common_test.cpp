@@ -1,7 +1,6 @@
 // Unit tests for the common substrate: units arithmetic, RNG
-// determinism and uniformity, statistics accumulators, table printing.
+// determinism and uniformity, table printing.
 #include "common/rng.hpp"
-#include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
 
@@ -114,46 +113,6 @@ TEST(Rng, ChanceMatchesProbability) {
     if (rng.chance(0.25)) ++hits;
   }
   EXPECT_NEAR(hits / 100000.0, 0.25, 0.01);
-}
-
-TEST(Stats, AccumulatorComputesMoments) {
-  Accumulator acc;
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) acc.add(v);
-  EXPECT_EQ(acc.count(), 8u);
-  EXPECT_DOUBLE_EQ(acc.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(acc.min(), 2.0);
-  EXPECT_DOUBLE_EQ(acc.max(), 9.0);
-  EXPECT_NEAR(acc.stddev(), 2.138, 1e-3);  // sample stddev
-  EXPECT_DOUBLE_EQ(acc.sum(), 40.0);
-}
-
-TEST(Stats, EmptyAccumulatorIsSafe) {
-  Accumulator acc;
-  EXPECT_EQ(acc.count(), 0u);
-  EXPECT_EQ(acc.mean(), 0.0);
-  EXPECT_EQ(acc.variance(), 0.0);
-}
-
-TEST(Stats, TimeWeightedAverage) {
-  TimeWeighted tw(0.0);
-  tw.set(Time::seconds(1), 10.0);  // 0 for [0,1)
-  tw.set(Time::seconds(3), 0.0);   // 10 for [1,3)
-  // Average over [0,4]: (0*1 + 10*2 + 0*1) / 4 = 5.
-  EXPECT_NEAR(tw.average(Time::seconds(4)), 5.0, 1e-9);
-  EXPECT_DOUBLE_EQ(tw.peak(), 10.0);
-}
-
-TEST(Stats, HistogramBucketsAndQuantiles) {
-  Histogram h({1.0, 10.0, 100.0});
-  for (double v : {0.5, 5.0, 5.0, 50.0, 500.0}) h.add(v);
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.bucket_count(0), 1u);  // <= 1
-  EXPECT_EQ(h.bucket_count(1), 2u);  // (1, 10]
-  EXPECT_EQ(h.bucket_count(2), 1u);  // (10, 100]
-  EXPECT_EQ(h.bucket_count(3), 1u);  // overflow
-  EXPECT_DOUBLE_EQ(h.quantile_bound(0.2), 1.0);
-  EXPECT_DOUBLE_EQ(h.quantile_bound(0.6), 10.0);
-  EXPECT_TRUE(std::isinf(h.quantile_bound(1.0)));
 }
 
 TEST(Table, AlignsColumnsAndFormatsCells) {

@@ -334,6 +334,70 @@ TEST(InicFaults, RetransmitBackoffSlowsRetryRounds) {
   EXPECT_GE(rig.eng.now(), timeout * static_cast<double>((1u << kRounds) - 1));
 }
 
+TEST(InicFaults, FlushCompletesAtOnceWithoutHwRetransmit) {
+  InicPairRig rig;  // hw_retransmit off
+  rig.network->set_link_state(1, false);  // no credit can ever come back
+  Time sent = Time::zero(), flushed = Time::zero();
+  sim::ProcessGroup group(rig.eng);
+  group.spawn([](inic::InicCard& c, Time& sent,
+                 Time& flushed) -> sim::Process {
+    co_await c.send_stream(1, Bytes::kib(16), 0, std::any{});
+    sent = c.node().engine().now();
+    co_await c.flush(1);
+    flushed = c.node().engine().now();
+  }(*rig.card_a, sent, flushed));
+  group.join();
+  EXPECT_GT(sent, Time::zero());
+  EXPECT_EQ(flushed, sent);
+  EXPECT_EQ(rig.card_a->credits_received(), 0u);
+}
+
+TEST(InicFaults, FlushWaitsUntilEveryBurstIsCredited) {
+  inic::InicConfig cfg = inic::InicConfig::ideal();
+  cfg.hw_retransmit = true;
+  InicPairRig rig(cfg);
+  Time sent = Time::zero(), flushed = Time::zero();
+  std::uint64_t credited_at_send = 0, credited_at_flush = 0;
+  sim::ProcessGroup group(rig.eng);
+  group.spawn([](inic::InicCard& c, Time& sent, Time& flushed,
+                 std::uint64_t& at_send,
+                 std::uint64_t& at_flush) -> sim::Process {
+    co_await c.send_stream(1, Bytes::kib(64), 0, std::any{});
+    sent = c.node().engine().now();
+    at_send = c.credits_received();
+    co_await c.flush(1);
+    flushed = c.node().engine().now();
+    at_flush = c.credits_received();
+  }(*rig.card_a, sent, flushed, credited_at_send, credited_at_flush));
+  group.join();
+  // The last burst leaves the card before its credit can return.
+  EXPECT_LT(credited_at_send, rig.card_a->bursts_sent());
+  EXPECT_GT(flushed, sent);
+  EXPECT_EQ(credited_at_flush, rig.card_a->bursts_sent());
+  EXPECT_EQ(rig.card_b->card_inbox().size(), 1u);
+}
+
+TEST(InicFaults, FlushThrowsWhenTheRetryBudgetRunsDry) {
+  inic::InicConfig cfg = inic::InicConfig::ideal();
+  cfg.hw_retransmit = true;
+  cfg.retransmit_timeout = Time::millis(1);
+  cfg.max_retries = 3;
+  InicPairRig rig(cfg);
+  rig.network->set_link_state(1, false);
+  bool sent = false;
+  sim::ProcessGroup group(rig.eng);
+  // One burst fits the credit window, so send_stream returns and the
+  // budget runs dry while flush() waits.
+  group.spawn([](inic::InicCard& c, bool& sent) -> sim::Process {
+    co_await c.send_stream(1, Bytes(64), 0, std::any{});
+    sent = true;
+    co_await c.flush(1);
+  }(*rig.card_a, sent));
+  EXPECT_THROW(group.join(), inic::PeerUnreachableError);
+  EXPECT_TRUE(sent);
+  EXPECT_TRUE(rig.card_a->peer_unreachable(1));
+}
+
 // ---------------------------------------------------------------------
 // Collective trigger primitives (the NIC-resident collective building
 // block): arm/fire, stash-before-arm, per-source dedup, retired-tag
@@ -459,6 +523,19 @@ TEST(InicTriggers, RejectsInvalidArms) {
                std::invalid_argument);
   rig.card_a->arm_trigger(kTag, 1, [](proto::Message&&, bool) {});
   EXPECT_THROW(rig.card_a->arm_trigger(kTag, 1,
+                                       [](proto::Message&&, bool) {}),
+               std::logic_error);
+}
+
+TEST(InicTriggers, RejectsArmingARetiredTag) {
+  InicPairRig rig;
+  rig.card_b->arm_trigger(kTag, 1, [](proto::Message&&, bool) {});
+  proto::Message msg;
+  msg.src = 0;
+  msg.tag = kTag;
+  rig.card_b->accept_message(std::move(msg));
+  ASSERT_EQ(rig.card_b->trigger_fires(), 1u);
+  EXPECT_THROW(rig.card_b->arm_trigger(kTag, 1,
                                        [](proto::Message&&, bool) {}),
                std::logic_error);
 }
