@@ -22,11 +22,6 @@ constexpr Time kRetransmitTimeoutCap = Time::nanos(32'000'000);  // 32 ms
 // grant count).  Inert unless the fabric runs adaptive routing.
 constexpr std::uint32_t kMaxReroutes = 8;
 
-std::uint64_t stream_key(int src, std::uint32_t msg_id) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32) |
-         msg_id;
-}
-
 }  // namespace
 
 InicCard::InicCard(hw::Node& node, net::Network& network,
@@ -98,9 +93,18 @@ void InicCard::begin_reset(Time duration) {
                    eng.now(), duration.as_nanos());
 }
 
-InicCard::Peer& InicCard::peer(int dst) {
-  return peers_.try_emplace(dst, node_.engine(), dst, cfg_.credit_bursts)
+InicCard::Peer& InicCard::peer(int node) {
+  return peers_.try_emplace(node, node_.engine(), node, cfg_.credit_bursts)
       .first->second;
+}
+
+void InicCard::Peer::mark_completed(std::uint32_t id) {
+  done_above.insert(
+      std::lower_bound(done_above.begin(), done_above.end(), id), id);
+  // Advance the watermark past the run of completed ids that starts at it.
+  auto run = done_above.begin();
+  for (; run != done_above.end() && *run == watermark; ++run) ++watermark;
+  done_above.erase(done_above.begin(), run);
 }
 
 sim::Process InicCard::send_stream(int dst, Bytes size, std::uint64_t tag,
@@ -121,7 +125,8 @@ sim::Process InicCard::send_stream(int dst, Bytes size, std::uint64_t tag,
   std::any transformed =
       send_transform_ ? send_transform_(std::move(payload)) : std::move(payload);
 
-  const std::uint32_t msg_id = static_cast<std::uint32_t>(next_msg_id_++);
+  Peer& p = peer(dst);
+  const std::uint32_t msg_id = p.next_msg_id++;
   // The first burst carries the Message itself; the receiver takes it.
   auto header = std::make_shared<proto::Message>(
       proto::Message{.src = node_.id(),
@@ -132,7 +137,6 @@ sim::Process InicCard::send_stream(int dst, Bytes size, std::uint64_t tag,
                      .payload = std::move(transformed),
                      .sent_at = eng.now()});
 
-  Peer& p = peer(dst);
   std::uint64_t remaining = size.count();
   std::uint64_t seq = 0;
   Time last_tx_done = eng.now();
@@ -242,8 +246,8 @@ Time InicCard::effective_retransmit_timeout(const Peer& p) const {
   const Bytes burst_wire =
       net::burst_wire_size(cfg_.burst, packets, cfg_.per_packet_overhead);
   const Time rtt =
-      network_.path_latency(node_.id(), p.dst, burst_wire) +
-      network_.path_latency(p.dst, node_.id(), Bytes(84));  // credit frame
+      network_.path_latency(node_.id(), p.node, burst_wire) +
+      network_.path_latency(p.node, node_.id(), Bytes(84));  // credit frame
   Time timeout = std::max(cfg_.retransmit_timeout, rtt * 2.0);
   // A floor above the configured cap would otherwise make backoff
   // non-monotonic; the cap rises with it.
@@ -265,7 +269,7 @@ void InicCard::declare_peer_unreachable(Peer& p) {
   p.unreachable = true;
   peer_unreachable_.add(eng.now(), 1);
   tracer().instant(trace::Category::kInic, node_.id(),
-                   "inic/peer_unreachable", eng.now(), p.dst);
+                   "inic/peer_unreachable", eng.now(), p.node);
   // Each abandoned burst held one credit; return them so senders blocked
   // in credits.acquire() wake up and observe the failure.
   for (std::size_t i = 0; i < abandoned; ++i) {
@@ -314,12 +318,12 @@ void InicCard::check_retransmit(Peer& p) {
     // budget.  Only when no alternate exists (or the grants are spent)
     // does the failure surface as PeerUnreachableError.
     if (p.reroute_grants < kMaxReroutes &&
-        network_.request_reroute(node_.id(), p.dst)) {
+        network_.request_reroute(node_.id(), p.node)) {
       ++p.reroute_grants;
       p.retry_rounds = 0;
       reroutes_.add(eng.now(), 1);
       tracer().instant(trace::Category::kInic, node_.id(), "inic/reroute",
-                       eng.now(), p.dst);
+                       eng.now(), p.node);
     } else {
       declare_peer_unreachable(p);
       return;
@@ -407,8 +411,8 @@ void InicCard::deliver(const net::Frame& frame) {
                 static_cast<std::int64_t>(frame.wire.count()));
 
   eng.schedule_at(ingested, [this, frame] {
-    const std::uint64_t key = stream_key(frame.src, frame.flow);
-    if (completed_streams_.count(key)) {
+    Peer& p = peer(frame.src);
+    if (p.completed(frame.flow)) {
       // Retransmission of a burst whose message was already delivered
       // (its credit was lost in flight): re-credit so the sender retires
       // it, but never re-assemble — the inbox sees each message once.
@@ -416,28 +420,24 @@ void InicCard::deliver(const net::Frame& frame) {
       send_credit(frame.src, frame.flow, frame.seq);
       return;
     }
-    InboundStream& stream = inbound_[key];
-
-    if (frame.context && !stream.started) {
+    auto it = p.assembling.find(frame.flow);
+    if (it == p.assembling.end() && frame.context) {
       // Take the Message, do not copy it: each header is consumed here
-      // exactly once.  A stream starts once and stays in inbound_ until it
-      // completes, after which completed_streams_ swallows retransmits;
-      // a duplicate header arrives with the stream already started and
-      // seq < next_seq, so no path reads its payload again.
-      stream.started = true;
-      stream.assembling =
-          std::move(*std::static_pointer_cast<proto::Message>(frame.context));
-      stream.remaining = stream.assembling.size.count();
-      stream.next_seq = 0;
+      // exactly once.  A duplicate header finds its stream assembling
+      // (seq < next_seq) or completed, so no path reads its payload again.
+      it = p.assembling
+               .try_emplace(frame.flow, InboundStream{
+                   .assembling = std::move(*std::static_pointer_cast<
+                                           proto::Message>(frame.context))})
+               .first;
     }
-
-    if (!stream.started || frame.seq > stream.next_seq) {
+    if (it == p.assembling.end() || frame.seq > it->second.next_seq) {
       // Gap: an earlier burst (possibly the header) was lost.  Drop
       // without credit; the sender's go-back-N resends from the gap.
-      if (!stream.started) inbound_.erase(key);
       duplicates_dropped_.add(node_.engine().now(), 1);
       return;
     }
+    InboundStream& stream = it->second;
     if (frame.seq < stream.next_seq) {
       // Duplicate of an already-consumed burst (its credit was lost):
       // re-credit but do not consume.
@@ -448,13 +448,12 @@ void InicCard::deliver(const net::Frame& frame) {
 
     // In-order burst: consume and credit.
     send_credit(frame.src, frame.flow, frame.seq);
-    assert(stream.remaining >= frame.payload.count());
     stream.next_seq += frame.payload.count();
-    stream.remaining -= frame.payload.count();
-    if (stream.remaining == 0) {
+    assert(stream.next_seq <= stream.assembling.size.count());
+    if (stream.next_seq == stream.assembling.size.count()) {
       proto::Message msg = std::move(stream.assembling);
-      inbound_.erase(key);
-      completed_streams_.insert(key);
+      p.assembling.erase(it);
+      p.mark_completed(frame.flow);
       if (recv_transform_) {
         msg.payload = recv_transform_(std::move(msg.payload));
       }

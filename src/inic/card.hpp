@@ -23,11 +23,11 @@
 // off cut-through (latency), like the rest of the simulator.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -215,6 +215,13 @@ class InicCard : public net::Endpoint {
   std::uint64_t credits_received() const { return credits_received_.value(); }
   std::uint64_t retransmits() const { return retransmits_.value(); }
   std::uint64_t duplicates_dropped() const { return duplicates_dropped_.value(); }
+  /// Receive state held for `src`: streams still being assembled plus
+  /// completed ids above its watermark (bounded-state checks in tests).
+  std::size_t receive_state(int src) const {
+    const auto it = peers_.find(src);
+    if (it == peers_.end()) return 0;
+    return it->second.assembling.size() + it->second.done_above.size();
+  }
   std::uint64_t crc_drops() const { return crc_dropped_.value(); }
   std::uint64_t reset_drops() const { return reset_dropped_.value(); }
   std::uint64_t peers_lost() const { return peer_unreachable_.value(); }
@@ -226,9 +233,8 @@ class InicCard : public net::Endpoint {
   net::Network& network() { return network_; }
 
  private:
+  /// A message assembled from its in-order bursts; the first carries it.
   struct InboundStream {
-    bool started = false;
-    std::uint64_t remaining = 0;
     std::uint64_t next_seq = 0;  // next expected byte (dedup/gap detection)
     proto::Message assembling;
   };
@@ -236,12 +242,16 @@ class InicCard : public net::Endpoint {
     net::Frame frame;
     Time sent_at;
   };
-  /// Everything the card keeps per destination: the credit window, the
-  /// bursts holding its credits, and the go-back-N state guarding them.
+  /// Everything the card keeps per peer node.  As a destination: the
+  /// credit window, the bursts holding its credits, and the go-back-N
+  /// state guarding them.  As a source: which of its messages completed
+  /// and which are still being assembled.
   struct Peer {
-    Peer(sim::Engine& eng, int dst, std::size_t credit_bursts)
-        : dst(dst), credits(eng, credit_bursts) {}
-    const int dst;
+    Peer(sim::Engine& eng, int node, std::size_t credit_bursts)
+        : node(node), credits(eng, credit_bursts) {}
+    const int node;
+    // ---- send side ----
+    std::uint32_t next_msg_id = 1;  // ids are per (src, dst) stream
     sim::Semaphore credits;  // one per burst in flight
     // Bursts awaiting their credit, oldest first.  A burst is tracked only
     // once it holds a credit, so this never exceeds credit_bursts.
@@ -253,12 +263,31 @@ class InicCard : public net::Endpoint {
     // flush() waiters; each entry is one coroutine's private event
     // (single waiter each, shared_ptr so a waker outlives it).
     std::vector<std::shared_ptr<sim::Event>> flush_waiters;
+    // ---- receive side ----
+    // Ids below the watermark have all completed; `done_above` holds the
+    // completed ids above it, sorted.  Retransmits of completed messages
+    // are re-credited, never re-assembled.  Both sets stay as small as the
+    // window of messages the sender has in flight.
+    std::uint32_t watermark = 1;
+    std::vector<std::uint32_t> done_above;
+    std::map<std::uint32_t, InboundStream> assembling;  // keyed by id
+
+    bool completed(std::uint32_t id) const {
+      return id < watermark ||
+             std::binary_search(done_above.begin(), done_above.end(), id);
+    }
+    void mark_completed(std::uint32_t id);
   };
   /// One trigger-table entry per tag.  Messages that beat the arm are
   /// stashed in arrival order; arming replays them; the arrival that
   /// exhausts the count retires the tag, and a retired entry keeps
   /// nothing but its state, so late duplicates are swallowed rather than
-  /// stashed forever.
+  /// stashed forever.  Retired entries stay for the card's life: one per
+  /// armed tag, so at most two per collective op on a card, each an empty
+  /// map node.  No watermark can replace them, because
+  /// CollectiveEngine::run takes op ids the caller chooses and leaves,
+  /// roots and reduce ops arm only some tags, so nothing tells a
+  /// never-armed tag from a retired one.
   struct Trigger {
     enum class State { kStashed, kArmed, kRetired };
     State state = State::kStashed;
@@ -280,8 +309,8 @@ class InicCard : public net::Endpoint {
   /// retire-on-exhaustion, action invocation).
   void fire_trigger(Trigger& trig, proto::Message msg);
 
-  /// The record for `dst`, created on first use.
-  Peer& peer(int dst);
+  /// The record for `node`, created on first use.
+  Peer& peer(int node);
   /// Returns a credit that acknowledges one specific burst: (flow, seq)
   /// identify it so the sender retires exactly that burst from its
   /// outstanding queue (an anonymous credit could retire a still-lost
@@ -326,13 +355,7 @@ class InicCard : public net::Endpoint {
   Transform recv_transform_;
 
   sim::Channel<proto::Message> card_inbox_;
-  std::map<int, Peer> peers_;  // keyed by destination node
-  std::map<std::uint64_t, InboundStream> inbound_;  // keyed by (src<<32|msg)
-  // Streams already delivered to the inbox, so a retransmitted burst whose
-  // credit was lost is re-credited instead of re-assembled into a
-  // duplicate message (exactly-once delivery at the card layer).
-  std::set<std::uint64_t> completed_streams_;
-  std::uint64_t next_msg_id_ = 1;
+  std::map<int, Peer> peers_;  // keyed by peer node
 
   std::map<std::uint64_t, Trigger> triggers_;  // the collective trigger table
 

@@ -27,7 +27,7 @@ struct Frame {
   Bytes payload = Bytes::zero(); // application bytes carried
   Bytes wire = Bytes::zero();    // total bytes on the wire (headers incl.)
   std::size_t packet_count = 1;  // wire packets this burst represents
-  std::uint32_t flow = 0;        // protocol flow/connection id
+  std::uint32_t flow = 0;        // protocol stream id (INIC: message id)
   FrameKind kind = FrameKind::kData;
   std::uint64_t seq = 0;         // protocol sequence number (first byte)
   std::uint64_t id = 0;          // network-assigned, unique per injection

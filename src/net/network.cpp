@@ -147,7 +147,9 @@ std::uint64_t Fabric::lane_sum(trace::Counter* LaneCounters::*counter) const {
 
 Bytes Fabric::peak_buffer_occupancy() const {
   Bytes peak = Bytes::zero();
-  for (const auto& lane : lanes_) peak = std::max(peak, lane.peak_occupancy);
+  for (const auto& sw : ports_) {
+    for (const auto& port : sw) peak = std::max(peak, port.peak);
+  }
   return peak;
 }
 
@@ -424,9 +426,6 @@ void Fabric::forward_at(int sw, Frame frame) {
   }
   port.buffered += frame.wire;
   port.peak = std::max(port.peak, port.buffered);
-  if (port.buffered > lanes_[lane].peak_occupancy) {
-    lanes_[lane].peak_occupancy = port.buffered;
-  }
 
   // Egress serialization at the port's line rate, FCFS with other
   // buffered frames, then the egress link latency to the next hop or

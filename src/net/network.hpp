@@ -339,7 +339,6 @@ class Fabric {
   /// 1, 2, 3, ... sequence bit-for-bit.
   struct alignas(64) LaneState {
     std::uint64_t next_frame_id = 1;
-    Bytes peak_occupancy = Bytes::zero();
   };
 
   Fabric(sim::Engine& eng, TopologyPlan&& plan, const NetworkConfig& cfg);

@@ -7,10 +7,16 @@ namespace acc::proto {
 
 namespace {
 
-std::uint32_t flow_id(int src, int dst) {
-  return (static_cast<std::uint32_t>(src) << 16) |
-         static_cast<std::uint32_t>(dst & 0xFFFF);
-}
+// Cap on the RTO that consecutive timeouts on the same data double
+// (Karn/Jacobson); an ACK that advances snd_una resets the backoff.
+constexpr Time kMaxRto = Time::nanos(5'000'000'000);  // 5 s
+// A header-only segment on the wire: Ethernet framing + IP + TCP headers.
+constexpr Bytes kAckWireSize = Bytes(78);
+// After this many consecutive RTO backoffs on one connection the stack
+// asks the fabric for a reroute (Fabric::request_reroute); a granted
+// reroute resets the backoff and the next retransmission takes the
+// alternate path.  Inert unless the fabric runs adaptive routing.
+constexpr int kRerouteAfterBackoffs = 3;
 
 }  // namespace
 
@@ -30,23 +36,9 @@ TcpStack::TcpStack(hw::Node& node, net::StandardNic& nic, const TcpConfig& cfg)
   nic_.set_rx_handler([this](const net::Frame& f) { on_frame(f); });
 }
 
-TcpStack::Connection& TcpStack::connection_to(int peer) {
-  auto& slot = out_[peer];
-  if (!slot) {
-    slot = std::make_unique<Connection>(node_.engine());
-    slot->peer = peer;
-    slot->cwnd = static_cast<double>(cfg_.initial_window_segments * cfg_.mss);
-    slot->ssthresh = static_cast<double>(cfg_.max_window.count());
-  }
-  return *slot;
-}
-
-TcpStack::Connection& TcpStack::connection_from(int peer) {
-  auto& slot = in_[peer];
-  if (!slot) {
-    slot = std::make_unique<Connection>(node_.engine());
-  }
-  return *slot;
+TcpStack::Connection& TcpStack::connection(int peer) {
+  return connections_.try_emplace(peer, node_.engine(), peer, cfg_)
+      .first->second;
 }
 
 Time TcpStack::current_rto(const Connection& c) const {
@@ -57,20 +49,17 @@ Time TcpStack::current_rto(const Connection& c) const {
   // rate-degraded fabric a single-hop constant under-estimates the RTT
   // and fires spurious retransmissions.  On the single-star configs the
   // floor sits far below min_rto and changes nothing.
-  if (c.peer >= 0) {
-    const auto& net = nic_.network();
-    const Time rtt =
-        net.path_latency(node_.id(), c.peer, c.last_burst_wire) +
-        net.path_latency(c.peer, node_.id(), cfg_.ack_wire_size);
-    rto = std::max(rto, rtt * 2.0);
-  }
+  const auto& net = nic_.network();
+  const Time rtt = net.path_latency(node_.id(), c.peer, c.last_burst_wire) +
+                   net.path_latency(c.peer, node_.id(), kAckWireSize);
+  rto = std::max(rto, rtt * 2.0);
   // Exponential backoff: each consecutive timeout on the same data
   // doubles the timer, capped — a dead or badly lossy path must not be
   // hammered on a fixed 200 ms clock.
-  for (int i = 0; i < c.backoff_shift && rto < cfg_.max_rto; ++i) {
+  for (int i = 0; i < c.backoff_shift && rto < kMaxRto; ++i) {
     rto = rto * 2.0;
   }
-  return std::min(rto, cfg_.max_rto);
+  return std::min(rto, kMaxRto);
 }
 
 void TcpStack::update_rtt(Connection& c, Time sample) {
@@ -87,7 +76,7 @@ sim::Process TcpStack::send_message(int dst, Bytes size, std::uint64_t tag,
   // receiver can complete it; it occupies one byte of sequence space
   // (the same trick TCP uses for FIN/SYN).
   if (size.count() == 0) size = Bytes(1);
-  Connection& c = connection_to(dst);
+  Connection& c = connection(dst);
   sim::Engine& eng = node_.engine();
   co_await c.send_lock.acquire();
 
@@ -125,7 +114,6 @@ sim::Process TcpStack::send_message(int dst, Bytes size, std::uint64_t tag,
     frame.wire = net::burst_wire_size(Bytes(burst_bytes), packets,
                                       cfg_.per_packet_overhead);
     frame.packet_count = packets;
-    frame.flow = flow_id(node_.id(), dst);
     frame.kind = net::FrameKind::kData;
     frame.seq = burst_start;
     if (burst_start == msg_start) frame.context = header;
@@ -160,7 +148,7 @@ sim::Process TcpStack::send_message(int dst, Bytes size, std::uint64_t tag,
             std::max(c.cwnd / 2.0, 2.0 * static_cast<double>(cfg_.mss));
         c.cwnd =
             static_cast<double>(cfg_.initial_window_segments * cfg_.mss);
-        if (current_rto(c) < cfg_.max_rto) {
+        if (current_rto(c) < kMaxRto) {
           ++c.backoff_shift;
           backoffs_.add(e.now(), 1);
           e.tracer().instant(trace::Category::kTcp, node_.id(),
@@ -171,7 +159,7 @@ sim::Process TcpStack::send_message(int dst, Bytes size, std::uint64_t tag,
         // evidence of a dead path, not congestion.  Ask the fabric for an
         // alternate route; a grant resets the backoff so the retransmit
         // probes the new path at the un-inflated RTO.
-        if (c.backoff_shift >= cfg_.reroute_after_backoffs &&
+        if (c.backoff_shift >= kRerouteAfterBackoffs &&
             nic_.network().request_reroute(node_.id(), c.peer)) {
           c.backoff_shift = 0;
           reroutes_.add(e.now(), 1);
@@ -206,7 +194,7 @@ void TcpStack::on_frame(const net::Frame& frame) {
 }
 
 void TcpStack::on_data(const net::Frame& frame) {
-  Connection& c = connection_from(frame.src);
+  Connection& c = connection(frame.src);
   if (frame.seq == c.rcv_next) {
     if (c.rcv_msg_remaining == 0) {
       // First burst of a new message: it carries the Message itself.
@@ -215,7 +203,7 @@ void TcpStack::on_data(const net::Frame& frame) {
       if (!header) {
         // Defensive (release builds): protocol desync — drop the burst
         // and re-announce our position rather than corrupting assembly.
-        send_ack(frame.src, frame.flow, c.rcv_next);
+        send_ack(frame.src, c.rcv_next);
         return;
       }
       // Take the Message, do not copy it: each header is consumed here
@@ -239,13 +227,13 @@ void TcpStack::on_data(const net::Frame& frame) {
   }
   // Duplicate (seq < rcv_next, e.g. a lost ACK) or defensive gap: either
   // way, (re)announce the cumulative position.
-  send_ack(frame.src, frame.flow, c.rcv_next);
+  send_ack(frame.src, c.rcv_next);
 }
 
 void TcpStack::on_ack(const net::Frame& frame) {
-  auto it = out_.find(frame.src);
-  if (it == out_.end()) return;
-  Connection& c = *it->second;
+  auto it = connections_.find(frame.src);
+  if (it == connections_.end()) return;
+  Connection& c = it->second;
   const std::uint64_t ack = frame.seq;
   if (ack <= c.snd_una) return;  // stale
   c.snd_una = ack;
@@ -273,14 +261,13 @@ void TcpStack::on_ack(const net::Frame& frame) {
   }
 }
 
-void TcpStack::send_ack(int dst, std::uint32_t, std::uint64_t ack_seq) {
+void TcpStack::send_ack(int dst, std::uint64_t ack_seq) {
   net::Frame ack;
   ack.src = node_.id();
   ack.dst = dst;
   ack.payload = Bytes::zero();
-  ack.wire = cfg_.ack_wire_size;
+  ack.wire = kAckWireSize;
   ack.packet_count = 1;
-  ack.flow = flow_id(node_.id(), dst);
   ack.kind = net::FrameKind::kAck;
   ack.seq = ack_seq;
 

@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 
 #include "common/units.hpp"
 #include "net/frame.hpp"
@@ -43,22 +42,12 @@ struct TcpConfig {
   std::size_t initial_window_segments = 2;
   Bytes max_window = Bytes::kib(64);      // socket-buffer cap on cwnd
   Time min_rto = Time::millis(200);
-  /// Cap on the exponentially backed-off RTO: repeated timeouts on the
-  /// same data double the timer (Karn/Jacobson) up to this ceiling; the
-  /// backoff resets as soon as an ACK advances snd_una.
-  Time max_rto = Time::seconds(5);
   /// Per-packet wire overhead: Ethernet framing + IP + TCP headers.
   Bytes per_packet_overhead = Bytes(78);  // 38 framing + 40 IP/TCP
-  Bytes ack_wire_size = Bytes(78 + 0);    // header-only segment on the wire
-  /// After this many consecutive RTO backoffs on one connection the stack
-  /// asks the fabric for a reroute (Fabric::request_reroute); a granted
-  /// reroute resets the backoff and the next retransmission takes the
-  /// alternate path.  Inert unless the fabric runs adaptive routing.
-  int reroute_after_backoffs = 3;
 };
 
-/// One node's TCP endpoint: owns all connections originating or
-/// terminating here and is the NIC's receive upcall.
+/// One node's TCP endpoint: owns one connection per peer node, carrying
+/// both directions, and is the NIC's receive upcall.
 class TcpStack {
  public:
   TcpStack(hw::Node& node, net::StandardNic& nic, const TcpConfig& cfg = {});
@@ -87,10 +76,13 @@ class TcpStack {
 
  private:
   struct Connection {
-    explicit Connection(sim::Engine& eng) : send_lock(eng, 1) {}
+    Connection(sim::Engine& eng, int peer, const TcpConfig& cfg)
+        : peer(peer), send_lock(eng, 1),
+          cwnd(static_cast<double>(cfg.initial_window_segments * cfg.mss)),
+          ssthresh(static_cast<double>(cfg.max_window.count())) {}
+    const int peer;                  // the node at the other end
     // ---- sender state ----
     sim::Semaphore send_lock;        // one in-flight message per connection
-    int peer = -1;                   // destination node (sender side)
     Bytes last_burst_wire = Bytes::zero();  // wire size of in-flight burst
     double cwnd = 0.0;               // congestion window, bytes
     double ssthresh = 0.0;           // slow-start threshold, bytes
@@ -109,12 +101,12 @@ class TcpStack {
     Message rcv_current;             // message being assembled
   };
 
-  Connection& connection_to(int peer);
-  Connection& connection_from(int peer);
+  /// The connection to `peer`, created on first use.
+  Connection& connection(int peer);
   void on_frame(const net::Frame& frame);
   void on_data(const net::Frame& frame);
   void on_ack(const net::Frame& frame);
-  void send_ack(int dst, std::uint32_t flow, std::uint64_t ack_seq);
+  void send_ack(int dst, std::uint64_t ack_seq);
   Time current_rto(const Connection& c) const;
   void update_rtt(Connection& c, Time sample);
 
@@ -122,9 +114,7 @@ class TcpStack {
   net::StandardNic& nic_;
   TcpConfig cfg_;
   sim::Channel<Message> inbox_;
-  // Sender-side connections keyed by destination, receiver-side by source.
-  std::map<int, std::unique_ptr<Connection>> out_;
-  std::map<int, std::unique_ptr<Connection>> in_;
+  std::map<int, Connection> connections_;  // keyed by peer node
   // Keeps transmit coroutines alive until they finish.
   std::vector<std::unique_ptr<sim::Process>> tx_in_flight_;
   trace::Counter& retransmits_;

@@ -1,18 +1,21 @@
 // Fault-injection subsystem tests: the Gilbert–Elliott loss chain's
 // statistics, exact-window semantics of link outages, corruption
 // (delivered-but-CRC-failed), per-port degradation, buffer shrink, INIC
-// card resets, the go-back-N retry budget, and the engine watchdog /
-// deadlock diagnostics the recovery paths rely on.
+// card resets, the go-back-N retry budget, bounded receive state under
+// heavy loss, and the engine watchdog / deadlock diagnostics the
+// recovery paths rely on.
 #include "fault/fault.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "apps/cluster.hpp"
+#include "common/rng.hpp"
 #include "fault/gilbert_elliott.hpp"
 #include "hw/node.hpp"
 #include "inic/card.hpp"
@@ -396,6 +399,52 @@ TEST(InicFaults, FlushThrowsWhenTheRetryBudgetRunsDry) {
   EXPECT_THROW(group.join(), inic::PeerUnreachableError);
   EXPECT_TRUE(sent);
   EXPECT_TRUE(rig.card_a->peer_unreachable(1));
+}
+
+TEST(InicFaults, ReceiveStateStaysBoundedUnderHeavyLoss) {
+  // 10^5 messages of 1 B to ~40 KB (up to three bursts each) from eight
+  // concurrent senders, with 30% of all frames (data and credits) lost.
+  // Every message reaches the inbox exactly once, and the receiver's
+  // per-source state (streams in assembly plus completed ids above the
+  // watermark) stays small instead of remembering every message.
+  constexpr std::uint64_t kSenders = 8;
+  constexpr std::uint64_t kPerSender = 12'500;
+  constexpr std::uint64_t kMessages = kSenders * kPerSender;
+  inic::InicConfig cfg = inic::InicConfig::ideal();
+  cfg.hw_retransmit = true;
+  cfg.retransmit_timeout = Time::millis(1);
+  InicPairRig rig(cfg);
+  rig.network->set_random_loss(0.3, 31);
+
+  std::vector<int> arrivals(kMessages, 0);
+  std::size_t max_state = 0;
+  sim::ProcessGroup group(rig.eng);
+  for (std::uint64_t s = 0; s < kSenders; ++s) {
+    group.spawn([](inic::InicCard& c, std::uint64_t s) -> sim::Process {
+      Rng rng(s + 1);
+      for (std::uint64_t k = 0; k < kPerSender; ++k) {
+        co_await c.send_stream(1, Bytes(1 + rng.below(40'000)),
+                               s * kPerSender + k, std::any{});
+      }
+    }(*rig.card_a, s));
+  }
+  group.spawn([](inic::InicCard& c, std::vector<int>& arrivals,
+                 std::size_t& max_state) -> sim::Process {
+    for (std::uint64_t m = 0; m < kMessages; ++m) {
+      const proto::Message msg = co_await c.card_inbox().recv();
+      ++arrivals.at(msg.tag);
+      max_state = std::max(max_state, c.receive_state(0));
+    }
+  }(*rig.card_b, arrivals, max_state));
+  group.join();
+
+  EXPECT_EQ(std::count(arrivals.begin(), arrivals.end(), 1),
+            static_cast<std::ptrdiff_t>(kMessages));
+  EXPECT_TRUE(rig.card_b->card_inbox().empty());  // no duplicate after all
+  EXPECT_GT(rig.card_a->retransmits(), 0u);
+  EXPECT_GT(rig.card_b->duplicates_dropped(), 0u);
+  EXPECT_LE(max_state, 64u);
+  EXPECT_EQ(rig.card_b->receive_state(0), 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -62,6 +62,30 @@ TEST(Inic, DeliversStreamWithPayload) {
   EXPECT_EQ(cluster.network->frames_dropped(), 0u);
 }
 
+TEST(Inic, MessageIdsCountPerDestination) {
+  // proto::Message::id is unique per (src, dst) stream: interleaved sends
+  // to two destinations number each destination's messages from 1.
+  InicCluster cluster(3);
+  std::vector<proto::Message> at_b, at_c;
+  sim::ProcessGroup group(cluster.eng);
+  group.spawn([](InicCard& c) -> sim::Process {
+    for (const int dst : {1, 2, 1, 2, 1}) {
+      co_await c.send_stream(dst, Bytes::kib(4), 0, std::any{});
+    }
+  }(*cluster.cards[0]));
+  group.spawn(recv_n(*cluster.cards[1], 3, at_b));
+  group.spawn(recv_n(*cluster.cards[2], 2, at_c));
+  group.join();
+
+  auto ids = [](const std::vector<proto::Message>& msgs) {
+    std::vector<std::uint64_t> out;
+    for (const auto& m : msgs) out.push_back(m.id);
+    return out;
+  };
+  EXPECT_EQ(ids(at_b), (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_EQ(ids(at_c), (std::vector<std::uint64_t>{1, 2}));
+}
+
 TEST(Inic, StreamRateApproachesHostDmaLimit) {
   // The pipeline is host-DMA limited (80 < 90 MB/s); a large stream's
   // end-to-end goodput should be within ~15% of 80 MiB/s.
