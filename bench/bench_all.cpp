@@ -23,8 +23,9 @@
 //                     enforces
 //   --list            print the point set and exit
 //   --check-floor     after the sweep, re-measure the parallel engine's
-//                     1024-host shapes at 1 vs 4 threads and fail unless
-//                     both reach 1.6x (runner::check_speedup_floor)
+//                     1024-host SimCluster shape at 1 vs 4 threads and
+//                     fail unless it reaches 1.6x
+//                     (runner::check_speedup_floor)
 //   --check-golden=FILE  fail (exit 1) on the first point whose params,
 //                     digest, sim_ms, events, trace_records or counters
 //                     differ from the golden table (bench/golden.json

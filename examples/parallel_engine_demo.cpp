@@ -1,23 +1,27 @@
-// Parallel engine walkthrough and determinism probe: the same seeded
-// workloads at 1/2/4/8 worker threads, with the digests compared
-// bit-for-bit (docs/TRACING.md: same seed => same digest for ANY thread
-// count).
+// Parallel engine walkthrough and determinism probe: one seeded
+// SimCluster workload on a multi-switch fabric at 1/2/4/8 engine worker
+// threads (ClusterOptions::engine_threads).
 //
-//   1. The LP-partitioned fabric workload (net/lp_workload.hpp) on a
-//      64-host 2-level fat tree — real multi-LP window execution with
-//      cross-LP mailbox traffic — printing per-thread-count digests,
-//      event counts, and host throughput.
-//   2. A star SimCluster (ClusterOptions::engine_threads) driving a
-//      neighbour-ring of INIC transfers through SimCluster::run() — one
-//      switch is a one-LP partition at every thread count.
+// The cluster is a 16-host 3-level fat tree (20 switches) running a
+// neighbour ring of INIC transfers, every rank spawned on its node's LP
+// (SimCluster::node_lp).  At 1 thread the cluster runs on one LP; from 2
+// threads up it runs per-switch, each switch with its attached hosts'
+// cards, DMA engines and switch FIFOs on its own LP, frames crossing
+// switches through the conservative windows' mailboxes.  The digest
+// contract (docs/TRACING.md) the demo checks:
+//   * every thread count >= 2 reproduces the 2-thread digest bit for bit;
+//   * every thread count reproduces the 1-thread end time and merged
+//     counter totals (the per-switch digest is a different constant from
+//     the one-LP digest by design: per-lane frame ids).
 //
-//   $ ./parallel_engine_demo        # exits 1 on any digest divergence
+//   $ ./parallel_engine_demo        # exits 1 on any divergence
 //
 // scripts/check_determinism.sh replays this binary under
-// ACC_TRACE_DIGEST=1 in varied environments: the internal 1-vs-N
-// comparison is the thread-count half of the contract, the script's
-// cross-process comparison the environment half.  Wall-clock throughput
-// varies run to run, of course — only the digest lines are compared.
+// ACC_TRACE_DIGEST=1 in varied environments: the internal comparison is
+// the thread-count half of the contract, the script's cross-process
+// comparison of the digest lines the environment half.  Wall-clock
+// throughput varies run to run, of course — only the digests are
+// compared.
 #include <chrono>
 #include <cstdio>
 #include <vector>
@@ -25,119 +29,116 @@
 #include "apps/cluster.hpp"
 #include "common/table.hpp"
 #include "model/calibration.hpp"
-#include "net/lp_workload.hpp"
 #include "net/topology.hpp"
 #include "sim/process.hpp"
+#include "trace/counters.hpp"
 
 using namespace acc;
 
 namespace {
 
+constexpr std::size_t kHosts = 16;
 constexpr std::size_t kThreadCounts[] = {1, 2, 4, 8};
 
-int run_lp_fabric_probe() {
-  net::LpWorkloadConfig cfg;
-  cfg.topology = net::TopologyConfig::fat_tree(2);
-  cfg.hosts = 64;
-  cfg.frames_per_host = 32;
-  cfg.switch_work = 256;
+struct RingRun {
+  std::uint64_t digest = 0;
+  Time end = Time::zero();
+  std::vector<trace::CounterSample> counters;
+};
 
-  print_banner("LP fabric workload: 64-host fat tree, 16 switch LPs");
-  Table table({"threads", "LPs", "windows", "cross posts", "events",
-               "events/sec", "digest"});
-  std::uint64_t reference = 0;
-  int divergences = 0;
-  for (std::size_t threads : kThreadCounts) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const net::LpWorkloadResult r = net::run_lp_workload(cfg, threads);
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    if (threads == 1) reference = r.digest;
-    if (r.digest != reference) ++divergences;
-    char digest[32];
-    std::snprintf(digest, sizeof digest, "%016llx",
-                  static_cast<unsigned long long>(r.digest));
-    table.row()
-        .add(static_cast<std::int64_t>(threads))
-        .add(static_cast<std::int64_t>(r.lp_count))
-        .add(static_cast<std::int64_t>(r.windows))
-        .add(static_cast<std::int64_t>(r.cross_posts))
-        .add(static_cast<std::int64_t>(r.events))
-        .add(secs > 0 ? static_cast<double>(r.events) / secs : 0.0, 0)
-        .add(digest);
-    // Mirror the SimCluster ACC_TRACE_DIGEST hook for the determinism
-    // script: one digest line per run on stderr, only when asked.
-    if (apps::trace_env().trace_digest) {
-      std::fprintf(stderr, "acc-trace-digest %s\n", digest);
+bool same_counters(const std::vector<trace::CounterSample>& a,
+                   const std::vector<trace::CounterSample>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].category != b[i].category || a[i].node != b[i].node ||
+        a[i].name != b[i].name || a[i].value != b[i].value) {
+      return false;
     }
   }
-  table.print();
-  if (divergences) {
-    std::fprintf(stderr,
-                 "FAIL: %d thread count(s) diverged from the 1-thread "
-                 "digest\n",
-                 divergences);
-  } else {
-    std::puts("all thread counts reproduce the 1-thread digest");
-  }
-  return divergences ? 1 : 0;
+  return true;
 }
 
-int run_cluster_probe() {
-  print_banner(
-      "SimCluster one-LP star: 8-node INIC ring via ClusterOptions::"
-      "engine_threads");
-  Table table({"engine_threads", "events", "sim (us)", "digest"});
-  std::uint64_t reference = 0;
-  int divergences = 0;
-  for (std::size_t threads : kThreadCounts) {
-    apps::ClusterOptions copts;
-    copts.engine_threads = threads;
-    apps::SimCluster cluster(8, apps::Interconnect::kInicIdeal,
-                             model::default_calibration(), copts);
-    if (!cluster.tracer().enabled()) {
-      cluster.enable_tracing(/*ring_capacity=*/64);
-    }
-    sim::ProcessGroup group(*cluster.parallel());
-    for (int i = 0; i < 8; ++i) {
-      const int dst = (i + 1) % 8;
-      group.spawn(cluster.transfer(i, dst, Bytes::kib(16),
-                                   static_cast<std::uint64_t>(i)));
-      group.spawn([](apps::SimCluster& c, int node) -> sim::Process {
-        (void)co_await c.inbox(static_cast<std::size_t>(node)).recv();
-      }(cluster, dst));
-    }
-    const Time end = cluster.run();
-    group.join();
-    const std::uint64_t digest = cluster.digest();
-    if (threads == 1) reference = digest;
-    if (digest != reference) ++divergences;
-    char hex[32];
-    std::snprintf(hex, sizeof hex, "%016llx",
-                  static_cast<unsigned long long>(digest));
-    table.row()
-        .add(static_cast<std::int64_t>(threads))
-        .add(static_cast<std::int64_t>(cluster.events_executed()))
-        .add(end.as_micros(), 1)
-        .add(hex);
+/// Runs the ring at `threads` engine threads and adds its row to `table`.
+RingRun run_ring(std::size_t threads, Table& table) {
+  apps::ClusterOptions copts;
+  copts.topology = net::TopologyConfig::fat_tree(3);
+  copts.engine_threads = threads;
+  apps::SimCluster cluster(kHosts, apps::Interconnect::kInicIdeal,
+                           model::default_calibration(), copts);
+  if (!cluster.tracer().enabled()) {
+    cluster.enable_tracing(/*ring_capacity=*/64);
   }
-  table.print();
-  if (divergences) {
-    std::fprintf(stderr,
-                 "FAIL: %d engine_threads value(s) changed the cluster "
-                 "digest\n",
-                 divergences);
-  } else {
-    std::puts("engine_threads never changes a cluster run");
+  sim::ProcessGroup group(*cluster.parallel());
+  for (std::size_t i = 0; i < kHosts; ++i) {
+    const int src = static_cast<int>(i);
+    const std::size_t dst = (i + 1) % kHosts;
+    group.spawn_on(cluster.node_lp(i),
+                   cluster.transfer(src, static_cast<int>(dst), Bytes::kib(16),
+                                    i));
+    group.spawn_on(cluster.node_lp(dst),
+                   [](apps::SimCluster& c, std::size_t node) -> sim::Process {
+                     (void)co_await c.inbox(node).recv();
+                   }(cluster, dst));
   }
-  return divergences ? 1 : 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  RingRun out;
+  out.end = cluster.run();
+  const double secs =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  group.join();
+  out.digest = cluster.digest();
+  out.counters = cluster.counters_snapshot();
+  const sim::ParallelEngine& pe = *cluster.parallel();
+  char hex[32];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(out.digest));
+  table.row()
+      .add(static_cast<std::int64_t>(threads))
+      .add(cluster.partition_reason())
+      .add(static_cast<std::int64_t>(pe.lp_count()))
+      .add(pe.windows())
+      .add(pe.cross_posts())
+      .add(cluster.events_executed())
+      .add(secs > 0 ? static_cast<double>(cluster.events_executed()) / secs
+                    : 0.0,
+           0)
+      .add(out.end.as_micros(), 1)
+      .add(hex);
+  return out;
 }
 
 }  // namespace
 
 int main() {
-  const int lp = run_lp_fabric_probe();
-  const int cluster = run_cluster_probe();
-  return (lp || cluster) ? 1 : 0;
+  print_banner("SimCluster neighbour ring: 16-host fat_tree(3), INIC, per "
+               "engine_threads");
+  Table table({"engine_threads", "partition", "LPs", "windows",
+               "cross posts", "events", "events/sec", "sim (us)", "digest"});
+  std::vector<RingRun> runs;
+  for (std::size_t threads : kThreadCounts) {
+    runs.push_back(run_ring(threads, table));
+  }
+  table.print();
+
+  const RingRun& serial = runs[0];
+  const RingRun& sharded = runs[1];  // the 2-thread run
+  int divergences = 0;
+  for (std::size_t i = 1; i < runs.size(); ++i) {
+    const bool ok = runs[i].digest == sharded.digest &&
+                    runs[i].end == serial.end &&
+                    same_counters(runs[i].counters, serial.counters);
+    if (!ok) {
+      ++divergences;
+      std::fprintf(stderr,
+                   "FAIL: engine_threads=%zu diverged from the 2-thread "
+                   "digest or the 1-thread end time and counters\n",
+                   kThreadCounts[i]);
+    }
+  }
+  if (divergences == 0) {
+    std::puts("every per-switch run reproduces the 2-thread digest, and "
+              "every run the 1-thread end time and counters");
+  }
+  return divergences ? 1 : 0;
 }

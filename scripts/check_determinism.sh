@@ -69,11 +69,11 @@ aslr_wrap() {
 # kv_serving the open-loop serving workload (Poisson arrivals, Zipf
 # keys, per-request latency histogram, with a sustained bursty-loss
 # storm on both transport planes), and parallel_engine_demo the
-# window-scheduled parallel engine (the LP-partitioned fabric workload
-# and a one-LP SimCluster star ring, each executed at 1/2/4/8
-# worker threads inside one process; the binary exits non-zero if any
-# thread count diverges, and its digest lines let this script compare
-# the same runs across environments) — together covering the healthy,
+# window-scheduled parallel engine (a SimCluster ring on a 20-switch
+# fat tree, one LP at 1 worker thread and per-switch LPs at 2/4/8,
+# inside one process; the binary exits non-zero if any thread count
+# diverges, and its digest lines let this script compare the same runs
+# across environments) — together covering the healthy,
 # faulted, multi-hop, on-card-collective, failover, serving and
 # parallel-engine parts of the determinism contract (docs/FAULTS.md,
 # docs/NETWORK.md, docs/COLLECTIVES.md, docs/SERVING.md,

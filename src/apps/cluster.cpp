@@ -151,12 +151,11 @@ SimCluster::SimCluster(std::size_t n, Interconnect ic,
     per_switch = true;
   }
   if (per_switch) {
-    // Per-link latency: the delay a frame needs to become visible at
-    // the peer switch — link propagation plus the peer's forwarding
-    // latency, exactly what forward_at() posts cross-LP hops with.
-    const Time hop = net_cfg.link_latency + net_cfg.switch_latency;
-    partition_ =
-        net::build_lp_partition(plan, [hop](int, int) { return hop; });
+    // The delay a frame needs to become visible at the peer switch —
+    // link propagation plus the peer's forwarding latency, exactly what
+    // forward_at() posts cross-LP hops with.
+    partition_ = net::build_lp_partition(
+        plan, net_cfg.link_latency + net_cfg.switch_latency);
   } else {
     partition_ = net::single_lp_partition(plan);
   }

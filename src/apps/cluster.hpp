@@ -133,7 +133,7 @@ class SimCluster {
   }
   /// The LP engine node `i`'s devices are bound to.
   sim::Engine& node_engine(std::size_t i) { return parallel_->lp(node_lp(i)); }
-  /// The LP partition the cluster runs on (lookahead, cross-links).
+  /// The LP partition the cluster runs on (LP maps and lookahead).
   const net::LpPartition& partition() const { return partition_; }
   /// Why the cluster runs on that partition: "per-switch", or the first
   /// rule that forced one LP ("one LP: engine_threads <= 1", "one LP:

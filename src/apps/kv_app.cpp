@@ -26,6 +26,15 @@ namespace {
 constexpr std::uint64_t kRequestTag = 0x4B560001;   // "KV" request
 constexpr std::uint64_t kResponseTag = 0x4B560002;  // "KV" response
 
+// Distinct keys the Zipf ranks map onto.
+constexpr std::size_t kKeySpace = 1024;
+// GETs carry kRequestBytes up and kValueBytes down; PUTs the reverse.
+constexpr Bytes kRequestBytes = Bytes(64);
+constexpr Bytes kValueBytes = Bytes(2048);
+// Per-request server service cost (single service unit per server:
+// requests queue behind it, which is where the tail comes from).
+constexpr Time kServiceTime = Time::nanos(2'000);
+
 struct KvRequest {
   std::uint64_t id = 0;
   int client = -1;
@@ -86,11 +95,10 @@ bool is_pow2(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
 /// transfer (or its response), so server queueing delay lands in the
 /// measured latency instead of throttling the generator.
 sim::Process issue_request(SimCluster& cluster, PendingRequest req,
-                           const KvRunOptions& opts) {
+                           const KvCounters& ctr) {
   sim::Engine& eng = cluster.node_engine(static_cast<std::size_t>(req.client));
-  const KvCounters ctr = kv_counters(eng);
   co_await sim::DelayUntil{eng, req.issue_at};
-  const Bytes up = req.is_get ? opts.request_bytes : opts.value_bytes;
+  const Bytes up = req.is_get ? kRequestBytes : kValueBytes;
   KvRequest payload;
   payload.id = req.id;
   payload.client = req.client;
@@ -104,12 +112,12 @@ sim::Process issue_request(SimCluster& cluster, PendingRequest req,
 }
 
 /// Per-server shard: a single service unit draining requests in arrival
-/// order.  Each request costs service_time; responses go back
+/// order.  Each request costs kServiceTime; responses go back
 /// fire-and-forget (held in a shard-local inflight list — spawning into a
 /// shared group from concurrent LP workers would race on its vectors) so
 /// the next request's service overlaps the previous response's flight.
 sim::Process serve_shard(SimCluster& cluster, int server_node,
-                         proto::TaggedInbox& inbox, const KvRunOptions& opts,
+                         proto::TaggedInbox& inbox,
                          std::uint64_t& requests_served) {
   sim::Engine& eng =
       cluster.node_engine(static_cast<std::size_t>(server_node));
@@ -119,7 +127,7 @@ sim::Process serve_shard(SimCluster& cluster, int server_node,
     proto::Message msg;
     co_await inbox.recv(kRequestTag, msg);
     auto req = std::any_cast<KvRequest>(std::move(msg.payload));
-    co_await sim::Delay{eng, opts.service_time};
+    co_await sim::Delay{eng, kServiceTime};
     ++requests_served;
     KvResponse resp;
     resp.id = req.id;
@@ -134,7 +142,7 @@ sim::Process serve_shard(SimCluster& cluster, int server_node,
       store[req.key] = kv_expected_value(req.key);
       resp.value = store[req.key];  // PUT ack echoes the written value
     }
-    const Bytes down = req.is_get ? opts.value_bytes : opts.request_bytes;
+    const Bytes down = req.is_get ? kValueBytes : kRequestBytes;
     inflight.push_back(std::make_unique<sim::Process>(cluster.transfer(
         server_node, req.client, down, kResponseTag, std::any(resp))));
     inflight.back()->start(eng);
@@ -144,12 +152,12 @@ sim::Process serve_shard(SimCluster& cluster, int server_node,
 /// Per-client sink: collects exactly this client's expected response
 /// count and records each round-trip latency.
 sim::Process collect_responses(SimCluster& cluster, int client,
-                               std::size_t expected, const KvRunOptions& opts,
+                               std::size_t expected, bool verify,
+                               const KvCounters& ctr,
                                trace::LatencyHistogram& latency,
                                Bytes& payload_bytes,
                                std::uint8_t& values_ok) {
   sim::Engine& eng = cluster.node_engine(static_cast<std::size_t>(client));
-  const KvCounters ctr = kv_counters(eng);
   proto::TaggedInbox inbox(cluster.inbox(static_cast<std::size_t>(client)));
   for (std::size_t i = 0; i < expected; ++i) {
     proto::Message msg;
@@ -159,7 +167,7 @@ sim::Process collect_responses(SimCluster& cluster, int client,
     payload_bytes = payload_bytes + msg.size;
     ctr.responses->add(eng.now(), 1);
     ctr.response_bytes->add(eng.now(), msg.size.count());
-    if (opts.verify && resp.value != kv_expected_value(resp.key)) {
+    if (verify && resp.value != kv_expected_value(resp.key)) {
       values_ok = 0;
     }
   }
@@ -211,7 +219,7 @@ KvRunResult run_kv_serving(SimCluster& cluster, const KvRunOptions& opts) {
   // (gap, key rank, GET/PUT coin), so the whole schedule — and therefore
   // the trace digest and the latency distribution — is a pure function
   // of (options, seed).
-  const algo::ZipfTable zipf(opts.key_space, opts.zipf_theta);
+  const algo::ZipfTable zipf(kKeySpace, opts.zipf_theta);
   std::vector<PendingRequest> schedule;
   schedule.reserve(opts.clients * opts.requests_per_client);
   std::uint64_t next_id = 0;
@@ -253,7 +261,7 @@ KvRunResult run_kv_serving(SimCluster& cluster, const KvRunOptions& opts) {
     server_inboxes.push_back(std::make_unique<proto::TaggedInbox>(
         cluster.inbox(static_cast<std::size_t>(node))));
     servers.spawn_on(cluster.node_lp(static_cast<std::size_t>(node)),
-                     serve_shard(cluster, node, *server_inboxes.back(), opts,
+                     serve_shard(cluster, node, *server_inboxes.back(),
                                  result.per_server_requests[s]),
                      "kv-server");
   }
@@ -263,19 +271,28 @@ KvRunResult run_kv_serving(SimCluster& cluster, const KvRunOptions& opts) {
   // One verify flag per client (distinct memory locations): the sinks run
   // on their nodes' LPs, so a single shared bool would be a data race.
   std::vector<std::uint8_t> client_ok(opts.clients, 1);
+  // Each client's counters, resolved once on its node's engine and shared
+  // by its sink and every one of its requests.
+  std::vector<KvCounters> client_ctr;
+  client_ctr.reserve(opts.clients);
+  for (std::size_t c = 0; c < opts.clients; ++c) {
+    client_ctr.push_back(kv_counters(cluster.node_engine(c)));
+  }
   sim::ProcessGroup clients(*cluster.parallel());
   for (std::size_t c = 0; c < opts.clients; ++c) {
     clients.spawn_on(cluster.node_lp(c),
                      collect_responses(cluster, static_cast<int>(c),
-                                       opts.requests_per_client, opts,
-                                       per_client[c], client_bytes[c],
-                                       client_ok[c]),
+                                       opts.requests_per_client, opts.verify,
+                                       client_ctr[c], per_client[c],
+                                       client_bytes[c], client_ok[c]),
                      "kv-client");
   }
   for (const PendingRequest& req : schedule) {
     clients.spawn_on(
         cluster.node_lp(static_cast<std::size_t>(req.client)),
-        issue_request(cluster, req, opts), "kv-issue");
+        issue_request(cluster, req,
+                      client_ctr[static_cast<std::size_t>(req.client)]),
+        "kv-issue");
   }
   result.total = clients.join() - base;
 

@@ -11,7 +11,7 @@
 // (algo::ZipfTable, the skew machinery of skew_test/sort_app) and
 // sharded across server nodes by top-bit bucketing of the mixed key
 // (algo::bucket_index).  Servers are single-service-unit queues: each
-// request costs `service_time`, responses are fired back fire-and-forget
+// request costs 2 us of service, responses are fired back fire-and-forget
 // over SimCluster::transfer, so the full host-vs-INIC transport story
 // (per-packet TCP host costs and interrupts vs. on-card cut-through,
 // retransmission planes, degraded fallback, fault windows) shapes the
@@ -59,20 +59,13 @@ struct KvRunOptions {
   double rate_hz = 20000.0;
   ArrivalProcess arrivals = ArrivalProcess::kPoisson;
 
-  /// Key popularity: Zipf(theta) over `key_space` distinct keys
+  /// Key popularity: Zipf(theta) over the workload's 1024 distinct keys
   /// (theta = 0.99 is the classic YCSB skew; 0 = uniform).
-  std::size_t key_space = 1024;
   double zipf_theta = 0.99;
 
-  /// Mix and sizes: GETs carry `request_bytes` up and `value_bytes`
-  /// down; PUTs carry `value_bytes` up and `request_bytes` down.
+  /// Mix: GETs carry a 64-byte request up and a 2 KiB value down; PUTs
+  /// carry the value up and a 64-byte ack down.
   double get_fraction = 0.9;
-  Bytes request_bytes = Bytes(64);
-  Bytes value_bytes = Bytes(2048);
-
-  /// Per-request server service cost (single service unit per server:
-  /// requests queue behind it, which is where the tail comes from).
-  Time service_time = Time::micros(2.0);
 
   std::uint64_t seed = 42;
   /// Check every response's key/value against the deterministic store

@@ -10,6 +10,12 @@ namespace acc::inic {
 
 namespace {
 
+// Per-packet header overhead on the wire: 38 bytes of Ethernet framing
+// plus the 8-byte minimal INIC protocol header (Section 4.2).
+constexpr Bytes kPerPacketOverhead = Bytes(46);
+// FPGA pipeline forwarding latency per hop (cut-through).
+constexpr Time kCardLatency = Time::nanos(2'000);
+
 // Go-back-N retry tunables (docs/FAULTS.md).  Each fruitless round to a
 // destination multiplies its retransmit timeout by kRetransmitBackoff, up
 // to kRetransmitTimeoutCap; credit progress resets it.
@@ -167,7 +173,7 @@ sim::Process InicCard::send_stream(int dst, Bytes size, std::uint64_t tag,
     frame.dst = dst;
     frame.payload = Bytes(burst);
     frame.wire = net::burst_wire_size(Bytes(burst), packets,
-                                      cfg_.per_packet_overhead);
+                                      kPerPacketOverhead);
     frame.packet_count = packets;
     frame.flow = msg_id;
     frame.kind = net::FrameKind::kData;
@@ -176,7 +182,7 @@ sim::Process InicCard::send_stream(int dst, Bytes size, std::uint64_t tag,
     first = false;
 
     // Stage 2: card memory -> MAC, not before the data is on the card.
-    const Time tx_done = transmit_burst(frame, in_card + cfg_.card_latency);
+    const Time tx_done = transmit_burst(frame, in_card + kCardLatency);
     bursts_sent_.add(eng.now(), 1);
     track_outstanding(p, frame);
 
@@ -193,7 +199,7 @@ Time InicCard::transmit_burst(const net::Frame& frame, Time not_before) {
   // A resetting card cannot drive the MAC: the burst waits out the window.
   if (not_before < paused_until_) not_before = paused_until_;
   const Time packet_time =
-      transfer_time(cfg_.packet + cfg_.per_packet_overhead, net_tx_.rate());
+      transfer_time(cfg_.packet + kPerPacketOverhead, net_tx_.rate());
   const Time tx_done =
       card_bus_ ? std::max(net_tx_.enqueue_after(not_before, frame.wire),
                            card_bus_->enqueue_after(not_before, frame.wire))
@@ -244,7 +250,7 @@ Time InicCard::effective_retransmit_timeout(const Peer& p) const {
   const std::size_t packets =
       (cfg_.burst.count() + cfg_.packet.count() - 1) / cfg_.packet.count();
   const Bytes burst_wire =
-      net::burst_wire_size(cfg_.burst, packets, cfg_.per_packet_overhead);
+      net::burst_wire_size(cfg_.burst, packets, kPerPacketOverhead);
   const Time rtt =
       network_.path_latency(node_.id(), p.node, burst_wire) +
       network_.path_latency(p.node, node_.id(), Bytes(84));  // credit frame
@@ -334,7 +340,7 @@ void InicCard::check_retransmit(Peer& p) {
   // order, refreshing their timestamps.  Consecutive fruitless rounds
   // back the timer off exponentially (credit progress resets it).
   for (OutstandingBurst& burst : p.outstanding) {
-    transmit_burst(burst.frame, eng.now() + cfg_.card_latency);
+    transmit_burst(burst.frame, eng.now() + kCardLatency);
     burst.sent_at = eng.now();
     retransmits_.add(eng.now(), 1);
     tracer().instant(trace::Category::kInic, node_.id(), "inic/retransmit",
@@ -405,7 +411,7 @@ void InicCard::deliver(const net::Frame& frame) {
   assert(frame.kind == net::FrameKind::kData);
 
   // Ingest at the card's network rate (plus the shared bus, prototype).
-  const Time ingested = book_stage(net_rx_, frame.wire) + cfg_.card_latency;
+  const Time ingested = book_stage(net_rx_, frame.wire) + kCardLatency;
   tracer().span(trace::Category::kInic, node_.id(), "inic/rx_ingest",
                 eng.now(), ingested - eng.now(),
                 static_cast<std::int64_t>(frame.wire.count()));
@@ -571,7 +577,7 @@ void InicCard::send_credit(int dst, std::uint32_t flow, std::uint64_t seq) {
   credit.seq = seq;
   // Control frames slot into the transmit stream like any other packet.
   const Time tx_done = book_stage(net_tx_, credit.wire);
-  node_.engine().schedule_at(tx_done + cfg_.card_latency,
+  node_.engine().schedule_at(tx_done + kCardLatency,
                              [this, credit] { network_.inject(credit); });
 }
 
@@ -599,7 +605,7 @@ sim::Process InicCard::compute_offload(Bytes data, Bandwidth kernel_rate,
   // extends the critical path when slower than the memory path.
   const Time kernel_done =
       in_done - transfer_time(data, cfg_.host_dma_rate) +
-      transfer_time(data, kernel_rate) + cfg_.card_latency;
+      transfer_time(data, kernel_rate) + kCardLatency;
   const Time done = std::max({in_done, kernel_done, out_done});
 
   tracer().span(trace::Category::kInic, node_.id(), "inic/offload",

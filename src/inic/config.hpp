@@ -31,9 +31,8 @@ struct InicConfig {
   std::size_t max_hw_buckets = std::numeric_limits<std::size_t>::max();
 
   /// INIC protocol parameters (Section 4.2): 1024-byte packets on raw
-  /// Ethernet; per-packet header overhead (framing + minimal protocol).
+  /// Ethernet (each with 46 bytes of framing and header, inic/card.cpp).
   Bytes packet = Bytes(1024);
-  Bytes per_packet_overhead = Bytes(46);  // 38 Ethernet framing + 8 header
   /// Credit window: bursts in flight per destination.  Sized so that the
   /// total in-flight data never exceeds switch buffering — the paper's
   /// "no packet loss" argument.
@@ -42,9 +41,6 @@ struct InicConfig {
 
   /// Minimum card-to-host DMA transfer (Equation 15's 64 KB).
   Bytes host_delivery_threshold = Bytes::kib(64);
-
-  /// FPGA pipeline forwarding latency per hop (cut-through).
-  Time card_latency = Time::micros(2.0);
 
   /// Hardware error handling ("on rare occasion, interrupts may be
   /// needed for error handling", Section 4.1 footnote): when enabled,

@@ -5,6 +5,7 @@
 
 #include "common/rng.hpp"
 #include "net/lp_map.hpp"
+#include "sim/parallel.hpp"
 #include "trace/trace.hpp"
 
 namespace acc::net {
@@ -156,7 +157,6 @@ LpWorkloadResult run_lp_workload(const LpWorkloadConfig& cfg,
   out.windows = peng.windows();
   out.cross_posts = peng.cross_posts();
   out.lp_count = peng.lp_count();
-  out.shards = peng.shard_stats();
   for (std::size_t i = 0; i < peng.lp_count(); ++i) {
     out.trace_records += peng.lp(i).tracer().records_emitted();
   }

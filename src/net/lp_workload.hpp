@@ -1,29 +1,26 @@
-// LP-partitioned fabric traffic: the workload that drives the parallel
-// event engine (sim/parallel.hpp) across a real topology.
+// Synthetic LP-partitioned fabric traffic on the parallel event engine
+// (sim/parallel.hpp), kept only as the fixture of bench/perf's
+// `parallel.window_probe_us` probe (bench/perf/probes.cpp), which calls
+// run_lp_workload with no per-hop work and reads `windows`.  Delete it
+// with its three tests/parallel_scaling_test.cpp cases when that probe
+// moves onto a SimCluster scenario; the parallel engine is measured and
+// gated on SimCluster (the engine_scaling suite), not on this workload.
 //
 // Each switch of a TopologyPlan becomes one LP (net/lp_map.hpp); seeded
 // per-host schedules inject frames that hop switch-to-switch along the
 // plan's real next_port routes.  Every hop is an LP-local event — it
-// reads the (immutable) plan, spins a deterministic forwarding-cost model
-// and updates only its own LP's state — and reaching the next switch is a
-// cross-LP post carrying the interior-link latency, i.e. exactly the
-// lookahead the conservative windows run on.
-//
-// This is the scaling workload behind the parallel-engine acceptance
-// gates: bench/micro_engine.cpp and the engine_scaling suite measure its
-// events/sec at 1..N threads (the 1024-node fat-tree point carries the
-// CI speedup floor), tests/parallel_scaling_test.cpp pins digest
-// equality across thread counts on every topology family, and the TSan
-// job stress-runs it.  It is also the reference shape for migrating the
-// cluster's own device models onto LPs (docs/ENGINE.md).
+// reads the (immutable) plan, spins `switch_work` rounds of a
+// deterministic forwarding-cost model and updates only its own LP's
+// state — and reaching the next switch is a cross-LP post carrying the
+// interior-link latency, i.e. exactly the lookahead the conservative
+// windows run on.  It bypasses net::Fabric and every device model.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "common/units.hpp"
 #include "net/topology.hpp"
-#include "sim/parallel.hpp"
 
 namespace acc::net {
 
@@ -59,13 +56,12 @@ struct LpWorkloadResult {
   std::uint64_t trace_records = 0;  // records behind the digest, all lanes
   std::size_t lp_count = 0;
   Time sim_time = Time::zero();
-  std::vector<sim::ParallelEngine::ShardStats> shards;
 };
 
 /// Builds the topology, partitions it into LPs, runs the traffic on
-/// `threads` workers and reports the run's invariants.  Everything in
-/// the result except `shards[*].wall_ns` is a pure function of `cfg` —
-/// independent of `threads` (the determinism contract, docs/TRACING.md).
+/// `threads` workers and reports the run's invariants.  The result is a
+/// pure function of `cfg`, independent of `threads` (the determinism
+/// contract, docs/TRACING.md).
 LpWorkloadResult run_lp_workload(const LpWorkloadConfig& cfg,
                                  std::size_t threads);
 

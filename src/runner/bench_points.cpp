@@ -13,23 +13,6 @@
 
 namespace acc::runner {
 
-namespace {
-
-/// One speedup-floor shape: an engine_scaling point of the full grid
-/// (`point` + "/threads=N"), so the floor and the grid cannot drift
-/// apart.  A 4-thread run must reproduce the digest (and checksum, if
-/// any) of the shape's `reference_threads` run and the serial run's end
-/// time.
-struct FloorShape {
-  const char* title;      // banner
-  const char* pass_name;  // "<pass_name> passed" line
-  const char* fail_name;  // "<fail_name> FAILED" / "ABORT" lines
-  const char* point;
-  std::size_t reference_threads;
-};
-
-}  // namespace
-
 std::vector<Suite> bench_suites(bool reduced) {
   using namespace suites;
   std::vector<Suite> all;
@@ -59,72 +42,56 @@ int check_speedup_floor() {
     return 0;
   }
   // SimCluster digests differ by design between one LP and per-switch
-  // LPs, so its 4-thread runs are checked against a 2-thread reference.
-  const FloorShape shapes[] = {
-      {"speedup floor", "floor", "FLOOR", "fattree3/P=1024", 1},
-      {"SimCluster speedup floor", "cluster floor", "CLUSTER FLOOR",
-       "cluster_fattree3/P=1024", 2}};
+  // LPs, so the 4-thread runs are checked against a 2-thread reference
+  // and against the serial run's end time.
   const std::vector<Suite> grid = bench_suites(/*reduced=*/false);
-  int floor_failures = 0;
-  for (const FloorShape& shape : shapes) {
-    const auto run = [&](std::size_t threads) {
-      const std::string name =
-          std::string(shape.point) + "/threads=" + std::to_string(threads);
-      for (const Suite& suite : grid) {
-        for (const RunPoint& p : suite.points) {
-          if (p.suite == "engine_scaling" && p.name == name) return p.body();
-        }
+  const auto run = [&](std::size_t threads) {
+    const std::string name =
+        std::string(kSpeedupFloorPoint) + "/threads=" + std::to_string(threads);
+    for (const Suite& suite : grid) {
+      for (const RunPoint& p : suite.points) {
+        if (p.suite == "engine_scaling" && p.name == name) return p.body();
       }
-      throw std::logic_error("no engine_scaling point " + name);
-    };
-    std::printf("\n== %s: %s, 4 threads, >= %.1fx ==\n", shape.title,
-                shape.point, kFloor);
-    double best = 0.0;
-    std::optional<RunMetrics> reference;
-    // Best of three back-to-back 1- vs 4-thread attempts; stop early
-    // once the floor is met to save CI time.
-    for (int attempt = 1; attempt <= 3 && best < kFloor; ++attempt) {
-      using clock = std::chrono::steady_clock;
-      const auto t0 = clock::now();
-      const RunMetrics serial = run(1);
-      const auto t1 = clock::now();
-      const RunMetrics parallel = run(4);
-      const auto t2 = clock::now();
-      if (!reference) {
-        reference = shape.reference_threads == 1
-                        ? serial
-                        : run(shape.reference_threads);
-      }
-      if (parallel.digest != reference->digest ||
-          parallel.counter("checksum") != reference->counter("checksum") ||
-          parallel.sim_time != serial.sim_time) {
-        std::fprintf(stderr,
-                     "%s ABORT: 4-thread run (digest %s) diverged from the "
-                     "%zu-thread reference (digest %s) or the serial end "
-                     "time — determinism bug, not a perf issue\n",
-                     shape.fail_name, digest_hex(parallel.digest).c_str(),
-                     shape.reference_threads,
-                     digest_hex(reference->digest).c_str());
-        return 1;  // fail immediately
-      }
-      const double serial_s = std::chrono::duration<double>(t1 - t0).count();
-      const double parallel_s =
-          std::chrono::duration<double>(t2 - t1).count();
-      const double s = parallel_s > 0.0 ? serial_s / parallel_s : 0.0;
-      std::printf("attempt %d: %.2fx\n", attempt, s);
-      best = std::max(best, s);
     }
-    if (best >= kFloor) {
-      std::printf("%s passed: best %.2fx >= %.1fx\n", shape.pass_name, best,
-                  kFloor);
-    } else {
-      ++floor_failures;
+    throw std::logic_error("no engine_scaling point " + name);
+  };
+  std::printf("\n== speedup floor: %s, 4 threads, >= %.1fx ==\n",
+              kSpeedupFloorPoint, kFloor);
+  double best = 0.0;
+  std::optional<RunMetrics> reference;
+  // Best of three back-to-back 1- vs 4-thread attempts; stop early once
+  // the floor is met to save CI time.
+  for (int attempt = 1; attempt <= 3 && best < kFloor; ++attempt) {
+    using clock = std::chrono::steady_clock;
+    const auto t0 = clock::now();
+    const RunMetrics serial = run(1);
+    const auto t1 = clock::now();
+    const RunMetrics parallel = run(4);
+    const auto t2 = clock::now();
+    if (!reference) reference = run(2);
+    if (parallel.digest != reference->digest ||
+        parallel.sim_time != serial.sim_time) {
       std::fprintf(stderr,
-                   "%s FAILED: best speedup %.2fx < %.1fx at 4 threads\n",
-                   shape.fail_name, best, kFloor);
+                   "FLOOR ABORT: 4-thread run (digest %s) diverged from the "
+                   "2-thread reference (digest %s) or the serial end time "
+                   "— determinism bug, not a perf issue\n",
+                   digest_hex(parallel.digest).c_str(),
+                   digest_hex(reference->digest).c_str());
+      return 1;  // fail immediately
     }
+    const double serial_s = std::chrono::duration<double>(t1 - t0).count();
+    const double parallel_s = std::chrono::duration<double>(t2 - t1).count();
+    const double s = parallel_s > 0.0 ? serial_s / parallel_s : 0.0;
+    std::printf("attempt %d: %.2fx\n", attempt, s);
+    best = std::max(best, s);
   }
-  return floor_failures;
+  if (best < kFloor) {
+    std::fprintf(stderr, "FLOOR FAILED: best speedup %.2fx < %.1fx at 4 "
+                 "threads\n", best, kFloor);
+    return 1;
+  }
+  std::printf("floor passed: best %.2fx >= %.1fx\n", best, kFloor);
+  return 0;
 }
 
 }  // namespace acc::runner

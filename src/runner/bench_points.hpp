@@ -81,13 +81,17 @@ struct Suite {
 /// their points come back in sweep order.
 std::vector<Suite> bench_suites(bool reduced);
 
-/// The parallel engine's CI speedup floor: the full engine_scaling
-/// grid's 1024-host fat-tree points (the synthetic LP workload, then the
-/// SimCluster with full device models) re-run back-to-back at 1 and 4
-/// threads and timed here; each must reach 1.6x within three attempts.  Prints
-/// SKIPPED and returns 0 on hosts with fewer than 4 cores.  Returns the
-/// number of floors missed, or 1 at once if the runs' digests diverge
-/// (a determinism bug, not a perf issue).
+/// The engine_scaling point (without its "/threads=N" suffix) that
+/// check_speedup_floor() re-measures: the full grid's 1024-host fat-tree
+/// SimCluster shape.
+inline constexpr char kSpeedupFloorPoint[] = "cluster_fattree3/P=1024";
+
+/// The parallel engine's CI speedup floor: kSpeedupFloorPoint re-run
+/// back-to-back at 1 and 4 threads and timed here; the 4-thread run
+/// must reach 1.6x within three attempts, with the 2-thread run's digest
+/// and the serial run's end time.  Prints SKIPPED and returns 0 on hosts
+/// with fewer than 4 cores.  Returns 1 if the floor is missed, or at once
+/// if a run diverges (a determinism bug, not a perf issue); 0 otherwise.
 int check_speedup_floor();
 
 }  // namespace acc::runner

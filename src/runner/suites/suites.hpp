@@ -4,7 +4,7 @@
 //   transfers.cpp  two-node transfers and the compute accelerator
 //   fabric.cpp     multi-hop topologies and the collective backends
 //   faults.cpp     failover, chaos and the serving tail
-//   engine.cpp     parallel-engine scaling (the speedup floor's shapes)
+//   engine.cpp     parallel-engine scaling (the speedup floor's shape)
 // This header declares them and holds what they share.
 #pragma once
 

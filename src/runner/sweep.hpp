@@ -44,15 +44,6 @@ struct LatencySummary {
   std::int64_t goodput_bytes_per_sec = 0;  // response payload / makespan
 };
 
-/// Per-LP-shard execution stats a parallel-engine point reports back
-/// (sim::ParallelEngine::shard_stats()).  `wall_ns` is the shard's busy
-/// time summed over windows, not the run's elapsed time: it leaves out
-/// the window barriers, so RunRecord::events_per_sec() never uses it.
-struct ShardSummary {
-  std::uint64_t events = 0;
-  std::uint64_t wall_ns = 0;
-};
-
 /// What one executed point reports back.  `sim_time` is simulated time;
 /// wall clock is measured by the runner, not the body.  `digest` is the
 /// run's trace digest when the body enabled tracing (0 otherwise), and
@@ -73,10 +64,6 @@ struct RunMetrics {
   /// scaling point).  Set by derive_scaling_ratios(), not the body;
   /// emitted into BENCH_results.json v4 when set.
   double scaling_efficiency = 0.0;
-  /// Per-LP-shard stats when the point ran on the parallel engine
-  /// (empty for serial runs).  Telemetry only: emitted into the JSON,
-  /// never used by events_per_sec().
-  std::vector<ShardSummary> shards;
   /// (name, value) pairs in a body-chosen, deterministic order; used for
   /// extra table columns and the serial-vs-pooled counter comparison.
   std::vector<std::pair<std::string, std::int64_t>> counters;
@@ -122,9 +109,8 @@ struct RunRecord {
   /// point, an untimed record, or a body that executed no events).
   ///
   /// Always metrics.events ÷ the record's own wall_ns, serial and
-  /// parallel-engine points alike.  Shard busy times leave out the window
-  /// barriers, where a sharded run can spend most of its wall clock, so
-  /// they are telemetry (metrics.shards), never the denominator.
+  /// parallel-engine points alike: the wall clock includes the window
+  /// barriers, where a sharded run can spend most of its time.
   double events_per_sec() const {
     if (!ok || wall_ns == 0 || metrics.events == 0) return 0.0;
     return static_cast<double>(metrics.events) * 1e9 /

@@ -135,8 +135,9 @@ class ParallelEngine {
 
   /// Per-shard execution telemetry from the last run(): events executed
   /// by the shard and the summed wall-clock nanoseconds its windows took.
-  /// Feeds runner::RunMetrics::shards as telemetry: busy time excludes
-  /// the barriers, so it is never an events/sec denominator.
+  /// bench/perf derives its busy-time and imbalance metrics from it;
+  /// busy time excludes the barriers, so it is never an events/sec
+  /// denominator.
   struct ShardStats {
     std::uint64_t events = 0;
     std::uint64_t wall_ns = 0;

@@ -1,19 +1,21 @@
-// Thread-count independence of full runs (docs/TRACING.md), on both
-// halves of the parallel engine story:
+// Thread-count independence of full runs (docs/TRACING.md):
 //
-//   * the LP-partitioned fabric workload (net/lp_workload.hpp) — real
-//     multi-LP window execution over every topology family, digest
-//     bit-identical for ANY worker count including 1, and
 //   * SimCluster runs — per-switch partitions (engine_threads >= 2 on a
 //     shardable fabric) put the full device models on per-switch LPs,
 //     digest bit-identical across every thread count >= 2, with end time
 //     and merged counter totals equal to the one-LP run's (the per-switch
 //     digest is a different constant by design: per-lane frame ids);
 //     one-LP partitions are bit-identical at every thread count.
+//   * The synthetic LP workload (net/lp_workload.hpp), digest
+//     bit-identical for ANY worker count including 1.  That workload is
+//     only bench/perf's window-probe fixture; its three cases here go
+//     when the probe moves onto a SimCluster scenario and the workload is
+//     deleted.
 //
-// CI additionally runs this binary under ThreadSanitizer, so the
-// 1024-host fat-tree stress point doubles as the data-race probe for
-// the worker pool, mailbox machinery, and migrated device models.
+// CI additionally runs this binary under ThreadSanitizer, where
+// FatTree1024StressPoint (320 LPs) is the data-race probe for the worker
+// pool and mailbox machinery at scale, and the SimCluster cases for the
+// migrated device models.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -40,7 +42,7 @@ struct TopoCase {
 };
 
 // ---------------------------------------------------------------------
-// LP workload: real multi-LP parallelism
+// LP workload: bench/perf's window-probe fixture
 // ---------------------------------------------------------------------
 
 std::vector<TopoCase> workload_topologies() {
@@ -100,10 +102,10 @@ TEST(ParallelScaling, SingleSwitchStarDegeneratesToOneLp) {
 }
 
 TEST(ParallelScaling, FatTree1024StressPoint) {
-  // The CI-floor shape (fat_tree(3) at 1024 hosts = 320 switch LPs),
-  // sized down in per-hop work so the TSan job can afford it.  Checks
-  // the full determinism contract at the scale where every worker is
-  // saturated and the mailbox matrix is large.
+  // fat_tree(3) at 1024 hosts = 320 switch LPs, light per-hop work so
+  // the TSan job can afford it.  Checks the full determinism contract at
+  // the scale where every worker is saturated and every barrier drains
+  // many outboxes.
   net::LpWorkloadConfig cfg;
   cfg.topology = net::TopologyConfig::fat_tree(3);
   cfg.hosts = 1024;

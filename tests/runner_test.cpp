@@ -223,6 +223,27 @@ TEST(BenchSuites, RegistryOrderPointNamesAndGates) {
   }
 }
 
+TEST(BenchSuites, EngineScalingIsTheSimClusterShapeTheFloorReruns) {
+  // check_speedup_floor() looks its point up by name in the full grid,
+  // so a renamed point must fail here, not only in the floor's CI job.
+  std::vector<std::string> names;
+  for (const auto& s : runner::bench_suites(/*reduced=*/false)) {
+    if (s.name != "engine_scaling") continue;
+    for (const auto& p : s.points) names.push_back(p.name);
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       "cluster_fattree3/P=1024/threads=1",
+                       "cluster_fattree3/P=1024/threads=2",
+                       "cluster_fattree3/P=1024/threads=4"}));
+  for (const char* threads : {"1", "2", "4"}) {
+    const std::string floor_point =
+        std::string(runner::kSpeedupFloorPoint) + "/threads=" + threads;
+    EXPECT_NE(std::find(names.begin(), names.end(), floor_point),
+              names.end())
+        << floor_point;
+  }
+}
+
 TEST(BenchSuites, FigureEightPointsCarryTheAnalyticInicSpeedup) {
   // Figs. 4(a) and 5(b) plot the analytic INIC series beside the GigE
   // speedups fig8a/fig8b already simulate; each point's model column
@@ -543,17 +564,13 @@ TEST(RunRecord, EventsPerSecGuardsDegenerateRecords) {
 }
 
 TEST(RunRecord, EventsPerSecUsesRecordWallForParallelPoints) {
-  // A parallel-engine point reports per-LP shard stats, but shard busy
-  // time leaves out the window barriers: throughput is the record's own
-  // events over its own wall clock, whatever the shards say.
+  // A parallel-engine point's throughput is its own events over its own
+  // wall clock, which includes the window barriers.
   RunRecord r;
   r.ok = true;
-  r.wall_ns = 8000000;       // record-level wall includes barrier overhead
+  r.wall_ns = 8000000;
   r.metrics.events = 3000;
-  r.metrics.shards = {{1000, 1000000}, {1500, 2000000}, {500, 500000}};
-  // 3000 events over 8 ms, not over the 2 ms busiest shard.
-  EXPECT_DOUBLE_EQ(r.events_per_sec(), 375000.0);
-  r.metrics.shards = {{1000, 0}, {2000, 0}};
+  r.metrics.threads = 4;
   EXPECT_DOUBLE_EQ(r.events_per_sec(), 375000.0);
   r.ok = false;
   EXPECT_EQ(r.events_per_sec(), 0.0);

@@ -14,6 +14,7 @@
 #include <functional>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -511,69 +512,43 @@ TEST(Fabric, EngineAndOneLpParallelEngineBuildTheSameFabric) {
 }
 
 // ---------------------------------------------------------------------
-// LP partition: per-link latencies and lookahead derivation
+// LP partition: one LP per switch, the given latency as lookahead
 // ---------------------------------------------------------------------
 
-TEST(LpPartition, LookaheadIsTrueMinimumOverMixedLinkLatencies) {
-  const net::TopologyPlan plan =
-      net::build_topology(net::TopologyConfig::fat_tree(2), 16);
-  // Hand every directed interior link its own latency; the partition
-  // must stamp each link with exactly what the callback reported and
-  // derive the lookahead as the true minimum over them — a scalar on
-  // this fabric would overstate it for every link but the slowest.
-  auto latency_of = [](int src_sw, int dst_sw) {
-    return Time::nanos(500 + 7 * src_sw + 13 * dst_sw);
+TEST(LpPartition, LookaheadIsTheGivenLatencyOnMultiSwitchPlans) {
+  const std::pair<const char*, net::TopologyConfig> families[] = {
+      {"star", net::TopologyConfig::star()},
+      {"fattree2", net::TopologyConfig::fat_tree(2)},
+      {"fattree3", net::TopologyConfig::fat_tree(3)},
+      {"torus2", net::TopologyConfig::torus(2)},
+      {"torus3", net::TopologyConfig::torus(3)},
   };
-  const net::LpPartition part = net::build_lp_partition(plan, latency_of);
-  ASSERT_FALSE(part.cross_links.empty());
-  Time expected_min = Time::max();
-  for (const net::CrossLpLink& link : part.cross_links) {
-    // Identity switch -> LP map: LP ids are switch ids.
-    const Time expect = latency_of(static_cast<int>(link.src_lp),
-                                   static_cast<int>(link.dst_lp));
-    EXPECT_EQ(link.latency, expect);
-    expected_min = std::min(expected_min, expect);
+  for (const auto& [label, config] : families) {
+    const net::TopologyPlan plan = net::build_topology(config, 16);
+    const net::LpPartition part =
+        net::build_lp_partition(plan, Time::micros(2));
+    ASSERT_EQ(plan.switches.size() == 1, std::string(label) == "star")
+        << label;
+    EXPECT_EQ(part.lp_count, plan.switches.size()) << label;
+    for (std::size_t h = 0; h < plan.hosts.size(); ++h) {
+      EXPECT_EQ(part.lp_of_host[h],
+                static_cast<std::size_t>(plan.hosts[h].sw))
+          << label << " host " << h;
+    }
+    // A star is one LP: no cross-LP link, so no conservative constraint.
+    EXPECT_EQ(part.lookahead, plan.switches.size() > 1 ? Time::micros(2)
+                                                       : Time::zero())
+        << label;
   }
-  EXPECT_EQ(part.lookahead, expected_min);
-  EXPECT_GT(part.lookahead, Time::zero());
-}
-
-TEST(LpPartition, ScalarOverloadStampsTheUniformLatencyEverywhere) {
-  const net::TopologyPlan plan =
-      net::build_topology(net::TopologyConfig::torus(2), 16);
-  const net::LpPartition part =
-      net::build_lp_partition(plan, Time::micros(2));
-  ASSERT_FALSE(part.cross_links.empty());
-  for (const net::CrossLpLink& link : part.cross_links) {
-    EXPECT_EQ(link.latency, Time::micros(2));
-  }
-  EXPECT_EQ(part.lookahead, Time::micros(2));
 }
 
 TEST(LpPartition, RejectsNonPositiveLinkLatency) {
   const net::TopologyPlan plan =
       net::build_topology(net::TopologyConfig::fat_tree(2), 16);
-  // Scalar overload: a zero uniform latency can never support
-  // conservative progress on a multi-LP plan.
+  // A zero latency can never support conservative progress on a
+  // multi-LP plan.
   EXPECT_THROW(net::build_lp_partition(plan, Time::zero()),
                std::invalid_argument);
-  // Callback overload: one bad link poisons the minimum, so it must be
-  // rejected even when every other link is fine — and the error names
-  // the offending link.
-  const net::LpPartition good = net::build_lp_partition(plan, Time::micros(1));
-  ASSERT_FALSE(good.cross_links.empty());
-  const int bad_src = static_cast<int>(good.cross_links.front().src_lp);
-  auto latency_of = [bad_src](int src_sw, int dst_sw) {
-    (void)dst_sw;
-    return src_sw == bad_src ? Time::zero() : Time::micros(1);
-  };
-  try {
-    net::build_lp_partition(plan, latency_of);
-    FAIL() << "expected the zero-latency link to be rejected";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("link sw"), std::string::npos)
-        << e.what();
-  }
 }
 
 }  // namespace
