@@ -6,7 +6,7 @@
 //
 // Usage:
 //   bench_all [--threads=N] [--points=full|reduced] [--suite=NAME]
-//             [--out=PATH] [--check-digests] [--list] [--check-floor]
+//             [--out=PATH] [--list] [--check-floor]
 //             [--check-golden=FILE] [--write-golden=FILE]
 //
 //   --threads=N       pool size (default: hardware concurrency; 1 = the
@@ -16,11 +16,6 @@
 //                     e.g. fig_scaling_topology)
 //   --out=PATH        JSON output path (default BENCH_results.json;
 //                     "-" suppresses the file)
-//   --check-digests   after the pooled sweep, re-run every point on one
-//                     thread and fail (exit 1) unless every pooled
-//                     digest, simulated time, and counter matches its
-//                     serial re-run — the concurrent-isolation gate CI
-//                     enforces
 //   --list            print the point set and exit
 //   --check-floor     after the sweep, re-measure the parallel engine's
 //                     1024-host SimCluster shape at 1 vs 4 threads and
@@ -30,7 +25,9 @@
 //                     digest, sim_ms, events, trace_records or counters
 //                     differ from the golden table (bench/golden.json
 //                     for the reduced grid, bench/golden_full.json for
-//                     the full one), printing both values
+//                     the full one), printing both values.  The
+//                     tables hold serial values, so on a pooled sweep
+//                     this is also the concurrent-isolation gate
 //   --write-golden=FILE  re-pin the golden table from this sweep
 //
 // The gates registered with the swept suites (host cost, NIC p99,
@@ -59,7 +56,6 @@ namespace {
 struct Options {
   std::size_t threads = 0;  // 0 = hardware concurrency
   bool reduced = false;
-  bool check_digests = false;
   bool check_floor = false;
   bool list = false;
   std::string suite;  // empty = every suite
@@ -90,8 +86,6 @@ bool parse_args(int argc, char** argv, Options& opts) {
       opts.suite = arg.substr(8);
     } else if (arg.rfind("--out=", 0) == 0) {
       opts.out = arg.substr(6);
-    } else if (arg == "--check-digests") {
-      opts.check_digests = true;
     } else if (arg == "--check-floor") {
       opts.check_floor = true;
     } else if (arg.rfind("--check-golden=", 0) == 0) {
@@ -145,43 +139,6 @@ void print_suite_table(const runner::Suite& suite,
     }
   }
   table.print();
-}
-
-/// Compares the pooled sweep against a serial re-run of the same points:
-/// digests, simulated times, and every captured counter must match
-/// bit-for-bit (the concurrent-isolation contract).  Returns mismatches.
-int compare_against_serial(const std::vector<runner::RunPoint>& points,
-                           const std::vector<runner::RunRecord>& pooled) {
-  std::puts("\n== digest check: re-running every point serially ==");
-  runner::SweepRunner serial_runner(/*threads=*/1);
-  const auto serial = serial_runner.run(points);
-  int mismatches = 0;
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    const auto& a = pooled[i];
-    const auto& b = serial[i];
-    const bool same = a.ok == b.ok && a.metrics.digest == b.metrics.digest &&
-                      a.metrics.sim_time == b.metrics.sim_time &&
-                      a.metrics.trace_records == b.metrics.trace_records &&
-                      a.metrics.events == b.metrics.events &&
-                      a.metrics.counters == b.metrics.counters;
-    if (!same) {
-      ++mismatches;
-      std::fprintf(stderr,
-                   "DIGEST MISMATCH %s/%s: pooled %s (%.3f ms) vs serial "
-                   "%s (%.3f ms)\n",
-                   a.suite.c_str(), a.name.c_str(),
-                   runner::digest_hex(a.metrics.digest).c_str(),
-                   a.metrics.sim_time.as_millis(),
-                   runner::digest_hex(b.metrics.digest).c_str(),
-                   b.metrics.sim_time.as_millis());
-    }
-  }
-  if (mismatches == 0) {
-    std::printf("digest check passed: %zu/%zu points reproduce their "
-                "serial digests\n",
-                serial.size(), serial.size());
-  }
-  return mismatches;
 }
 
 }  // namespace
@@ -289,9 +246,6 @@ int main(int argc, char** argv) {
   }
 
   int mismatches = 0;
-  if (opts.check_digests) {
-    mismatches = compare_against_serial(points, results);
-  }
   if (!opts.check_golden.empty()) {
     std::ifstream golden(opts.check_golden);
     if (!golden) {
@@ -304,7 +258,7 @@ int main(int argc, char** argv) {
       std::printf("golden check passed: %zu points match %s\n",
                   results.size(), opts.check_golden.c_str());
     }
-    mismatches += rc;
+    mismatches = rc;
   }
   int gate_failures = 0;
   for (std::size_t i = 0; i < suites.size(); ++i) {

@@ -2,9 +2,9 @@
 # Builds and runs the unified benchmark driver (docs/BENCHMARKS.md).
 #
 # Usage: scripts/run_bench_all.sh [--reduced] [extra bench_all flags...]
-#   --reduced   CI-sized grid + the serial-digest isolation gate + the
-#               reduced golden table, the same gate ctest enforces
-#               (equivalent to --points=reduced --check-digests
+#   --reduced   CI-sized pooled sweep checked against the reduced golden
+#               table (pinned serial values), the same gate ctest
+#               enforces (equivalent to --points=reduced
 #               --check-golden=bench/golden.json)
 #
 # Output: BENCH_results.json in the repository root (override with
@@ -17,8 +17,7 @@ build_dir="${BUILD_DIR:-$repo_root/build}"
 args=("--out=$repo_root/BENCH_results.json")
 for arg in "$@"; do
   if [[ "$arg" == "--reduced" ]]; then
-    args+=(--points=reduced --check-digests
-           "--check-golden=$repo_root/bench/golden.json")
+    args+=(--points=reduced "--check-golden=$repo_root/bench/golden.json")
   else
     args+=("$arg")
   fi

@@ -1,6 +1,5 @@
 #include "apps/cluster.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -122,6 +121,9 @@ SimCluster::SimCluster(std::size_t n, Interconnect ic,
         "ClusterOptions::collective_backend = kNic requires an INIC "
         "interconnect (the collective state machines live on the cards)");
   }
+  if (opts_.engine_threads == 0) {
+    throw std::invalid_argument("ClusterOptions::engine_threads must be >= 1");
+  }
   net::NetworkConfig net_cfg;
   net_cfg.line_rate = ic == Interconnect::kFastEthernetTcp
                           ? cal.fast_ethernet_line_rate
@@ -160,7 +162,7 @@ SimCluster::SimCluster(std::size_t n, Interconnect ic,
     partition_ = net::single_lp_partition(plan);
   }
   sim::ParallelConfig pcfg;
-  pcfg.threads = std::max<std::size_t>(1, opts_.engine_threads);
+  pcfg.threads = opts_.engine_threads;
   pcfg.lookahead = partition_.lookahead;
   parallel_ = std::make_unique<sim::ParallelEngine>(partition_.lp_count, pcfg);
 

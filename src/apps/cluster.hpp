@@ -92,14 +92,15 @@ struct ClusterOptions {
   /// (the state machines live on the cards); the default keeps every
   /// existing run — and its trace digest — bit-identical.
   CollectiveBackend collective_backend = CollectiveBackend::kHost;
-  /// Worker threads for the parallel event engine (sim/parallel.hpp); 0
-  /// means 1.  Every cluster runs on an LP partition (net/lp_map.hpp),
-  /// and this value picks it.  Per-switch when >= 2 on a multi-switch
-  /// fabric with neither adaptive routing nor degraded fallback: each
-  /// switch is an LP and each host's devices (CPU/DMA/IRQ machinery,
-  /// INIC card or NIC+TCP stack) live on its edge switch's LP.  One LP
-  /// in every other case, which is event-for-event the historical serial
-  /// run, so the golden digest pins hold.  Per-switch runs produce one
+  /// Worker threads for the parallel event engine (sim/parallel.hpp); at
+  /// least 1, or SimCluster throws std::invalid_argument.  Every cluster
+  /// runs on an LP partition (net/lp_map.hpp), and this value picks it.
+  /// Per-switch when >= 2 on a multi-switch fabric with neither adaptive
+  /// routing nor degraded fallback: each switch is an LP and each host's
+  /// devices (CPU/DMA/IRQ machinery, INIC card or NIC+TCP stack) live on
+  /// its edge switch's LP.  One LP in every other case, which is
+  /// event-for-event the historical serial run, so the golden digest
+  /// pins hold.  Per-switch runs produce one
   /// combined digest for any threads >= 2, and their merged counter
   /// totals equal the one-LP run's (docs/TRACING.md, pinned by
   /// tests/parallel_scaling_test.cpp).

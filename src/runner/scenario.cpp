@@ -1,7 +1,5 @@
 #include "runner/scenario.hpp"
 
-#include <algorithm>
-
 namespace acc::runner {
 
 RunMetrics run_scenario(const Scenario& s, const Drive& drive) {
@@ -11,7 +9,7 @@ RunMetrics run_scenario(const Scenario& s, const Drive& drive) {
   std::optional<fault::FaultInjector> injector;
   if (s.faults) injector.emplace(cluster, *s.faults);
   RunMetrics m;
-  m.threads = std::max<std::size_t>(1, s.options.engine_threads);
+  m.threads = s.options.engine_threads;
   drive(cluster, injector ? &*injector : nullptr, m);
   m.digest = cluster.digest();
   m.trace_records = cluster.trace_records();

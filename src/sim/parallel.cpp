@@ -4,6 +4,7 @@
 #include <chrono>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 
 namespace acc::sim {
@@ -25,11 +26,10 @@ struct Executing {
 };
 thread_local Executing tl_executing;
 
-// How long a barrier waiter polls before it blocks.  A window's work is
-// spread unevenly over the workers, and waking a blocked thread can take
-// hundreds of microseconds on a virtual machine, so a barrier met within
-// this span never sleeps.
-constexpr std::chrono::microseconds kBarrierSpin{200};
+// Paused polls a barrier waiter makes before it yields its core on each
+// further poll.  It never sleeps: a wake-up can outlast a whole window,
+// and once one outlasts a spin every later window pays for one.
+constexpr int kRelaxPolls = 64;
 
 void cpu_relax() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -63,43 +63,20 @@ ParallelEngine::ParallelEngine(std::size_t lps, const ParallelConfig& cfg)
   slots_.resize(threads_);
   stats_.assign(lps, ShardStats{});
   window_failures_.assign(lps, nullptr);
-  for (std::size_t w = 1; w < threads_; ++w) {
-    workers_.emplace_back([this, w] {
-      for (;;) {
-        barrier_.arrive_and_wait();  // a run() starts, or the destructor
-        if (shutdown_) return;
-        run_worker(w);
-        barrier_.arrive_and_wait();  // that run() ends
-      }
-    });
-  }
 }
 
-ParallelEngine::~ParallelEngine() {
-  if (workers_.empty()) return;
-  shutdown_ = true;
-  barrier_.arrive_and_wait();
-  for (std::thread& t : workers_) t.join();
-}
-
-void ParallelEngine::Barrier::arrive_and_wait() {
+void ParallelEngine::Barrier::arrive_and_wait(std::size_t arrivals) {
   if (parties_ == 1) return;
   const std::uint32_t gen = generation_.load(std::memory_order_acquire);
-  if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == parties_) {
+  if (arrived_.fetch_add(arrivals, std::memory_order_acq_rel) + arrivals ==
+      parties_) {
     arrived_.store(0, std::memory_order_relaxed);
     generation_.store(gen + 1, std::memory_order_release);
-    generation_.notify_all();
     return;
   }
-  const auto give_up = std::chrono::steady_clock::now() + kBarrierSpin;
-  do {
-    for (int i = 0; i < 32; ++i) {
-      if (generation_.load(std::memory_order_acquire) != gen) return;
-      cpu_relax();
-    }
-  } while (std::chrono::steady_clock::now() < give_up);
-  while (generation_.load(std::memory_order_acquire) == gen) {
-    generation_.wait(gen, std::memory_order_acquire);
+  for (int polls = 0; generation_.load(std::memory_order_acquire) == gen;
+       ++polls) {
+    polls < kRelaxPolls ? cpu_relax() : std::this_thread::yield();
   }
 }
 
@@ -217,11 +194,24 @@ Time ParallelEngine::run() {
       if (s->time_budget() == Time::zero()) s->set_time_budget(budget_);
     }
   }
-  barrier_.arrive_and_wait();  // releases the helpers into this run
-  const Time refused = run_worker(0);
-  // Closing barrier: no helper may still read this run's worker slots
-  // or failures once run() returns and its caller posts again.
-  barrier_.arrive_and_wait();
+  // Helpers run workers 1..threads_-1 for this run only; starting and
+  // joining them orders their work against the caller's, before and after.
+  std::vector<std::thread> helpers;
+  helpers.reserve(threads_ - 1);
+  try {
+    for (std::size_t w = 1; w < threads_; ++w) {
+      helpers.emplace_back([this, w] { run_worker(w); });
+    }
+  } catch (...) {
+    // A helper did not start.  Those that did wait at their first
+    // barrier: arrive there for worker 0 and every missing worker with a
+    // failed drain, so they all end the run before its first window.
+    slots_[0].failure = std::current_exception();
+    barrier_.arrive_and_wait(threads_ - helpers.size());
+  }
+  const Time refused =
+      helpers.size() + 1 == threads_ ? run_worker(0) : Time::max();
+  for (std::thread& t : helpers) t.join();
   // A drain failure (lowest worker first) ends the run before its window
   // opens.  Otherwise the lowest LP's exception stands for the failed
   // window; the rest of that window's failures are dropped with it.

@@ -6,7 +6,8 @@
 // sweep points run in parallel (src/runner/).  ParallelEngine splits one
 // *simulation* into LP shards — each LP owns a full sim::Engine (its own
 // EventHeap, sequence counter, clock, tracer lane) — and executes them on
-// a worker pool under the classic Chandy–Misra conservative discipline:
+// the workers of each run() under the classic Chandy–Misra conservative
+// discipline:
 //
 //   * Lookahead.  Cross-LP interactions carry a minimum latency L (in the
 //     fabric: the smallest inter-LP link latency, derived from the
@@ -33,6 +34,10 @@
 //     finished first.  A barrier costs each worker O(its posts + LPs),
 //     never O(LPs²).
 //
+//   * Workers.  run() starts threads − 1 helper threads beside its
+//     caller and joins them before it returns; between windows they meet
+//     at a barrier that polls and never sleeps.
+//
 // Determinism contract (docs/TRACING.md): the window structure depends
 // only on event content (t_min is a min over heaps, L is a constant), LP
 // execution inside a window is single-threaded on that LP's engine, and
@@ -49,7 +54,6 @@
 #include <cstdint>
 #include <exception>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "common/units.hpp"
@@ -60,7 +64,8 @@ namespace acc::sim {
 struct ParallelConfig {
   /// Workers executing LP windows, the calling thread included; at least
   /// 1, clamped to the LP count.  1 runs every window inline on the
-  /// calling thread (the reference ordering the pool must reproduce).
+  /// calling thread (the reference ordering every worker count must
+  /// reproduce) and starts no thread.
   std::size_t threads = 1;
   /// Conservative lookahead: the minimum cross-LP delay post() accepts.
   /// Must be positive when more than one LP exists (a zero-lookahead
@@ -77,8 +82,6 @@ class ParallelEngine {
  public:
   /// Constructs `lps` fresh shard engines, owned by this object.
   ParallelEngine(std::size_t lps, const ParallelConfig& cfg);
-
-  ~ParallelEngine();
 
   ParallelEngine(const ParallelEngine&) = delete;
   ParallelEngine& operator=(const ParallelEngine&) = delete;
@@ -104,9 +107,13 @@ class ParallelEngine {
   void post(std::size_t src, std::size_t dst, Time delay, Engine::Callback fn);
 
   /// Runs every shard to global completion (all heaps and mailboxes
-  /// empty).  Work post()ed before run() counts: mailboxes are drained
-  /// ahead of the emptiness check, so a simulation may start entirely
-  /// from cross-LP posts.  A post that would land before its
+  /// empty) on threads() workers: the calling thread and threads() - 1
+  /// helper threads that start here and are joined before run()
+  /// returns, so no thread outlives it.  A helper that cannot start
+  /// makes run() throw its std::system_error before the first window.
+  /// Work post()ed before run() counts: mailboxes are drained ahead of
+  /// the emptiness check, so a simulation may start entirely from
+  /// cross-LP posts.  A post that would land before its
   /// destination's clock (possible only for a post made before run(),
   /// from a source whose clock is behind) makes run() throw
   /// std::logic_error.  Returns the maximum shard time.  When shards
@@ -151,13 +158,16 @@ class ParallelEngine {
     Engine::Callback fn;
   };
 
-  /// Generation-counted barrier over the run's workers: a short spin
-  /// (most windows end sooner than a sleeping thread wakes), then a
-  /// block in std::atomic::wait.
+  /// Generation-counted barrier over the run's workers.  A waiter polls
+  /// until the generation moves — a few paused polls, then a yield per
+  /// poll — and never sleeps: a sleeping waiter's wake-up can outlast
+  /// the window it waits for.
   class Barrier {
    public:
     explicit Barrier(std::size_t parties) : parties_(parties) {}
-    void arrive_and_wait();
+    /// Counts `arrivals` parties at once (run() stands in for helpers
+    /// that failed to start), then waits for the rest.
+    void arrive_and_wait(std::size_t arrivals = 1);
 
    private:
     const std::size_t parties_;
@@ -190,12 +200,7 @@ class ParallelEngine {
   Time budget_ = Time::zero();
   std::size_t threads_ = 1;
   std::uint64_t windows_ = 0;
-
-  // Helper threads run workers 1..threads_-1; the caller of run() is
-  // worker 0.  Between runs the helpers wait at barrier_.
   Barrier barrier_;
-  bool shutdown_ = false;
-  std::vector<std::thread> workers_;
 };
 
 }  // namespace acc::sim

@@ -9,9 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/cluster.hpp"
@@ -24,6 +26,7 @@
 #include "net/nic.hpp"
 #include "sim/channel.hpp"
 #include "sim/process.hpp"
+#include "trace/trace.hpp"
 
 namespace acc {
 namespace {
@@ -605,6 +608,61 @@ TEST(FaultInjector, ArmsAndFiresPlanEdges) {
   EXPECT_TRUE(cluster.network().link_up(1));  // restored at close
 }
 
+TEST(FaultInjector, BufferShrinkWindowDropsOnlyWhileOpen) {
+  // Node 0's port buffer shrinks to nothing over [1 ms, 3 ms).  TCP data
+  // bound for node 0 inside the window is tail-dropped; the transfer to
+  // node 2 beside it, the RTO retransmit and a transfer sent after the
+  // window all get through.
+  const Time open = Time::millis(1);
+  const Time close = Time::millis(3);
+  apps::SimCluster cluster(3, apps::Interconnect::kGigabitTcp);
+  cluster.tracer().enable();
+  fault::FaultPlan plan;
+  plan.with_buffer_shrink(0, open, close - open, 0.0);
+  fault::FaultInjector injector(cluster, plan);
+
+  sim::Engine& eng = cluster.engine();
+  auto send_at = [](apps::SimCluster& c, Time at, int src,
+                    int dst) -> sim::Process {
+    co_await sim::DelayUntil{c.engine(), at};
+    co_await c.transfer(src, dst, Bytes::kib(16));
+  };
+  auto receive = [](apps::SimCluster& c, int node, int n) -> sim::Process {
+    for (int i = 0; i < n; ++i) {
+      (void)co_await c.inbox(static_cast<std::size_t>(node)).recv();
+    }
+  };
+  sim::ProcessGroup group(eng);
+  group.spawn(send_at(cluster, Time::micros(1500), 1, 0));
+  group.spawn(send_at(cluster, Time::micros(1500), 1, 2));
+  group.spawn(send_at(cluster, Time::millis(4), 2, 0));
+  group.spawn(receive(cluster, 0, 2));
+  group.spawn(receive(cluster, 2, 1));
+  group.join();
+
+  std::vector<std::pair<std::string, Time>> edges;
+  std::size_t drops = 0;
+  for (const trace::Record& r : cluster.tracer().records()) {
+    const std::string name = r.name;
+    if (r.category == trace::Category::kFault &&
+        r.kind == trace::RecordKind::kInstant) {
+      EXPECT_EQ(r.node, 0) << name;
+      edges.emplace_back(name, r.ts);
+    } else if (name == "net/drop") {
+      ++drops;
+      EXPECT_EQ(r.node, 0) << "a drop bound for node " << r.node;
+      EXPECT_GE(r.ts, open);
+      EXPECT_LT(r.ts, close);
+    }
+  }
+  EXPECT_GT(drops, 0u);
+  EXPECT_EQ(drops, cluster.network().frames_dropped());
+  const std::vector<std::pair<std::string, Time>> expected = {
+      {"fault/buffer_shrink", open}, {"fault/buffer_restore", close}};
+  EXPECT_EQ(edges, expected);
+  EXPECT_EQ(injector.events_fired(), 2u);
+}
+
 TEST(FaultInjector, RejectsInvalidPlans) {
   apps::SimCluster tcp_cluster(2, apps::Interconnect::kGigabitTcp);
   fault::FaultPlan resets;
@@ -616,6 +674,13 @@ TEST(FaultInjector, RejectsInvalidPlans) {
   fault::FaultPlan bad_node;
   bad_node.with_link_down(5, Time::millis(1), Time::millis(1));
   EXPECT_THROW(fault::FaultInjector(small, bad_node), std::out_of_range);
+
+  for (double factor : {-0.1, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
+    fault::FaultPlan shrink;
+    shrink.with_buffer_shrink(1, Time::millis(1), Time::millis(1), factor);
+    EXPECT_THROW(fault::FaultInjector(small, shrink), std::invalid_argument)
+        << "buffer_factor " << factor;
+  }
 }
 
 TEST(FaultInjector, RejectsMultiLpClusterAtConstruction) {

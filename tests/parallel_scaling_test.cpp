@@ -14,7 +14,7 @@
 //
 // CI additionally runs this binary under ThreadSanitizer, where
 // FatTree1024StressPoint (320 LPs) is the data-race probe for the worker
-// pool and mailbox machinery at scale, and the SimCluster cases for the
+// and mailbox machinery at scale, and the SimCluster cases for the
 // migrated device models.
 #include <gtest/gtest.h>
 
@@ -318,6 +318,15 @@ TEST(ParallelScaling, ClusterNamesThePartitionItTookAndWhy) {
         << c.reason;
     EXPECT_GT(cluster.network().switch_count(), per_switch ? 1u : 0u);
   }
+}
+
+TEST(ParallelScaling, ClusterRejectsZeroEngineThreads) {
+  // 0 is not a second spelling of 1: ParallelConfig refuses it too.
+  apps::ClusterOptions copts;
+  copts.engine_threads = 0;
+  EXPECT_THROW(apps::SimCluster(8, apps::Interconnect::kInicIdeal,
+                                model::default_calibration(), copts),
+               std::invalid_argument);
 }
 
 TEST(ParallelScaling, ClusterKvServingMatchesSerialOnEveryFamily) {

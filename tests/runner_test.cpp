@@ -109,8 +109,9 @@ TEST(SweepRunner, IdenticalPointsSideBySideStayIsolated) {
 }
 
 TEST(SweepRunner, BenchSuitePointsReproduceSeriallyWhenPooled) {
-  // The real bench_all point set, reduced grid — the same gate CI
-  // applies via `bench_all --points=reduced --check-digests`.
+  // The real bench_all point set, reduced grid, pooled against serial;
+  // CI's pooled `bench_all --points=reduced --check-golden=bench/golden.json`
+  // checks the same points against their pinned serial values.
   std::vector<RunPoint> points;
   std::vector<const std::vector<runner::Column>*> columns;  // per point
   const auto suites = runner::bench_suites(/*reduced=*/true);

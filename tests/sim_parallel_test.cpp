@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <fstream>
 #include <functional>
 #include <random>
 #include <stdexcept>
@@ -127,8 +128,8 @@ TEST(ParallelEngine, ShardExceptionPropagatesOutOfRun) {
   // LPs 1 and 2 throw in the same window.  At 2 threads they run on
   // different workers (LP i on worker i % threads), the lower LP on a
   // helper and the higher on the caller; at 4 each has its own worker.
-  // Whichever finishes first, run() must rethrow LP 1's exception, and
-  // the engine (helpers parked between runs) must be destroyed cleanly.
+  // Whichever finishes first, run() must rethrow LP 1's exception after
+  // joining its helpers, and the engine must be destroyed cleanly.
   for (std::size_t threads : {std::size_t{1}, std::size_t{2},
                               std::size_t{4}}) {
     for (int rep = 0; rep < 8; ++rep) {
@@ -539,9 +540,10 @@ TEST(ParallelEngine, PreRunPostsChainAndKeepCanonicalOrder) {
 
 TEST(ParallelEngine, BackToBackRunsKeepEveryPostAndItsOrder) {
   // Three run() calls on one engine, with cross-LP posts made by the
-  // caller between them.  At 4 threads the helpers park between runs;
-  // none may still be reading the last run's barrier state while the
-  // caller posts and starts the next run (TSan checks this in CI).
+  // caller between them.  At 4 threads each run starts and joins its
+  // own helpers; none may still be reading the last run's barrier state
+  // while the caller posts and starts the next run (TSan checks this in
+  // CI).
   // Every post must run, in the order the 1-thread engine runs them.
   constexpr std::size_t kLps = 6;
   auto three_runs = [](std::size_t threads) {
@@ -576,6 +578,42 @@ TEST(ParallelEngine, BackToBackRunsKeepEveryPostAndItsOrder) {
   for (const auto& log : reference) ran += log.size();
   EXPECT_EQ(ran, 3u * kLps * 4u * 2u);
   EXPECT_EQ(three_runs(4), reference);
+}
+
+// This process's thread count from /proc/self/status, or -1 when it
+// cannot be read.
+int process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+TEST(ParallelEngine, NoHelperThreadOutlivesRun) {
+  // Helper threads live only inside run(): building an engine starts
+  // none, and each run() joins its own before it returns.  A helper
+  // parked between runs would sleep at the window barrier and pay a
+  // wake-up on the next window.
+  const int before = process_threads();
+  if (before < 0) GTEST_SKIP() << "/proc/self/status is not readable";
+  constexpr std::size_t kLps = 20;
+  ParallelEngine peng(kLps, config(4, Time::nanos(10)));
+  ASSERT_EQ(peng.threads(), 4u);
+  const int built = process_threads();
+  std::vector<int> ran(kLps, 0);  // ran[dst] is written only on LP dst
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t src = 0; src < kLps; ++src) {
+      const std::size_t dst = (src + 7) % kLps;
+      peng.post(src, dst, Time::nanos(10), [&ran, dst] { ++ran[dst]; });
+    }
+    peng.run();
+  }
+  const int after = process_threads();
+  EXPECT_EQ(built, before);
+  EXPECT_EQ(after, before);
+  EXPECT_EQ(ran, std::vector<int>(kLps, 2));
 }
 
 // ---------------------------------------------------------------------
