@@ -12,7 +12,9 @@
 #     via `setarch -R`'s complement when available);
 #   * different locales (C vs. any available UTF-8 locale), which would
 #     expose locale-dependent formatting leaking into digests;
-#   * twice through the determinism test binary, to catch flakiness.
+#   * twice through the determinism test binary, to catch flakiness;
+#   * each ACC_TRACE file of a multi-LP run labelled with its run's
+#     digest.
 #
 # Usage: scripts/check_determinism.sh [build-dir]
 #   ACC_CHECK_SANITIZE=1   also configure the build with -DACC_SANITIZE=ON
@@ -108,6 +110,36 @@ for probe in quickstart fault_injection topology_demo collective_offload \
     done
   done
 done
+
+# Exported traces: ACC_TRACE writes one Chrome JSON file per cluster in
+# destruction order (path, path.2, ...), and ACC_TRACE_DIGEST prints one
+# digest line per cluster in the same order.  Each file's
+# otherData.digest must equal the digest line with the same index; on
+# the per-switch runs of parallel_engine_demo that holds only when the
+# file carries every LP lane, not LP 0's slice.
+echo "== exported trace digests (examples/parallel_engine_demo) =="
+trace_dir="$(mktemp -d)"
+trap 'rm -rf "$trace_dir"' EXIT
+ACC_TRACE="$trace_dir/run.json" ACC_TRACE_DIGEST=1 \
+  "$build_dir/examples/parallel_engine_demo" 2>"$trace_dir/stderr" >/dev/null
+index=0
+while read -r _ want; do
+  index=$((index + 1))
+  file="$trace_dir/run.json"
+  [[ $index -gt 1 ]] && file+=".$index"
+  got="$(grep -o '"otherData":{"digest":"[0-9a-f]*"' "$file" 2>/dev/null |
+         grep -o '[0-9a-f]\{16\}' || true)"
+  if [[ "$got" != "$want" ]]; then
+    echo "FAIL: $(basename "$file") digest '$got' != line $index ($want)" >&2
+    fail=1
+  else
+    echo "ok: $(basename "$file") digest $got"
+  fi
+done < <(grep '^acc-trace-digest' "$trace_dir/stderr")
+if [[ $index -eq 0 ]]; then
+  echo "FAIL: no digests emitted with ACC_TRACE set" >&2
+  fail=1
+fi
 
 echo "== determinism test suite, twice =="
 for round in 1 2; do

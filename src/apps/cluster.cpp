@@ -41,25 +41,6 @@ sim::Process pump_fallback(proto::TcpStack& tcp, inic::InicCard& card) {
   }
 }
 
-net::NicConfig nic_config(const model::Calibration& cal) {
-  net::NicConfig nic;
-  nic.interrupts.max_frames = cal.interrupt_coalesce_frames;
-  nic.interrupts.timeout = cal.interrupt_coalesce_timeout;
-  nic.interrupts.service_cost = cal.interrupt_cost;
-  nic.per_packet_host_cost = cal.per_packet_host_cost;
-  return nic;
-}
-
-proto::TcpConfig tcp_config(const model::Calibration& cal) {
-  proto::TcpConfig tcp;
-  tcp.mss = cal.tcp_mss;
-  tcp.initial_window_segments = cal.tcp_initial_window_segments;
-  tcp.max_window = cal.tcp_max_window;
-  tcp.min_rto = cal.tcp_min_rto;
-  tcp.per_packet_overhead = cal.ethernet_frame_overhead + cal.ip_tcp_headers;
-  return tcp;
-}
-
 }  // namespace
 
 const TraceEnv& trace_env() {
@@ -202,43 +183,21 @@ SimCluster::SimCluster(std::size_t n, Interconnect ic,
     parallel_->lp(lp).reserve(heap_size[lp]);
   }
 
-  hw::NodeConfig node_cfg;
-  node_cfg.cpu.fft_mflops = cal.host_fft_mflops;
-  node_cfg.memory.l1_size = cal.l1_size;
-  node_cfg.memory.l2_size = cal.l2_size;
-  node_cfg.memory.l1_bandwidth = cal.l1_bandwidth;
-  node_cfg.memory.l2_bandwidth = cal.l2_bandwidth;
-  node_cfg.memory.dram_bandwidth = cal.dram_bandwidth;
-  node_cfg.pci_bandwidth = cal.host_pci_bus;
-  node_cfg.dma.setup = cal.dma_setup;
-  node_cfg.dma.max_burst = cal.dma_efficiency_threshold;
-
   for (std::size_t i = 0; i < n; ++i) {
     // The node's whole device complex (CPU, PCI, DMA, and the card/NIC/
     // TCP machinery built on it below) binds to its edge switch's LP
-    // engine, so every event it schedules is LP-local.
+    // engine, so every event it schedules is LP-local.  Every device reads
+    // the cluster's one copy of the calibration.
     nodes_.push_back(std::make_unique<hw::Node>(node_engine(i),
-                                                static_cast<int>(i),
-                                                node_cfg));
+                                                static_cast<int>(i), cal_));
   }
 
-  const net::NicConfig nic_cfg = nic_config(cal);
-  const proto::TcpConfig tcp_cfg = tcp_config(cal);
   if (is_inic(ic)) {
-    inic::InicConfig card_cfg = ic == Interconnect::kInicPrototype
-                                    ? inic::InicConfig::prototype_aceii()
-                                    : inic::InicConfig::ideal();
-    card_cfg.host_dma_rate = cal.host_to_card;
-    card_cfg.net_rate = cal.card_to_network;
-    card_cfg.card_bus_rate = cal.prototype_card_bus;
-    card_cfg.packet = cal.inic_packet;
-    card_cfg.host_delivery_threshold = cal.dma_efficiency_threshold;
-    if (ic == Interconnect::kInicPrototype) {
-      card_cfg.max_hw_buckets = cal.prototype_max_buckets;
-    }
+    inic::InicConfig card_cfg;
+    card_cfg.prototype = ic == Interconnect::kInicPrototype;
     card_cfg.hw_retransmit = opts_.inic_hw_retransmit;
     card_cfg.max_retries = opts_.inic_max_retries;
-    card_cfg = card_cfg.tuned_for(n, net_cfg.port_buffer);
+    card_cfg = card_cfg.tuned_for(n, cal_);
     for (std::size_t i = 0; i < n; ++i) {
       cards_.push_back(
           std::make_unique<inic::InicCard>(*nodes_[i], *network_, card_cfg));
@@ -257,10 +216,10 @@ SimCluster::SimCluster(std::size_t n, Interconnect ic,
       fallback_net_ = std::make_unique<net::Network>(
           *parallel_, partition_, network_->plan(), net_cfg);
       for (std::size_t i = 0; i < n; ++i) {
-        fallback_nics_.push_back(std::make_unique<net::StandardNic>(
-            *nodes_[i], *fallback_net_, nic_cfg));
+        fallback_nics_.push_back(
+            std::make_unique<net::StandardNic>(*nodes_[i], *fallback_net_));
         fallback_tcp_.push_back(std::make_unique<proto::TcpStack>(
-            *nodes_[i], *fallback_nics_[i], tcp_cfg));
+            *nodes_[i], *fallback_nics_[i]));
         fallback_pumps_.push_back(std::make_unique<sim::Process>(
             pump_fallback(*fallback_tcp_[i], *cards_[i])));
         fallback_pumps_.back()->start(engine());
@@ -271,9 +230,8 @@ SimCluster::SimCluster(std::size_t n, Interconnect ic,
   } else {
     for (std::size_t i = 0; i < n; ++i) {
       nics_.push_back(
-          std::make_unique<net::StandardNic>(*nodes_[i], *network_, nic_cfg));
-      tcp_.push_back(
-          std::make_unique<proto::TcpStack>(*nodes_[i], *nics_[i], tcp_cfg));
+          std::make_unique<net::StandardNic>(*nodes_[i], *network_));
+      tcp_.push_back(std::make_unique<proto::TcpStack>(*nodes_[i], *nics_[i]));
     }
   }
 }
@@ -292,6 +250,14 @@ std::uint64_t SimCluster::trace_records() const {
     total += parallel_->lp(lp).tracer().records_emitted();
   }
   return total;
+}
+
+void SimCluster::write_chrome_json(std::ostream& os) const {
+  std::vector<const trace::Tracer*> lanes;
+  for (std::size_t lp = 0; lp < parallel_->lp_count(); ++lp) {
+    lanes.push_back(&parallel_->lp(lp).tracer());
+  }
+  trace::write_chrome_json(os, lanes, digest(), trace_records());
 }
 
 std::vector<trace::CounterSample> SimCluster::counters_snapshot() {
@@ -399,7 +365,7 @@ SimCluster::~SimCluster() {
     const int index = next_trace_file_index();
     if (index > 1) path += "." + std::to_string(index);
     std::ofstream out(path);
-    if (out) tracer().write_chrome_json(out);
+    if (out) write_chrome_json(out);
   }
   if (env_trace_digest_) {
     // digest() on one LP is the plain engine tracer digest (the golden-

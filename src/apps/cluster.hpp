@@ -5,6 +5,7 @@
 #pragma once
 
 #include <any>
+#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -157,6 +158,9 @@ class SimCluster {
   std::uint64_t digest() const { return parallel_->combined_digest(); }
   /// Trace records emitted across every lane.
   std::uint64_t trace_records() const;
+  /// Chrome trace JSON of every LP lane's retained records (one "pid" per
+  /// lane), labelled with digest() and trace_records().
+  void write_chrome_json(std::ostream& os) const;
   /// Events executed across every LP.
   std::uint64_t events_executed() const {
     return parallel_->events_executed();
@@ -169,7 +173,8 @@ class SimCluster {
   /// The engine's trace stream; enable() it before a run to record.
   /// Also honours two environment variables (captured once per process —
   /// see trace_env() — and applied at construction):
-  ///   ACC_TRACE=<path>    — record and write Chrome trace JSON to <path>
+  ///   ACC_TRACE=<path>    — record every lane and write its Chrome
+  ///                         trace JSON (write_chrome_json()) to <path>
   ///                         at destruction.  The first cluster torn down
   ///                         writes <path> itself; every later one
   ///                         appends a process-wide atomic counter

@@ -279,13 +279,7 @@ FftRunResult run_parallel_fft(SimCluster& cluster, std::size_t n,
 }
 
 FftRunResult run_serial_fft(const model::Calibration& cal, std::size_t n) {
-  hw::MemoryConfig mem_cfg;
-  mem_cfg.l1_size = cal.l1_size;
-  mem_cfg.l2_size = cal.l2_size;
-  mem_cfg.l1_bandwidth = cal.l1_bandwidth;
-  mem_cfg.l2_bandwidth = cal.l2_bandwidth;
-  mem_cfg.dram_bandwidth = cal.dram_bandwidth;
-  const hw::MemoryHierarchy mem(mem_cfg);
+  const hw::MemoryHierarchy mem(cal);
 
   const Bytes matrix_bytes = Bytes(n * n * 16);
   const Time row_phase =

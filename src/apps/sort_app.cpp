@@ -143,7 +143,7 @@ sim::Process sort_node_inic(SimCluster& cluster, std::size_t me,
   // The receive-side stream sorter fans out into at most the hardware
   // limit; the idealized card sorts straight into the cache buckets.
   const std::size_t hw_buckets =
-      std::min<std::size_t>(card.config().max_hw_buckets, cache_buckets);
+      std::min<std::size_t>(card.max_hw_buckets(), cache_buckets);
 
   // Send side: the card bucket sorts the stream and scatters — zero host
   // compute.  Bursts from all destinations share the card's stages.

@@ -134,7 +134,6 @@ class Bandwidth {
     return Bandwidth(v * 1024.0 * 1024.0);
   }
   /// Network line rates are decimal bits per second (1 Gb/s Ethernet).
-  static constexpr Bandwidth bits_per_sec(double v) { return Bandwidth(v / 8.0); }
   static constexpr Bandwidth gbit_per_sec(double v) {
     return Bandwidth(v * 1e9 / 8.0);
   }
@@ -143,7 +142,6 @@ class Bandwidth {
   }
 
   constexpr double bytes_per_second() const { return bps_; }
-  constexpr double as_mib_per_sec() const { return bps_ / (1024.0 * 1024.0); }
 
   constexpr auto operator<=>(const Bandwidth&) const = default;
 

@@ -47,7 +47,6 @@ class GilbertElliott {
     return rng_.chance(bad_ ? params_.loss_bad : params_.loss_good);
   }
 
-  bool in_bad_state() const { return bad_; }
   std::uint64_t frames_in_good() const { return frames_good_; }
   std::uint64_t frames_in_bad() const { return frames_bad_; }
   const GilbertElliottParams& params() const { return params_; }

@@ -19,19 +19,14 @@
 
 namespace acc::hw {
 
-struct CpuConfig {
-  /// Sustained double-precision rate for FFT-like inner loops (Mflop/s).
-  double fft_mflops = 200.0;
-};
-
+/// Reads its FFT rate (Calibration::host_fft_mflops) and memory hierarchy
+/// from the calibration it is given, which must outlive it.
 class Cpu {
  public:
-  Cpu(sim::Engine& eng, const CpuConfig& cfg, const MemoryConfig& mem_cfg,
-      int node_id = -1)
+  Cpu(sim::Engine& eng, const model::Calibration& cal, int node_id = -1)
       : eng_(eng),
         exec_(eng, Bandwidth::mib_per_sec(1.0), "cpu"),
-        cfg_(cfg),
-        memory_(mem_cfg),
+        memory_(cal),
         node_id_(node_id),
         interrupts_(counter("cpu/interrupts")),
         compute_ns_(counter("cpu/compute_ns")),
@@ -46,17 +41,6 @@ class Cpu {
     eng_.tracer().span(trace::Category::kCpu, node_id_, "cpu/compute",
                        done - duration, duration);
     return sim::DelayUntil{eng_, done};
-  }
-
-  /// Awaitable: floating-point kernel of `flops` operations.
-  sim::DelayUntil compute_flops(double flops) {
-    return compute(flops_time(flops));
-  }
-
-  /// Awaitable: memory-bound pass over `amount` bytes with working set
-  /// `working_set` (uses the hierarchy model).
-  sim::DelayUntil memory_pass(Bytes amount, Bytes working_set) {
-    return compute(memory_.pass_time(amount, working_set));
   }
 
   /// Charges interrupt service time (called by the interrupt controller).
@@ -81,7 +65,8 @@ class Cpu {
   }
 
   Time flops_time(double flops) const {
-    return Time::seconds(flops / (cfg_.fft_mflops * 1e6));
+    const double mflops = memory_.calibration().host_fft_mflops;
+    return Time::seconds(flops / (mflops * 1e6));
   }
 
   const MemoryHierarchy& memory() const { return memory_; }
@@ -105,7 +90,6 @@ class Cpu {
 
   sim::Engine& eng_;
   sim::FifoResource exec_;
-  CpuConfig cfg_;
   MemoryHierarchy memory_;
   int node_id_;
   trace::Counter& interrupts_;

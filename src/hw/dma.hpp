@@ -10,22 +10,20 @@
 #include <cassert>
 
 #include "common/units.hpp"
+#include "model/calibration.hpp"
 #include "sim/resource.hpp"
 
 namespace acc::hw {
 
-struct DmaConfig {
-  Time setup = Time::micros(8.0);
-  /// Largest single burst the engine issues; bigger requests are split.
-  Bytes max_burst = Bytes::kib(64);
-};
-
+/// Pays Calibration::dma_setup per burst and issues bursts of at most
+/// Calibration::dma_efficiency_threshold bytes, splitting bigger requests.
+/// The calibration must outlive the engine.
 class DmaEngine {
  public:
-  DmaEngine(sim::FifoResource& bus, const DmaConfig& cfg = {},
+  DmaEngine(sim::FifoResource& bus, const model::Calibration& cal,
             int node_id = -1)
-      : bus_(bus), cfg_(cfg), node_id_(node_id) {
-    assert(cfg_.max_burst.count() > 0);
+      : bus_(bus), cal_(cal), node_id_(node_id) {
+    assert(max_burst().count() > 0);
   }
 
   /// Awaitable transfer of `size` bytes, split into bursts, each paying
@@ -40,10 +38,10 @@ class DmaEngine {
     const Time start = bus_.available_at();
     Time done = start;
     std::uint64_t remaining = size.count();
-    const std::uint64_t burst = cfg_.max_burst.count();
+    const std::uint64_t burst = max_burst().count();
     do {
       const std::uint64_t this_burst = remaining < burst ? remaining : burst;
-      bus_.enqueue_duration(cfg_.setup);
+      bus_.enqueue_duration(setup());
       done = bus_.enqueue(Bytes(this_burst));
       remaining -= this_burst;
     } while (remaining > 0);
@@ -62,20 +60,21 @@ class DmaEngine {
     if (transfer_size.count() == 0) return 0.0;
     const double payload =
         transfer_time(transfer_size, bus_.rate()).as_seconds();
-    const auto bursts = (transfer_size.count() + cfg_.max_burst.count() - 1) /
-                        cfg_.max_burst.count();
-    const double overhead =
-        cfg_.setup.as_seconds() * static_cast<double>(bursts);
+    const auto bursts =
+        (transfer_size.count() + max_burst().count() - 1) / max_burst().count();
+    const double overhead = setup().as_seconds() * static_cast<double>(bursts);
     return payload / (payload + overhead);
   }
 
-  const DmaConfig& config() const { return cfg_; }
+  /// Fixed cost of every burst (descriptor fetch, bus arbitration).
+  Time setup() const { return cal_.dma_setup; }
+  Bytes max_burst() const { return cal_.dma_efficiency_threshold; }
 
  private:
   sim::Engine& bus_engine() { return bus_.engine(); }
 
   sim::FifoResource& bus_;
-  DmaConfig cfg_;
+  const model::Calibration& cal_;
   int node_id_;
 };
 

@@ -13,20 +13,18 @@
 #include <cmath>
 
 #include "common/units.hpp"
+#include "model/calibration.hpp"
 
 namespace acc::hw {
 
-struct MemoryConfig {
-  Bytes l1_size = Bytes::kib(64);
-  Bytes l2_size = Bytes::kib(256);
-  Bandwidth l1_bandwidth = Bandwidth::mib_per_sec(1600.0);
-  Bandwidth l2_bandwidth = Bandwidth::mib_per_sec(800.0);
-  Bandwidth dram_bandwidth = Bandwidth::mib_per_sec(350.0);
-};
-
+/// Reads the cache sizes and level bandwidths from the calibration it is
+/// given, which must outlive it (a temporary does not compile).
 class MemoryHierarchy {
  public:
-  explicit MemoryHierarchy(const MemoryConfig& cfg = {}) : cfg_(cfg) {}
+  explicit MemoryHierarchy(
+      const model::Calibration& cal = model::default_calibration())
+      : cal_(cal) {}
+  explicit MemoryHierarchy(const model::Calibration&&) = delete;
 
   /// Effective bandwidth of a sequential pass whose working set is
   /// `working_set` bytes.  Within a level the bandwidth is flat; across a
@@ -34,11 +32,11 @@ class MemoryHierarchy {
   /// curve shows the paper's "steps" without a discontinuity.
   Bandwidth effective_bandwidth(Bytes working_set) const {
     const double ws = static_cast<double>(working_set.count());
-    const double l1 = static_cast<double>(cfg_.l1_size.count());
-    const double l2 = static_cast<double>(cfg_.l2_size.count());
-    const double bw1 = cfg_.l1_bandwidth.bytes_per_second();
-    const double bw2 = cfg_.l2_bandwidth.bytes_per_second();
-    const double bw3 = cfg_.dram_bandwidth.bytes_per_second();
+    const double l1 = static_cast<double>(cal_.l1_size.count());
+    const double l2 = static_cast<double>(cal_.l2_size.count());
+    const double bw1 = cal_.l1_bandwidth.bytes_per_second();
+    const double bw2 = cal_.l2_bandwidth.bytes_per_second();
+    const double bw3 = cal_.dram_bandwidth.bytes_per_second();
     return Bandwidth::bytes_per_sec(
         blend(ws, l2, blend(ws, l1, bw1, bw2), bw3));
   }
@@ -57,7 +55,7 @@ class MemoryHierarchy {
   /// in the network stream instead.
   double strided_penalty(Bytes working_set) const {
     const double ws = static_cast<double>(working_set.count());
-    const double l2 = static_cast<double>(cfg_.l2_size.count());
+    const double l2 = static_cast<double>(cal_.l2_size.count());
     if (ws <= l2) return 1.0;
     if (ws >= 2.0 * l2) return kStridedDramPenalty;
     const double t = std::log2(ws / l2);
@@ -69,7 +67,7 @@ class MemoryHierarchy {
     return pass_time(amount, working_set) * strided_penalty(working_set);
   }
 
-  const MemoryConfig& config() const { return cfg_; }
+  const model::Calibration& calibration() const { return cal_; }
 
  private:
   static constexpr double kStridedDramPenalty = 3.0;
@@ -83,7 +81,7 @@ class MemoryHierarchy {
     return fast * std::pow(slow / fast, t);
   }
 
-  MemoryConfig cfg_;
+  const model::Calibration& cal_;
 };
 
 }  // namespace acc::hw

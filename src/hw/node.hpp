@@ -12,32 +12,34 @@
 #include "common/units.hpp"
 #include "hw/cpu.hpp"
 #include "hw/dma.hpp"
+#include "model/calibration.hpp"
 #include "sim/engine.hpp"
 #include "sim/resource.hpp"
 
 namespace acc::hw {
 
-struct NodeConfig {
-  CpuConfig cpu{};
-  MemoryConfig memory{};
-  Bandwidth pci_bandwidth = Bandwidth::mib_per_sec(132.0);
-  DmaConfig dma{};
-};
-
+/// Holds a reference to the calibration every device on the node reads
+/// (the CPU, the DMA engine, and the NIC, TCP stack or INIC card built on
+/// it); the calibration must outlive the node and its devices (a
+/// temporary does not compile).
 class Node {
  public:
-  Node(sim::Engine& eng, int id, const NodeConfig& cfg = {})
+  Node(sim::Engine& eng, int id,
+       const model::Calibration& cal = model::default_calibration())
       : id_(id),
         eng_(eng),
-        cpu_(eng, cfg.cpu, cfg.memory, id),
-        pci_(eng, cfg.pci_bandwidth, "pci-node" + std::to_string(id)),
-        dma_(pci_, cfg.dma, id) {}
+        cal_(cal),
+        cpu_(eng, cal, id),
+        pci_(eng, cal.host_pci_bus, "pci-node" + std::to_string(id)),
+        dma_(pci_, cal, id) {}
+  Node(sim::Engine&, int, const model::Calibration&&) = delete;
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 
   int id() const { return id_; }
   sim::Engine& engine() { return eng_; }
+  const model::Calibration& calibration() const { return cal_; }
   Cpu& cpu() { return cpu_; }
   sim::FifoResource& pci_bus() { return pci_; }
   DmaEngine& dma() { return dma_; }
@@ -45,6 +47,7 @@ class Node {
  private:
   int id_;
   sim::Engine& eng_;
+  const model::Calibration& cal_;
   Cpu cpu_;
   sim::FifoResource pci_;
   DmaEngine dma_;

@@ -35,13 +35,14 @@ InicCard::InicCard(hw::Node& node, net::Network& network,
     : node_(node),
       network_(network),
       cfg_(cfg),
-      host_dma_(node.engine(), cfg.host_dma_rate,
+      cal_(node.calibration()),
+      host_dma_(node.engine(), cal_.host_to_card,
                 "inic-hostdma-" + std::to_string(node.id())),
       net_tx_(node.engine(),
-              std::min(cfg.net_rate, network.line_rate()),
+              std::min(cal_.card_to_network, network.line_rate()),
               "inic-tx-" + std::to_string(node.id())),
       net_rx_(node.engine(),
-              std::min(cfg.net_rate, network.line_rate()),
+              std::min(cal_.card_to_network, network.line_rate()),
               "inic-rx-" + std::to_string(node.id())),
       card_inbox_(node.engine()),
       bursts_sent_(counter("inic/bursts_sent")),
@@ -57,9 +58,9 @@ InicCard::InicCard(hw::Node& node, net::Network& network,
       triggers_armed_(trigger_counter("coll/triggers_armed")),
       trigger_fires_(trigger_counter("coll/trigger_fires")),
       trigger_dups_(trigger_counter("coll/trigger_dups")) {
-  if (cfg_.shared_card_bus) {
+  if (cfg_.prototype) {
     card_bus_ = std::make_unique<sim::FifoResource>(
-        node.engine(), cfg_.card_bus_rate,
+        node.engine(), cal_.prototype_card_bus,
         "inic-bus-" + std::to_string(node.id()));
   }
   network_.attach(node.id(), *this);
@@ -167,7 +168,7 @@ sim::Process InicCard::send_stream(int dst, Bytes size, std::uint64_t tag,
     }
 
     const std::size_t packets =
-        (burst + cfg_.packet.count() - 1) / cfg_.packet.count();
+        (burst + cal_.inic_packet.count() - 1) / cal_.inic_packet.count();
     net::Frame frame;
     frame.src = node_.id();
     frame.dst = dst;
@@ -199,7 +200,7 @@ Time InicCard::transmit_burst(const net::Frame& frame, Time not_before) {
   // A resetting card cannot drive the MAC: the burst waits out the window.
   if (not_before < paused_until_) not_before = paused_until_;
   const Time packet_time =
-      transfer_time(cfg_.packet + kPerPacketOverhead, net_tx_.rate());
+      transfer_time(cal_.inic_packet + kPerPacketOverhead, net_tx_.rate());
   const Time tx_done =
       card_bus_ ? std::max(net_tx_.enqueue_after(not_before, frame.wire),
                            card_bus_->enqueue_after(not_before, frame.wire))
@@ -247,8 +248,8 @@ Time InicCard::effective_retransmit_timeout(const Peer& p) const {
   // rates a single-hop constant knows nothing about.  On the single-star
   // fabric the configured timeout dominates, preserving the historical
   // timing.
-  const std::size_t packets =
-      (cfg_.burst.count() + cfg_.packet.count() - 1) / cfg_.packet.count();
+  const std::uint64_t packet = cal_.inic_packet.count();
+  const std::size_t packets = (cfg_.burst.count() + packet - 1) / packet;
   const Bytes burst_wire =
       net::burst_wire_size(cfg_.burst, packets, kPerPacketOverhead);
   const Time rtt =
@@ -595,7 +596,7 @@ sim::Process InicCard::compute_offload(Bytes data, Bandwidth kernel_rate,
     // Ideal card: a dedicated host-memory path for the accelerator.
     if (!offload_path_) {
       offload_path_ = std::make_unique<sim::FifoResource>(
-          eng, cfg_.host_dma_rate,
+          eng, cal_.host_to_card,
           "inic-offload-" + std::to_string(node_.id()));
     }
     in_done = offload_path_->enqueue(data);
@@ -604,7 +605,7 @@ sim::Process InicCard::compute_offload(Bytes data, Bandwidth kernel_rate,
   // The kernel pipelines with the transfers (cut-through); it only
   // extends the critical path when slower than the memory path.
   const Time kernel_done =
-      in_done - transfer_time(data, cfg_.host_dma_rate) +
+      in_done - transfer_time(data, cal_.host_to_card) +
       transfer_time(data, kernel_rate) + kCardLatency;
   const Time done = std::max({in_done, kernel_done, out_done});
 
@@ -639,11 +640,11 @@ sim::Process InicCard::dma_from_host(Bytes size) {
 void InicCard::accumulate_for_host(std::size_t bucket, Bytes amount) {
   Bytes& acc = bucket_accumulated_[bucket];
   acc += amount;
-  while (acc >= cfg_.host_delivery_threshold) {
-    acc -= cfg_.host_delivery_threshold;
-    const Time done = book_stage(host_dma_, cfg_.host_delivery_threshold);
-    bytes_to_host_.add(node_.engine().now(),
-                       cfg_.host_delivery_threshold.count());
+  const Bytes threshold = cal_.dma_efficiency_threshold;
+  while (acc >= threshold) {
+    acc -= threshold;
+    const Time done = book_stage(host_dma_, threshold);
+    bytes_to_host_.add(node_.engine().now(), threshold.count());
     if (done > last_host_delivery_) last_host_delivery_ = done;
   }
 }

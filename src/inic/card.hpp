@@ -26,6 +26,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -229,6 +230,13 @@ class InicCard : public net::Endpoint {
   std::uint64_t reroutes() const { return reroutes_.value(); }
   Bytes bytes_to_host() const { return Bytes(bytes_to_host_.value()); }
   const InicConfig& config() const { return cfg_; }
+  /// Largest hardware bucket-sort fan-out the FPGAs hold: the
+  /// prototype's Calibration::prototype_max_buckets, unbounded on the
+  /// idealized card.
+  std::size_t max_hw_buckets() const {
+    return cfg_.prototype ? cal_.prototype_max_buckets
+                          : std::numeric_limits<std::size_t>::max();
+  }
   hw::Node& node() { return node_; }
   net::Network& network() { return network_; }
 
@@ -297,8 +305,8 @@ class InicCard : public net::Endpoint {
     std::set<int> seen_srcs;            // kArmed: exactly-once per source
   };
 
-  /// Books `size` on a stage resource, plus the shared card bus when the
-  /// prototype flag is set; returns the completion time of the later.
+  /// Books `size` on a stage resource, plus the shared card bus on the
+  /// prototype; returns the completion time of the later.
   Time book_stage(sim::FifoResource& stage, Bytes size);
 
   trace::Counter& counter(const char* name);
@@ -342,6 +350,7 @@ class InicCard : public net::Endpoint {
   hw::Node& node_;
   net::Network& network_;
   InicConfig cfg_;
+  const model::Calibration& cal_;  // the node's: rates, packet, thresholds
 
   sim::FifoResource host_dma_;  // host <-> card stream (both directions)
   sim::FifoResource net_tx_;    // card -> wire

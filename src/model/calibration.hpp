@@ -1,7 +1,14 @@
 // Calibration constants, each traceable to the paper or to the 2001-era
-// prototype it describes (Section 4 and 5).  Every model and every device
-// configuration pulls its numbers from here so a single edit retunes the
-// whole reproduction.
+// prototype it describes (Section 4 and 5).  This is the one table of the
+// machine's constants: the analytic models read it, and so does every
+// device model.  A hw::Node holds a reference to a Calibration, and its
+// CPU, memory hierarchy, DMA engine, interrupt coalescer, standard NIC,
+// TCP stack and INIC card read their rates, sizes and costs from it; no
+// device keeps a copy.  A SimCluster holds one copy for all its nodes,
+// so a single edit retunes the whole reproduction.  What a run chooses
+// on top of the machine (ideal or prototype card, credit window, go-back-N)
+// is inic::InicConfig; the switch fabric takes its line rate, latency and
+// port buffer through net::NetworkConfig, since it is also built alone.
 #pragma once
 
 #include <cstddef>

@@ -4,22 +4,7 @@
 
 namespace acc::model {
 
-namespace {
-
-hw::MemoryConfig memory_config(const Calibration& cal) {
-  hw::MemoryConfig cfg;
-  cfg.l1_size = cal.l1_size;
-  cfg.l2_size = cal.l2_size;
-  cfg.l1_bandwidth = cal.l1_bandwidth;
-  cfg.l2_bandwidth = cal.l2_bandwidth;
-  cfg.dram_bandwidth = cal.dram_bandwidth;
-  return cfg;
-}
-
-}  // namespace
-
-FftAnalyticModel::FftAnalyticModel(const Calibration& cal)
-    : cal_(cal), mem_(memory_config(cal)) {}
+FftAnalyticModel::FftAnalyticModel(const Calibration& cal) : cal_(cal) {}
 
 Bytes FftAnalyticModel::partition_size(std::size_t rows,
                                        std::size_t processors) const {
@@ -30,7 +15,7 @@ Bytes FftAnalyticModel::partition_size(std::size_t rows,
 Time FftAnalyticModel::compute_time(std::size_t rows,
                                     std::size_t processors) const {
   const Bytes slab = partition_size(rows, processors);
-  const Time per_row = apps::fft_row_time(cal_, mem_, rows, slab);
+  const Time per_row = apps::fft_row_time(cal_, memory(), rows, slab);
   // Equation (4): two row-FFT phases of rows/P rows each.
   return per_row * (2.0 * static_cast<double>(rows) /
                     static_cast<double>(processors));
@@ -67,7 +52,7 @@ Time FftAnalyticModel::inic_transpose_time(std::size_t rows,
   if (processors == 1) {
     // Degenerate case: the transpose never leaves the host.
     const Bytes s = partition_size(rows, 1);
-    return apps::transpose_pass_time(mem_, s, s) * 4.0;
+    return apps::transpose_pass_time(memory(), s, s) * 4.0;
   }
   // Equation (10): both transposes.
   return (t_dtc(rows, processors) + t_dtg(rows, processors) +
@@ -80,7 +65,7 @@ Time FftAnalyticModel::host_transpose_compute_time(
   const Bytes s = partition_size(rows, processors);
   // Per transpose: one local-transpose pass and one final-permutation
   // pass; two transposes per FFT.
-  return apps::transpose_pass_time(mem_, s, s) * 4.0;
+  return apps::transpose_pass_time(memory(), s, s) * 4.0;
 }
 
 Time FftAnalyticModel::inic_total_time(std::size_t rows,

@@ -56,8 +56,11 @@ class FftAnalyticModel {
   const Calibration& calibration() const { return cal_; }
 
  private:
+  /// The host memory model over this model's own calibration (built per
+  /// use, so copies of the model never share one).
+  hw::MemoryHierarchy memory() const { return hw::MemoryHierarchy(cal_); }
+
   Calibration cal_;
-  hw::MemoryHierarchy mem_;
 };
 
 }  // namespace acc::model

@@ -250,7 +250,12 @@ void Fabric::set_port_rate_factor(int node, double factor) {
 
 void Fabric::set_port_buffer_factor(int node, double factor) {
   require_unsharded("set_port_buffer_factor");
-  factor = std::clamp(factor, 0.0, 1.0);
+  // Same contract as FaultPlan's buffer-shrink windows: a NaN would cast
+  // to a 2^63-byte buffer, and an out-of-range factor is a caller bug.
+  if (!(factor >= 0.0 && factor <= 1.0)) {
+    throw std::invalid_argument(
+        "set_port_buffer_factor: factor must be in [0, 1]");
+  }
   host_port(node).capacity = Bytes(static_cast<std::uint64_t>(
       static_cast<double>(cfg_.port_buffer.count()) * factor));
 }

@@ -293,8 +293,9 @@ class Fabric {
   double port_rate_factor(int node) const { return host_port(node).rate_factor; }
 
   /// Shrinks (or restores, factor = 1) one host port's output-buffer
-  /// capacity to `factor` x configured.  Frames already buffered are
-  /// unaffected; admission uses the new capacity.
+  /// capacity to `factor` x configured.  factor must be in [0, 1]: NaN or
+  /// any value outside throws std::invalid_argument.  Frames already
+  /// buffered are unaffected; admission uses the new capacity.
   void set_port_buffer_factor(int node, double factor);
 
  private:

@@ -15,14 +15,12 @@ Time start_of(Time completion, Bytes size, Bandwidth rate) {
 
 }  // namespace
 
-StandardNic::StandardNic(hw::Node& node, Network& network,
-                         const NicConfig& cfg)
+StandardNic::StandardNic(hw::Node& node, Network& network)
     : node_(node),
       network_(network),
-      cfg_(cfg),
       tx_mac_(node.engine(), network.line_rate(),
               "nic-tx-" + std::to_string(node.id())),
-      coalescer_(node.engine(), node.cpu(), cfg.interrupts,
+      coalescer_(node.engine(), node.cpu(), node.calibration(),
                  [this](std::size_t n) { deliver_batch_to_host(n); }),
       frames_received_(node.engine().counters().get(
           trace::Category::kNic, node.id(), "nic/frames_received")),
@@ -51,7 +49,7 @@ sim::Process StandardNic::transmit(Frame frame) {
   const Bytes packet_wire =
       Bytes(frame.wire.count() / std::max<std::size_t>(frame.packet_count, 1));
   const Time packet_time = transfer_time(packet_wire, tx_mac_.rate());
-  const Time dma_lag = node_.dma().config().setup;
+  const Time dma_lag = node_.dma().setup();
 
   Time inject_at = std::max(dma_start + dma_lag, tx_start) + packet_time;
   if (inject_at < eng.now()) inject_at = eng.now();
@@ -84,7 +82,7 @@ void StandardNic::deliver(const Frame& frame) {
   const Time dma_start =
       start_of(dma_done, frame.payload, node_.pci_bus().rate());
   const Time data_ready =
-      std::max(node_.engine().now(), dma_start) + node_.dma().config().setup;
+      std::max(node_.engine().now(), dma_start) + node_.dma().setup();
 
   rx_pending_.push_back(PendingRx{frame, data_ready});
   frames_received_.add(node_.engine().now(), 1);
@@ -106,7 +104,7 @@ void StandardNic::deliver_batch_to_host(std::size_t packets) {
     // Protocol-stack work: per-packet CPU cost, serialized on the host
     // CPU with everything else; the upcall runs when both the stack work
     // and the DMA'd data are ready.
-    const Time work = cfg_.per_packet_host_cost *
+    const Time work = node_.calibration().per_packet_host_cost *
                       static_cast<double>(rx.frame.packet_count);
     const Time stack_done = node_.cpu().charge_protocol_work(work);
     const Time ready = std::max(rx.data_ready, stack_done);

@@ -9,7 +9,8 @@
 // it to the protocol stack, charging per-packet CPU work.  These two
 // receive-side costs — interrupt latency and per-packet processing — are
 // the mechanisms Section 4.1 blames for Gigabit Ethernet's poor transpose
-// scaling.
+// scaling.  The coalescing thresholds and the per-packet protocol cost
+// come from the node's calibration.
 #pragma once
 
 #include <deque>
@@ -26,17 +27,11 @@
 
 namespace acc::net {
 
-struct NicConfig {
-  hw::InterruptConfig interrupts{};
-  /// Host CPU time per wire packet for protocol processing (TCP/IP stack).
-  Time per_packet_host_cost = Time::micros(4.0);
-};
-
 class StandardNic : public Endpoint {
  public:
   using RxHandler = std::function<void(const Frame&)>;
 
-  StandardNic(hw::Node& node, Network& network, const NicConfig& cfg = {});
+  StandardNic(hw::Node& node, Network& network);
 
   /// Installs the protocol receive upcall (runs after interrupt + DMA).
   void set_rx_handler(RxHandler handler) { rx_handler_ = std::move(handler); }
@@ -65,7 +60,6 @@ class StandardNic : public Endpoint {
 
   hw::Node& node_;
   Network& network_;
-  NicConfig cfg_;
   sim::FifoResource tx_mac_;
   hw::InterruptCoalescer coalescer_;
   std::deque<PendingRx> rx_pending_;  // arrived, awaiting interrupt service

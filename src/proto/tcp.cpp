@@ -10,8 +10,6 @@ namespace {
 // Cap on the RTO that consecutive timeouts on the same data double
 // (Karn/Jacobson); an ACK that advances snd_una resets the backoff.
 constexpr Time kMaxRto = Time::nanos(5'000'000'000);  // 5 s
-// A header-only segment on the wire: Ethernet framing + IP + TCP headers.
-constexpr Bytes kAckWireSize = Bytes(78);
 // After this many consecutive RTO backoffs on one connection the stack
 // asks the fabric for a reroute (Fabric::request_reroute); a granted
 // reroute resets the backoff and the next retransmission takes the
@@ -20,10 +18,10 @@ constexpr int kRerouteAfterBackoffs = 3;
 
 }  // namespace
 
-TcpStack::TcpStack(hw::Node& node, net::StandardNic& nic, const TcpConfig& cfg)
+TcpStack::TcpStack(hw::Node& node, net::StandardNic& nic)
     : node_(node),
       nic_(nic),
-      cfg_(cfg),
+      cal_(node.calibration()),
       inbox_(node.engine()),
       retransmits_(node.engine().counters().get(
           trace::Category::kTcp, node.id(), "tcp/retransmits")),
@@ -37,13 +35,13 @@ TcpStack::TcpStack(hw::Node& node, net::StandardNic& nic, const TcpConfig& cfg)
 }
 
 TcpStack::Connection& TcpStack::connection(int peer) {
-  return connections_.try_emplace(peer, node_.engine(), peer, cfg_)
+  return connections_.try_emplace(peer, node_.engine(), peer, cal_)
       .first->second;
 }
 
 Time TcpStack::current_rto(const Connection& c) const {
-  Time rto = c.srtt == Time::zero() ? cfg_.min_rto
-                                    : std::max(cfg_.min_rto, c.srtt * 3.0);
+  Time rto = c.srtt == Time::zero() ? cal_.tcp_min_rto
+                                    : std::max(cal_.tcp_min_rto, c.srtt * 3.0);
   // Path-aware floor: the timer must never undercut two round trips of
   // the burst and its ACK over the *actual* route — on a multi-hop or
   // rate-degraded fabric a single-hop constant under-estimates the RTT
@@ -51,7 +49,7 @@ Time TcpStack::current_rto(const Connection& c) const {
   // floor sits far below min_rto and changes nothing.
   const auto& net = nic_.network();
   const Time rtt = net.path_latency(node_.id(), c.peer, c.last_burst_wire) +
-                   net.path_latency(c.peer, node_.id(), kAckWireSize);
+                   net.path_latency(c.peer, node_.id(), header_wire());
   rto = std::max(rto, rtt * 2.0);
   // Exponential backoff: each consecutive timeout on the same data
   // doubles the timer, capped — a dead or badly lossy path must not be
@@ -101,18 +99,18 @@ sim::Process TcpStack::send_message(int dst, Bytes size, std::uint64_t tag,
     const std::uint64_t burst_start = c.snd_una;
     c.snd_next = burst_start;
     const std::uint64_t window = std::max<std::uint64_t>(
-        static_cast<std::uint64_t>(c.cwnd), cfg_.mss);
+        static_cast<std::uint64_t>(c.cwnd), cal_.tcp_mss);
     const std::uint64_t burst_bytes =
         std::min<std::uint64_t>(window, msg_end - burst_start);
     const std::size_t packets =
-        (burst_bytes + cfg_.mss - 1) / cfg_.mss;
+        (burst_bytes + cal_.tcp_mss - 1) / cal_.tcp_mss;
 
     net::Frame frame;
     frame.src = node_.id();
     frame.dst = dst;
     frame.payload = Bytes(burst_bytes);
-    frame.wire = net::burst_wire_size(Bytes(burst_bytes), packets,
-                                      cfg_.per_packet_overhead);
+    frame.wire =
+        net::burst_wire_size(Bytes(burst_bytes), packets, header_wire());
     frame.packet_count = packets;
     frame.kind = net::FrameKind::kData;
     frame.seq = burst_start;
@@ -145,9 +143,9 @@ sim::Process TcpStack::send_message(int dst, Bytes size, std::uint64_t tag,
         // back the timer off exponentially for the next attempt (the
         // backoff resets when an ACK advances snd_una).
         c.ssthresh =
-            std::max(c.cwnd / 2.0, 2.0 * static_cast<double>(cfg_.mss));
-        c.cwnd =
-            static_cast<double>(cfg_.initial_window_segments * cfg_.mss);
+            std::max(c.cwnd / 2.0, 2.0 * static_cast<double>(cal_.tcp_mss));
+        c.cwnd = static_cast<double>(cal_.tcp_initial_window_segments *
+                                     cal_.tcp_mss);
         if (current_rto(c) < kMaxRto) {
           ++c.backoff_shift;
           backoffs_.add(e.now(), 1);
@@ -251,11 +249,11 @@ void TcpStack::on_ack(const net::Frame& frame) {
     if (!c.burst_retransmitted) {
       update_rtt(c, node_.engine().now() - c.burst_sent_at);
     }
-    const double cap = static_cast<double>(cfg_.max_window.count());
+    const double cap = static_cast<double>(cal_.tcp_max_window.count());
     if (c.cwnd < c.ssthresh) {
       c.cwnd = std::min(c.cwnd * 2.0, cap);
     } else {
-      c.cwnd = std::min(c.cwnd + static_cast<double>(cfg_.mss), cap);
+      c.cwnd = std::min(c.cwnd + static_cast<double>(cal_.tcp_mss), cap);
     }
     if (c.ack_event) c.ack_event->trigger();
   }
@@ -266,7 +264,7 @@ void TcpStack::send_ack(int dst, std::uint64_t ack_seq) {
   ack.src = node_.id();
   ack.dst = dst;
   ack.payload = Bytes::zero();
-  ack.wire = kAckWireSize;
+  ack.wire = header_wire();
   ack.packet_count = 1;
   ack.kind = net::FrameKind::kAck;
   ack.seq = ack_seq;

@@ -3,8 +3,8 @@
 //
 // What is modelled (each item is something the paper explicitly blames):
 //   * slow start and congestion avoidance: the congestion window starts
-//     at a couple of segments and must grow across round trips, so short
-//     transfers never reach line rate;
+//     at Calibration::tcp_initial_window_segments and must grow across
+//     round trips, so short transfers never reach line rate;
 //   * interrupt mitigation at BOTH ends: data and ACK frames sit in the
 //     NIC until a coalescing interrupt fires, inflating the effective RTT
 //     that slow start is clocked by;
@@ -27,6 +27,7 @@
 #include <memory>
 
 #include "common/units.hpp"
+#include "model/calibration.hpp"
 #include "net/frame.hpp"
 #include "net/nic.hpp"
 #include "proto/message.hpp"
@@ -37,20 +38,13 @@
 
 namespace acc::proto {
 
-struct TcpConfig {
-  std::size_t mss = 1460;                 // bytes of payload per packet
-  std::size_t initial_window_segments = 2;
-  Bytes max_window = Bytes::kib(64);      // socket-buffer cap on cwnd
-  Time min_rto = Time::millis(200);
-  /// Per-packet wire overhead: Ethernet framing + IP + TCP headers.
-  Bytes per_packet_overhead = Bytes(78);  // 38 framing + 40 IP/TCP
-};
-
 /// One node's TCP endpoint: owns one connection per peer node, carrying
-/// both directions, and is the NIC's receive upcall.
+/// both directions, and is the NIC's receive upcall.  MSS, initial and
+/// maximum window, minimum RTO and header sizes come from the node's
+/// calibration.
 class TcpStack {
  public:
-  TcpStack(hw::Node& node, net::StandardNic& nic, const TcpConfig& cfg = {});
+  TcpStack(hw::Node& node, net::StandardNic& nic);
 
   TcpStack(const TcpStack&) = delete;
   TcpStack& operator=(const TcpStack&) = delete;
@@ -72,14 +66,13 @@ class TcpStack {
   /// Reroutes granted by the fabric after repeated backoffs.
   std::uint64_t reroutes() const { return reroutes_.value(); }
 
-  const TcpConfig& config() const { return cfg_; }
-
  private:
   struct Connection {
-    Connection(sim::Engine& eng, int peer, const TcpConfig& cfg)
+    Connection(sim::Engine& eng, int peer, const model::Calibration& cal)
         : peer(peer), send_lock(eng, 1),
-          cwnd(static_cast<double>(cfg.initial_window_segments * cfg.mss)),
-          ssthresh(static_cast<double>(cfg.max_window.count())) {}
+          cwnd(static_cast<double>(cal.tcp_initial_window_segments *
+                                   cal.tcp_mss)),
+          ssthresh(static_cast<double>(cal.tcp_max_window.count())) {}
     const int peer;                  // the node at the other end
     // ---- sender state ----
     sim::Semaphore send_lock;        // one in-flight message per connection
@@ -108,11 +101,16 @@ class TcpStack {
   void on_ack(const net::Frame& frame);
   void send_ack(int dst, std::uint64_t ack_seq);
   Time current_rto(const Connection& c) const;
+  /// Wire bytes of a header-only segment (an ACK), and the per-packet
+  /// overhead of a data burst: Ethernet framing + IP + TCP headers.
+  Bytes header_wire() const {
+    return cal_.ethernet_frame_overhead + cal_.ip_tcp_headers;
+  }
   void update_rtt(Connection& c, Time sample);
 
   hw::Node& node_;
   net::StandardNic& nic_;
-  TcpConfig cfg_;
+  const model::Calibration& cal_;
   sim::Channel<Message> inbox_;
   std::map<int, Connection> connections_;  // keyed by peer node
   // Keeps transmit coroutines alive until they finish.

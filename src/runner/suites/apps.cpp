@@ -124,8 +124,7 @@ RunMetrics dma_threshold_metrics(const model::Calibration& cal,
   RunMetrics m = sort_ablation_metrics(cal, keys, p);
   sim::Engine eng;
   sim::FifoResource bus(eng, cal.host_pci_bus);
-  const hw::DmaEngine dma(bus, {.setup = cal.dma_setup,
-                                .max_burst = cal.dma_efficiency_threshold});
+  const hw::DmaEngine dma(bus, cal);
   const double efficiency = dma.efficiency(cal.dma_efficiency_threshold);
   m.counters.emplace_back("dma_efficiency_ppm", ppm(efficiency));
   m.counters.emplace_back(

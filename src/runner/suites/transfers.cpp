@@ -136,8 +136,9 @@ RunMetrics rc_placement_metrics(Bytes size) {
 
 /// An 8 MiB card-to-card stream while `offload_rounds` 8 MiB FPGA
 /// offloads run on the sending card; sim_time is the stream's delivery.
-/// A standalone engine and two bare cards: SimCluster's calibrated card
-/// config would change the numbers.
+/// A standalone engine and two bare cards on the default calibration:
+/// SimCluster would tune the card's burst to the cluster
+/// (InicConfig::tuned_for) and change the numbers.
 RunMetrics accelerator_stream(const inic::InicConfig& cfg,
                               int offload_rounds) {
   sim::Engine eng;

@@ -88,49 +88,59 @@ std::vector<Record> Tracer::records() const {
 }
 
 void Tracer::write_chrome_json(std::ostream& os) const {
+  const Tracer* self = this;
+  trace::write_chrome_json(os, std::span(&self, 1), digest_, emitted_);
+}
+
+void write_chrome_json(std::ostream& os, std::span<const Tracer* const> lanes,
+                       std::uint64_t digest, std::uint64_t records) {
   // Chrome's JSON timestamps are microseconds; print with nanosecond
   // precision via three decimals.  All output is locale-independent
   // (snprintf with "C"-style formats on integer-derived values).
   char buf[256];
   os << "{\"traceEvents\":[";
   bool first = true;
-  for (const Record& r : records()) {
-    if (!first) os << ",";
-    first = false;
-    const std::int64_t ns = r.ts.as_nanos();
-    std::snprintf(buf, sizeof buf,
-                  "{\"name\":\"%s\",\"cat\":\"%s\",\"pid\":0,\"tid\":%d,"
-                  "\"ts\":%" PRId64 ".%03d",
-                  r.name, to_string(r.category), r.node + 1, ns / 1000,
-                  static_cast<int>(ns % 1000 < 0 ? -(ns % 1000) : ns % 1000));
-    os << buf;
-    switch (r.kind) {
-      case RecordKind::kSpan: {
-        const std::int64_t dns = r.dur.as_nanos();
-        std::snprintf(buf, sizeof buf,
-                      ",\"ph\":\"X\",\"dur\":%" PRId64 ".%03d,"
-                      "\"args\":{\"value\":%" PRId64 "}}",
-                      dns / 1000, static_cast<int>(dns % 1000), r.value);
-        break;
+  for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
+    for (const Record& r : lanes[lane]->records()) {
+      if (!first) os << ",";
+      first = false;
+      const std::int64_t ns = r.ts.as_nanos();
+      std::snprintf(buf, sizeof buf,
+                    "{\"name\":\"%s\",\"cat\":\"%s\",\"pid\":%zu,\"tid\":%d,"
+                    "\"ts\":%" PRId64 ".%03d",
+                    r.name, to_string(r.category), lane, r.node + 1,
+                    ns / 1000,
+                    static_cast<int>(ns % 1000 < 0 ? -(ns % 1000)
+                                                   : ns % 1000));
+      os << buf;
+      switch (r.kind) {
+        case RecordKind::kSpan: {
+          const std::int64_t dns = r.dur.as_nanos();
+          std::snprintf(buf, sizeof buf,
+                        ",\"ph\":\"X\",\"dur\":%" PRId64 ".%03d,"
+                        "\"args\":{\"value\":%" PRId64 "}}",
+                        dns / 1000, static_cast<int>(dns % 1000), r.value);
+          break;
+        }
+        case RecordKind::kInstant:
+          std::snprintf(buf, sizeof buf,
+                        ",\"ph\":\"i\",\"s\":\"t\",\"args\":{\"value\":%" PRId64
+                        "}}",
+                        r.value);
+          break;
+        case RecordKind::kCounter:
+          std::snprintf(buf, sizeof buf,
+                        ",\"ph\":\"C\",\"args\":{\"value\":%" PRId64 "}}",
+                        r.value);
+          break;
       }
-      case RecordKind::kInstant:
-        std::snprintf(buf, sizeof buf,
-                      ",\"ph\":\"i\",\"s\":\"t\",\"args\":{\"value\":%" PRId64
-                      "}}",
-                      r.value);
-        break;
-      case RecordKind::kCounter:
-        std::snprintf(buf, sizeof buf,
-                      ",\"ph\":\"C\",\"args\":{\"value\":%" PRId64 "}}",
-                      r.value);
-        break;
+      os << buf;
     }
-    os << buf;
   }
   std::snprintf(buf, sizeof buf,
                 "],\"displayTimeUnit\":\"ms\",\"otherData\":{"
                 "\"digest\":\"%016" PRIx64 "\",\"records\":%" PRIu64 "}}",
-                digest_, emitted_);
+                digest, records);
   os << buf << "\n";
 }
 

@@ -29,6 +29,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <vector>
 
 #include "common/units.hpp"
@@ -120,6 +121,7 @@ class Tracer {
 
   /// Chrome trace_event JSON (object form, with a digest in otherData).
   /// Load the output in chrome://tracing or https://ui.perfetto.dev.
+  /// Equivalent to the free write_chrome_json() over this one lane.
   void write_chrome_json(std::ostream& os) const;
 
  private:
@@ -133,5 +135,13 @@ class Tracer {
   std::uint64_t digest_ = 14695981039346656037ULL;  // FNV-1a offset basis
   std::vector<Record> ring_;
 };
+
+/// Chrome trace_event JSON of every record the `lanes` retain, lane by
+/// lane, each lane as its own "pid" (the lane's index), labelled in
+/// otherData with `digest` and `records` (a multi-lane run passes its
+/// combined digest and its total emitted records).  One lane reproduces
+/// Tracer::write_chrome_json byte for byte.
+void write_chrome_json(std::ostream& os, std::span<const Tracer* const> lanes,
+                       std::uint64_t digest, std::uint64_t records);
 
 }  // namespace acc::trace

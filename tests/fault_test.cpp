@@ -24,6 +24,7 @@
 #include "model/calibration.hpp"
 #include "net/network.hpp"
 #include "net/nic.hpp"
+#include "recording_endpoint.hpp"
 #include "sim/channel.hpp"
 #include "sim/process.hpp"
 #include "trace/trace.hpp"
@@ -77,29 +78,8 @@ TEST(GilbertElliott, SameSeedReplaysIdentically) {
 // Network fault hooks
 // ---------------------------------------------------------------------
 
-class RecordingEndpoint : public net::Endpoint {
- public:
-  explicit RecordingEndpoint(sim::Engine& eng) : eng_(eng) {}
-  void deliver(const net::Frame& frame) override {
-    frames.push_back(frame);
-    times.push_back(eng_.now());
-  }
-  std::vector<net::Frame> frames;
-  std::vector<Time> times;
-
- private:
-  sim::Engine& eng_;
-};
-
-net::Frame make_frame(int src, int dst, Bytes payload) {
-  net::Frame f;
-  f.src = src;
-  f.dst = dst;
-  f.payload = payload;
-  f.wire = payload + Bytes(38);
-  f.packet_count = 1;
-  return f;
-}
+using net::test::make_frame;
+using net::test::RecordingEndpoint;
 
 TEST(NetworkFaults, LinkDownWindowDropsExactlyFramesInsideIt) {
   sim::Engine eng;
@@ -181,7 +161,10 @@ TEST(NetworkFaults, CorruptedFramesAreDeliveredWithTheFlagSet) {
 TEST(NetworkFaults, StandardNicDropsCorruptedFramesAtTheMac) {
   sim::Engine eng;
   net::Network net(eng, 2);
-  hw::Node na(eng, 0), nb(eng, 1);
+  // The 120 us interrupt-coalescing timeout this test was written against.
+  model::Calibration cal;
+  cal.interrupt_coalesce_timeout = Time::micros(120);
+  hw::Node na(eng, 0, cal), nb(eng, 1, cal);
   net::StandardNic nic_a(na, net), nic_b(nb, net);
   int upcalls = 0;
   nic_b.set_rx_handler([&](const net::Frame&) { ++upcalls; });
@@ -239,6 +222,30 @@ TEST(NetworkFaults, BufferShrinkCausesDropTailLoss) {
   net.inject(make_frame(2, 0, Bytes::kib(16)));
   eng.run();
   EXPECT_EQ(sink.frames.size(), 3u);
+}
+
+TEST(NetworkFaults, PortBufferFactorOutsideUnitIntervalThrows) {
+  sim::Engine eng;
+  net::Network net(eng, 2);
+  RecordingEndpoint sink(eng), src(eng);
+  net.attach(0, sink);
+  net.attach(1, src);
+  for (const double bad :
+       {std::numeric_limits<double>::quiet_NaN(), -0.1, 1.5}) {
+    EXPECT_THROW(net.set_port_buffer_factor(0, bad), std::invalid_argument)
+        << bad;
+  }
+  // Both ends of [0, 1] are accepted: no buffer at all drops the frame,
+  // the full buffer admits it again.
+  EXPECT_NO_THROW(net.set_port_buffer_factor(0, 0.0));
+  net.inject(make_frame(1, 0, Bytes(1000)));
+  eng.run();
+  EXPECT_EQ(sink.frames.size(), 0u);
+  EXPECT_EQ(net.frames_dropped(), 1u);
+  EXPECT_NO_THROW(net.set_port_buffer_factor(0, 1.0));
+  net.inject(make_frame(1, 0, Bytes(1000)));
+  eng.run();
+  EXPECT_EQ(sink.frames.size(), 1u);
 }
 
 // ---------------------------------------------------------------------

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "sim/process.hpp"
 
 namespace acc::hw {
@@ -24,14 +26,14 @@ TEST(Memory, BandwidthIsMonotoneInWorkingSet) {
 }
 
 TEST(Memory, PlateausMatchConfiguredLevels) {
-  MemoryConfig cfg;
-  MemoryHierarchy mem(cfg);
+  const model::Calibration cal;
+  MemoryHierarchy mem(cal);
   EXPECT_DOUBLE_EQ(mem.effective_bandwidth(Bytes::kib(16)).bytes_per_second(),
-                   cfg.l1_bandwidth.bytes_per_second());
+                   cal.l1_bandwidth.bytes_per_second());
   EXPECT_DOUBLE_EQ(mem.effective_bandwidth(Bytes::kib(256)).bytes_per_second(),
-                   cfg.l2_bandwidth.bytes_per_second());
+                   cal.l2_bandwidth.bytes_per_second());
   EXPECT_DOUBLE_EQ(mem.effective_bandwidth(Bytes::mib(64)).bytes_per_second(),
-                   cfg.dram_bandwidth.bytes_per_second());
+                   cal.dram_bandwidth.bytes_per_second());
 }
 
 TEST(Memory, BlendIsContinuousAcrossBoundaries) {
@@ -60,7 +62,7 @@ TEST(Memory, StridedPenaltyOnlyOutOfCache) {
 
 TEST(Cpu, SerializesComputeRequests) {
   sim::Engine eng;
-  Cpu cpu(eng, {}, {});
+  Cpu cpu(eng, model::default_calibration());
   std::vector<Time> done;
   sim::ProcessGroup group(eng);
   for (int i = 0; i < 3; ++i) {
@@ -78,15 +80,15 @@ TEST(Cpu, SerializesComputeRequests) {
 
 TEST(Cpu, FlopsTimeUsesConfiguredRate) {
   sim::Engine eng;
-  CpuConfig cfg;
-  cfg.fft_mflops = 100.0;
-  Cpu cpu(eng, cfg, {});
+  model::Calibration cal;
+  cal.host_fft_mflops = 100.0;
+  Cpu cpu(eng, cal);
   EXPECT_EQ(cpu.flops_time(1e8), Time::seconds(1.0));
 }
 
 TEST(Cpu, InterruptAndProtocolChargesAccumulate) {
   sim::Engine eng;
-  Cpu cpu(eng, {}, {});
+  Cpu cpu(eng, model::default_calibration());
   cpu.charge_interrupt(Time::micros(10));
   cpu.charge_interrupt(Time::micros(10));
   cpu.charge_protocol_work(Time::micros(50));
@@ -98,7 +100,7 @@ TEST(Cpu, InterruptAndProtocolChargesAccumulate) {
 TEST(Dma, EfficiencyRisesWithTransferSize) {
   sim::Engine eng;
   sim::FifoResource bus(eng, Bandwidth::mib_per_sec(132.0));
-  DmaEngine dma(bus);
+  DmaEngine dma(bus, model::default_calibration());
   const double tiny = dma.efficiency(Bytes(1024));
   const double small = dma.efficiency(Bytes::kib(16));
   const double threshold = dma.efficiency(Bytes::kib(64));
@@ -112,10 +114,10 @@ TEST(Dma, EfficiencyRisesWithTransferSize) {
 TEST(Dma, TransferTimeIncludesPerBurstSetup) {
   sim::Engine eng;
   sim::FifoResource bus(eng, Bandwidth::mib_per_sec(132.0));
-  DmaConfig cfg;
-  cfg.setup = Time::micros(8);
-  cfg.max_burst = Bytes::kib(64);
-  DmaEngine dma(bus, cfg);
+  model::Calibration cal;
+  cal.dma_setup = Time::micros(8);
+  cal.dma_efficiency_threshold = Bytes::kib(64);
+  DmaEngine dma(bus, cal);
   Time done = Time::zero();
   sim::ProcessGroup group(eng);
   group.spawn([](DmaEngine& d, sim::Engine& e, Time& out) -> sim::Process {
@@ -130,12 +132,12 @@ TEST(Dma, TransferTimeIncludesPerBurstSetup) {
 
 TEST(Interrupts, CountThresholdFiresImmediately) {
   sim::Engine eng;
-  Cpu cpu(eng, {}, {});
+  Cpu cpu(eng, model::default_calibration());
   std::vector<std::size_t> batches;
-  InterruptConfig cfg;
-  cfg.max_frames = 4;
-  cfg.timeout = Time::millis(100);
-  InterruptCoalescer ic(eng, cpu, cfg,
+  model::Calibration cal;
+  cal.interrupt_coalesce_frames = 4;
+  cal.interrupt_coalesce_timeout = Time::millis(100);
+  InterruptCoalescer ic(eng, cpu, cal,
                         [&](std::size_t n) { batches.push_back(n); });
   for (int i = 0; i < 4; ++i) ic.notify_frame();
   eng.run_window(Time::millis(1));
@@ -146,12 +148,12 @@ TEST(Interrupts, CountThresholdFiresImmediately) {
 
 TEST(Interrupts, TimeoutFiresForPartialBatch) {
   sim::Engine eng;
-  Cpu cpu(eng, {}, {});
+  Cpu cpu(eng, model::default_calibration());
   std::vector<std::size_t> batches;
-  InterruptConfig cfg;
-  cfg.max_frames = 16;
-  cfg.timeout = Time::micros(100);
-  InterruptCoalescer ic(eng, cpu, cfg,
+  model::Calibration cal;
+  cal.interrupt_coalesce_frames = 16;
+  cal.interrupt_coalesce_timeout = Time::micros(100);
+  InterruptCoalescer ic(eng, cpu, cal,
                         [&](std::size_t n) { batches.push_back(n); });
   ic.notify_frame();
   ic.notify_frame();
@@ -162,12 +164,12 @@ TEST(Interrupts, TimeoutFiresForPartialBatch) {
 
 TEST(Interrupts, BurstNotificationSplitsIntoBatches) {
   sim::Engine eng;
-  Cpu cpu(eng, {}, {});
+  Cpu cpu(eng, model::default_calibration());
   std::vector<std::size_t> batches;
-  InterruptConfig cfg;
-  cfg.max_frames = 16;
-  cfg.timeout = Time::micros(100);
-  InterruptCoalescer ic(eng, cpu, cfg,
+  model::Calibration cal;
+  cal.interrupt_coalesce_frames = 16;
+  cal.interrupt_coalesce_timeout = Time::micros(100);
+  InterruptCoalescer ic(eng, cpu, cal,
                         [&](std::size_t n) { batches.push_back(n); });
   ic.notify_frames(45);  // 2 full batches + 13 left for the timeout
   eng.run();
@@ -180,22 +182,27 @@ TEST(Interrupts, BurstNotificationSplitsIntoBatches) {
 
 TEST(Interrupts, EachInterruptChargesCpu) {
   sim::Engine eng;
-  Cpu cpu(eng, {}, {});
-  InterruptConfig cfg;
-  cfg.max_frames = 1;
-  cfg.service_cost = Time::micros(12);
-  InterruptCoalescer ic(eng, cpu, cfg, [](std::size_t) {});
+  Cpu cpu(eng, model::default_calibration());
+  model::Calibration cal;
+  cal.interrupt_coalesce_frames = 1;
+  cal.interrupt_cost = Time::micros(12);
+  InterruptCoalescer ic(eng, cpu, cal, [](std::size_t) {});
   for (int i = 0; i < 5; ++i) ic.notify_frame();
   eng.run();
   EXPECT_EQ(cpu.interrupts_serviced(), 5u);
   EXPECT_EQ(cpu.total_interrupt_time(), Time::micros(60));
 }
 
+// Devices keep a reference to the calibration, so a temporary is refused.
+static_assert(!std::is_constructible_v<Node, sim::Engine&, int,
+                                       model::Calibration&&>);
+static_assert(!std::is_constructible_v<MemoryHierarchy, model::Calibration&&>);
+
 TEST(Node, WiresComponentsTogether) {
   sim::Engine eng;
-  NodeConfig cfg;
-  cfg.pci_bandwidth = Bandwidth::mib_per_sec(132.0);
-  Node node(eng, 3, cfg);
+  model::Calibration cal;
+  cal.host_pci_bus = Bandwidth::mib_per_sec(132.0);
+  Node node(eng, 3, cal);
   EXPECT_EQ(node.id(), 3);
   EXPECT_DOUBLE_EQ(node.pci_bus().rate().bytes_per_second(),
                    132.0 * 1024 * 1024);

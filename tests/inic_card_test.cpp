@@ -19,13 +19,16 @@ struct InicCluster {
   explicit InicCluster(std::size_t n, InicConfig cfg = InicConfig::ideal(),
                        net::NetworkConfig net_cfg = {}) {
     network = std::make_unique<net::Network>(eng, n, net_cfg);
-    cfg = cfg.tuned_for(n, net_cfg.port_buffer);
+    cal.switch_port_buffer = net_cfg.port_buffer;
+    cfg = cfg.tuned_for(n, cal);
     for (std::size_t i = 0; i < n; ++i) {
-      nodes.push_back(std::make_unique<hw::Node>(eng, static_cast<int>(i)));
+      nodes.push_back(
+          std::make_unique<hw::Node>(eng, static_cast<int>(i), cal));
       cards.push_back(std::make_unique<InicCard>(*nodes[i], *network, cfg));
     }
   }
 
+  model::Calibration cal;
   sim::Engine eng;
   std::unique_ptr<net::Network> network;
   std::vector<std::unique_ptr<hw::Node>> nodes;
@@ -249,12 +252,14 @@ TEST(Inic, RejectsSendToSelf) {
 }
 
 TEST(Inic, TunedConfigShrinksBurstForLargeClusters) {
+  model::Calibration cal;
+  cal.switch_port_buffer = Bytes::kib(512);
   const InicConfig base = InicConfig::ideal();
-  const InicConfig p2 = base.tuned_for(2, Bytes::kib(512));
-  const InicConfig p16 = base.tuned_for(16, Bytes::kib(512));
+  const InicConfig p2 = base.tuned_for(2, cal);
+  const InicConfig p16 = base.tuned_for(16, cal);
   EXPECT_EQ(p2.burst, base.burst);
   EXPECT_LT(p16.burst.count(), base.burst.count());
-  EXPECT_GE(p16.burst.count(), base.packet.count());
+  EXPECT_GE(p16.burst.count(), cal.inic_packet.count());
   // Worst case in flight still fits the buffer.
   EXPECT_LE(15u * p16.credit_bursts * p16.burst.count(),
             Bytes::kib(512).count());

@@ -10,35 +10,15 @@
 #include <vector>
 
 #include "hw/node.hpp"
+#include "model/calibration.hpp"
+#include "recording_endpoint.hpp"
 #include "sim/process.hpp"
 
 namespace acc::net {
 namespace {
 
-/// Records every delivered frame with its arrival time.
-class RecordingEndpoint : public Endpoint {
- public:
-  explicit RecordingEndpoint(sim::Engine& eng) : eng_(eng) {}
-  void deliver(const Frame& frame) override {
-    frames.push_back(frame);
-    times.push_back(eng_.now());
-  }
-  std::vector<Frame> frames;
-  std::vector<Time> times;
-
- private:
-  sim::Engine& eng_;
-};
-
-Frame make_frame(int src, int dst, Bytes payload, std::size_t packets = 1) {
-  Frame f;
-  f.src = src;
-  f.dst = dst;
-  f.payload = payload;
-  f.wire = payload + Bytes(38 * packets);
-  f.packet_count = packets;
-  return f;
-}
+using test::make_frame;
+using test::RecordingEndpoint;
 
 TEST(Network, DeliversFrameWithLatencyAndSerialization) {
   sim::Engine eng;
@@ -135,14 +115,24 @@ TEST(Network, RejectsUnattachedDestination) {
   EXPECT_THROW(net.inject(make_frame(0, 1, Bytes(100))), std::logic_error);
 }
 
+/// The calibration with the 120 us interrupt-coalescing timeout these
+/// NIC tests were written against.
+model::Calibration nic_rig_calibration() {
+  model::Calibration cal;
+  cal.interrupt_coalesce_timeout = Time::micros(120);
+  return cal;
+}
+
 struct NicRig {
-  NicRig(NicConfig nic_cfg = {}, NetworkConfig net_cfg = {}) {
-    network = std::make_unique<Network>(eng, 2, net_cfg);
-    node_a = std::make_unique<hw::Node>(eng, 0);
-    node_b = std::make_unique<hw::Node>(eng, 1);
-    nic_a = std::make_unique<StandardNic>(*node_a, *network, nic_cfg);
-    nic_b = std::make_unique<StandardNic>(*node_b, *network, nic_cfg);
+  explicit NicRig(const model::Calibration& c = nic_rig_calibration())
+      : cal(c) {
+    network = std::make_unique<Network>(eng, 2);
+    node_a = std::make_unique<hw::Node>(eng, 0, cal);
+    node_b = std::make_unique<hw::Node>(eng, 1, cal);
+    nic_a = std::make_unique<StandardNic>(*node_a, *network);
+    nic_b = std::make_unique<StandardNic>(*node_b, *network);
   }
+  model::Calibration cal;
   sim::Engine eng;
   std::unique_ptr<Network> network;
   std::unique_ptr<hw::Node> node_a, node_b;
@@ -176,9 +166,9 @@ TEST(Nic, TransmitReachesPeerRxHandler) {
 }
 
 TEST(Nic, ReceiveChargesPerPacketCpuWork) {
-  NicConfig cfg;
-  cfg.per_packet_host_cost = Time::micros(10);
-  NicRig rig(cfg);
+  model::Calibration cal = nic_rig_calibration();
+  cal.per_packet_host_cost = Time::micros(10);
+  NicRig rig(cal);
   rig.nic_b->set_rx_handler([](const Frame&) {});
 
   sim::ProcessGroup group(rig.eng);
@@ -198,9 +188,9 @@ TEST(Nic, ReceiveChargesPerPacketCpuWork) {
 }
 
 TEST(Nic, LoneFrameWaitsForCoalescingTimeout) {
-  NicConfig lazy;
-  lazy.interrupts.max_frames = 64;
-  lazy.interrupts.timeout = Time::micros(300);
+  model::Calibration lazy = nic_rig_calibration();
+  lazy.interrupt_coalesce_frames = 64;
+  lazy.interrupt_coalesce_timeout = Time::micros(300);
   NicRig rig(lazy);
   std::vector<Time> arrival;
   rig.nic_b->set_rx_handler(

@@ -19,6 +19,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -154,20 +156,15 @@ struct ClusterRun {
   std::size_t lp_count = 0;
 };
 
-/// A neighbour-ring transfer workload with every rank coroutine spawned
-/// on its node's LP; SimCluster::run() drives the partition that
-/// `copts` (with tc's topology and `threads`) selects.
-ClusterRun cluster_run(const TopoCase& tc, std::size_t threads,
-                       apps::ClusterOptions copts) {
-  copts.topology = tc.config;
-  copts.engine_threads = threads;
-  apps::SimCluster cluster(tc.hosts, apps::Interconnect::kInicIdeal,
-                           model::default_calibration(), copts);
-  cluster.enable_tracing(/*ring_capacity=*/64);
+/// A neighbour ring of 4 KiB transfers with every rank coroutine spawned
+/// on its node's LP; SimCluster::run() drives the cluster's partition.
+/// Returns the end time.
+Time run_ring(apps::SimCluster& cluster) {
+  const std::size_t hosts = cluster.size();
   sim::ProcessGroup group(*cluster.parallel());
-  for (std::size_t i = 0; i < tc.hosts; ++i) {
+  for (std::size_t i = 0; i < hosts; ++i) {
     const int src = static_cast<int>(i);
-    const int dst = static_cast<int>((i + 1) % tc.hosts);
+    const int dst = static_cast<int>((i + 1) % hosts);
     group.spawn_on(cluster.node_lp(i),
                    cluster.transfer(src, dst, Bytes::kib(4), i));
     group.spawn_on(cluster.node_lp(static_cast<std::size_t>(dst)),
@@ -176,9 +173,22 @@ ClusterRun cluster_run(const TopoCase& tc, std::size_t threads,
                          .recv();
                    }(cluster, dst));
   }
-  ClusterRun out;
-  out.end = cluster.run();
+  const Time end = cluster.run();
   group.join();  // queue already drained; verifies nothing is stuck
+  return end;
+}
+
+/// The neighbour ring on the partition that `copts` (with tc's topology
+/// and `threads`) selects.
+ClusterRun cluster_run(const TopoCase& tc, std::size_t threads,
+                       apps::ClusterOptions copts) {
+  copts.topology = tc.config;
+  copts.engine_threads = threads;
+  apps::SimCluster cluster(tc.hosts, apps::Interconnect::kInicIdeal,
+                           model::default_calibration(), copts);
+  cluster.enable_tracing(/*ring_capacity=*/64);
+  ClusterRun out;
+  out.end = run_ring(cluster);
   out.digest = cluster.digest();
   out.records = cluster.trace_records();
   out.events = cluster.events_executed();
@@ -259,6 +269,38 @@ TEST(ParallelScaling, ClusterDigestIndependentOfShardedThreadCount) {
       expect_same_counters(run.counters, serial.counters, tc.label, threads);
     }
   }
+}
+
+TEST(ParallelScaling, ChromeExportHoldsEveryLane) {
+  // The exported trace of a per-switch run (ACC_TRACE's file) holds every
+  // lane's records, not LP 0's slice, and is labelled with the run's
+  // combined digest and total record count.
+  apps::ClusterOptions copts;
+  copts.topology = net::TopologyConfig::fat_tree(3);
+  copts.engine_threads = 2;
+  apps::SimCluster cluster(16, apps::Interconnect::kInicIdeal,
+                           model::default_calibration(), copts);
+  ASSERT_GT(cluster.partition().lp_count, 1u);
+  cluster.enable_tracing();  // unbounded: the export retains every record
+  run_ring(cluster);
+  ASSERT_LT(cluster.tracer().records_emitted(), cluster.trace_records());
+
+  std::ostringstream os;
+  cluster.write_chrome_json(os);
+  const std::string json = os.str();
+  std::uint64_t events = 0;
+  for (std::size_t at = json.find("\"ph\":"); at != std::string::npos;
+       at = json.find("\"ph\":", at + 1)) {
+    ++events;
+  }
+  EXPECT_EQ(events, cluster.trace_records());
+  char label[96];
+  std::snprintf(label, sizeof label,
+                "\"otherData\":{\"digest\":\"%016llx\",\"records\":%llu}",
+                static_cast<unsigned long long>(cluster.digest()),
+                static_cast<unsigned long long>(cluster.trace_records()));
+  EXPECT_NE(json.find(label), std::string::npos)
+      << label << " not in " << json.substr(json.size() - 96);
 }
 
 TEST(ParallelScaling, OneLpFeaturesIndependentOfThreadCount) {

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "hw/node.hpp"
+#include "model/calibration.hpp"
 #include "net/network.hpp"
 #include "net/nic.hpp"
 #include "sim/process.hpp"
@@ -17,20 +18,31 @@
 namespace acc::proto {
 namespace {
 
+/// The calibration with the device settings these TCP tests were written
+/// against: an initial window of 2 segments and a 120 us interrupt-
+/// coalescing timeout.
+model::Calibration tcp_rig_calibration() {
+  model::Calibration cal;
+  cal.tcp_initial_window_segments = 2;
+  cal.interrupt_coalesce_timeout = Time::micros(120);
+  return cal;
+}
+
 /// A small simulated cluster with TCP on every node.
 struct TcpCluster {
   explicit TcpCluster(std::size_t n, net::NetworkConfig net_cfg = {},
-                      net::NicConfig nic_cfg = {}, TcpConfig tcp_cfg = {}) {
+                      const model::Calibration& c = tcp_rig_calibration())
+      : cal(c) {
     network = std::make_unique<net::Network>(eng, n, net_cfg);
     for (std::size_t i = 0; i < n; ++i) {
-      nodes.push_back(std::make_unique<hw::Node>(eng, static_cast<int>(i)));
-      nics.push_back(
-          std::make_unique<net::StandardNic>(*nodes[i], *network, nic_cfg));
-      stacks.push_back(
-          std::make_unique<TcpStack>(*nodes[i], *nics[i], tcp_cfg));
+      nodes.push_back(
+          std::make_unique<hw::Node>(eng, static_cast<int>(i), cal));
+      nics.push_back(std::make_unique<net::StandardNic>(*nodes[i], *network));
+      stacks.push_back(std::make_unique<TcpStack>(*nodes[i], *nics[i]));
     }
   }
 
+  model::Calibration cal;
   sim::Engine eng;
   std::unique_ptr<net::Network> network;
   std::vector<std::unique_ptr<hw::Node>> nodes;
@@ -113,16 +125,16 @@ TEST(Tcp, CoalescingTimeoutInflatesSmallMessageLatency) {
   // With aggressive coalescing (high frame threshold), a lone small
   // message waits for the timeout at each receive; latency tracks the
   // coalescing timeout, not the wire time.
-  net::NicConfig lazy_nic;
-  lazy_nic.interrupts.max_frames = 64;
-  lazy_nic.interrupts.timeout = Time::micros(500);
+  model::Calibration lazy_nic = tcp_rig_calibration();
+  lazy_nic.interrupt_coalesce_frames = 64;
+  lazy_nic.interrupt_coalesce_timeout = Time::micros(500);
 
-  net::NicConfig eager_nic;
-  eager_nic.interrupts.max_frames = 1;
-  eager_nic.interrupts.timeout = Time::micros(1);
+  model::Calibration eager_nic = tcp_rig_calibration();
+  eager_nic.interrupt_coalesce_frames = 1;
+  eager_nic.interrupt_coalesce_timeout = Time::micros(1);
 
-  auto run = [](net::NicConfig cfg) {
-    TcpCluster cluster(2, {}, cfg);
+  auto run = [](const model::Calibration& cal) {
+    TcpCluster cluster(2, {}, cal);
     std::vector<Message> received;
     sim::ProcessGroup group(cluster.eng);
     group.spawn(send_one(*cluster.stacks[0], 1, Bytes(1024), 0, {}));
@@ -141,9 +153,9 @@ TEST(Tcp, RecoversFromSwitchBufferOverflow) {
   // must still complete, with retransmissions recorded.
   net::NetworkConfig tiny;
   tiny.port_buffer = Bytes(4096);
-  TcpConfig tcp;
-  tcp.min_rto = Time::millis(5);  // keep the test fast
-  TcpCluster cluster(2, tiny, {}, tcp);
+  model::Calibration cal = tcp_rig_calibration();
+  cal.tcp_min_rto = Time::millis(5);  // keep the test fast
+  TcpCluster cluster(2, tiny, cal);
 
   std::vector<Message> received;
   sim::ProcessGroup group(cluster.eng);

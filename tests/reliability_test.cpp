@@ -11,6 +11,7 @@
 #include "fault/fault.hpp"
 #include "hw/node.hpp"
 #include "inic/card.hpp"
+#include "model/calibration.hpp"
 #include "net/network.hpp"
 #include "proto/tcp.hpp"
 #include "sim/process.hpp"
@@ -18,16 +19,26 @@
 namespace acc {
 namespace {
 
+/// The calibration with the device settings these TCP tests were written
+/// against (an initial window of 2 segments, a 120 us interrupt-coalescing
+/// timeout) and a 5 ms minimum RTO to keep them quick.
+model::Calibration tcp_test_calibration() {
+  model::Calibration cal;
+  cal.tcp_initial_window_segments = 2;
+  cal.interrupt_coalesce_timeout = Time::micros(120);
+  cal.tcp_min_rto = Time::millis(5);
+  return cal;
+}
+
 TEST(Reliability, TcpDeliversUnderRandomLoss) {
   sim::Engine eng;
   net::Network network(eng, 2);
   network.set_random_loss(0.15, 42);
 
-  hw::Node a(eng, 0), b(eng, 1);
-  proto::TcpConfig tcp_cfg;
-  tcp_cfg.min_rto = Time::millis(5);  // keep the test quick
+  const model::Calibration cal = tcp_test_calibration();
+  hw::Node a(eng, 0, cal), b(eng, 1, cal);
   net::StandardNic nic_a(a, network), nic_b(b, network);
-  proto::TcpStack stack_a(a, nic_a, tcp_cfg), stack_b(b, nic_b, tcp_cfg);
+  proto::TcpStack stack_a(a, nic_a), stack_b(b, nic_b);
 
   std::vector<proto::Message> received;
   sim::ProcessGroup group(eng);
@@ -59,11 +70,10 @@ TEST(Reliability, TcpConvergesUnderSustained30PercentLoss) {
   net::Network network(eng, 2);
   network.set_random_loss(0.30, 99);
 
-  hw::Node a(eng, 0), b(eng, 1);
-  proto::TcpConfig tcp_cfg;
-  tcp_cfg.min_rto = Time::millis(5);  // keep the test quick
+  const model::Calibration cal = tcp_test_calibration();
+  hw::Node a(eng, 0, cal), b(eng, 1, cal);
   net::StandardNic nic_a(a, network), nic_b(b, network);
-  proto::TcpStack stack_a(a, nic_a, tcp_cfg), stack_b(b, nic_b, tcp_cfg);
+  proto::TcpStack stack_a(a, nic_a), stack_b(b, nic_b);
 
   std::vector<proto::Message> received;
   sim::ProcessGroup group(eng);
@@ -98,11 +108,10 @@ TEST(Reliability, TcpDeliversUnderBurstyLoss) {
   ge.loss_bad = 0.9;
   network.set_burst_loss(ge, 17);
 
-  hw::Node a(eng, 0), b(eng, 1);
-  proto::TcpConfig tcp_cfg;
-  tcp_cfg.min_rto = Time::millis(5);
+  const model::Calibration cal = tcp_test_calibration();
+  hw::Node a(eng, 0, cal), b(eng, 1, cal);
   net::StandardNic nic_a(a, network), nic_b(b, network);
-  proto::TcpStack stack_a(a, nic_a, tcp_cfg), stack_b(b, nic_b, tcp_cfg);
+  proto::TcpStack stack_a(a, nic_a), stack_b(b, nic_b);
 
   std::vector<proto::Message> received;
   sim::ProcessGroup group(eng);

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "net/topology.hpp"
+#include "recording_endpoint.hpp"
 #include "sim/engine.hpp"
 #include "trace/counters.hpp"
 #include "trace/trace.hpp"
@@ -22,29 +23,8 @@
 namespace acc::net {
 namespace {
 
-class RecordingEndpoint : public Endpoint {
- public:
-  explicit RecordingEndpoint(sim::Engine& eng) : eng_(eng) {}
-  void deliver(const Frame& frame) override {
-    frames.push_back(frame);
-    times.push_back(eng_.now());
-  }
-  std::vector<Frame> frames;
-  std::vector<Time> times;
-
- private:
-  sim::Engine& eng_;
-};
-
-Frame make_frame(int src, int dst, Bytes payload = Bytes(1024)) {
-  Frame f;
-  f.src = src;
-  f.dst = dst;
-  f.payload = payload;
-  f.wire = payload + Bytes(38);
-  f.packet_count = 1;
-  return f;
-}
+using test::make_frame;
+using test::RecordingEndpoint;
 
 /// A fabric with every host attached to a recording endpoint.
 struct Harness {

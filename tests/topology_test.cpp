@@ -25,6 +25,7 @@
 #include "model/calibration.hpp"
 #include "net/lp_map.hpp"
 #include "net/network.hpp"
+#include "recording_endpoint.hpp"
 #include "sim/engine.hpp"
 #include "sim/parallel.hpp"
 #include "sim/resource.hpp"
@@ -32,30 +33,8 @@
 namespace acc {
 namespace {
 
-class RecordingEndpoint : public net::Endpoint {
- public:
-  explicit RecordingEndpoint(sim::Engine& eng) : eng_(eng) {}
-  void deliver(const net::Frame& frame) override {
-    frames.push_back(frame);
-    times.push_back(eng_.now());
-  }
-  std::vector<net::Frame> frames;
-  std::vector<Time> times;
-
- private:
-  sim::Engine& eng_;
-};
-
-net::Frame make_frame(int src, int dst, Bytes payload,
-                      std::size_t packets = 1) {
-  net::Frame f;
-  f.src = src;
-  f.dst = dst;
-  f.payload = payload;
-  f.wire = payload + Bytes(38 * packets);
-  f.packet_count = packets;
-  return f;
-}
+using net::test::make_frame;
+using net::test::RecordingEndpoint;
 
 /// A fabric of `n` hosts, every host attached to a recording endpoint.
 struct FabricRig {
@@ -421,7 +400,6 @@ TEST(Fault, RejectsBadRateFactorsAndNonAdjacentInteriorLinks) {
   on_star.with_interior_link_down(0, 1, Time::millis(1), Time::millis(1));
   EXPECT_THROW(fault::FaultInjector(star, on_star), std::invalid_argument);
 }
-
 
 // ---------------------------------------------------------------------
 // One lane model: a fabric built on a plain Engine and one built on a
